@@ -50,7 +50,7 @@ fn codec_level() {
     println!("codec-level: one TTB round of k heartbeats to one peer node");
     println!(
         "{:>6} {:>14} {:>16} {:>10} {:>12}",
-        "k", "batched B", "unbatched B", "saved %", "pred saved B"
+        "k", "batched B", "unbatched B", "saved %", "framing B"
     );
     for k in [1u32, 4, 16, 64, 256, 1024] {
         let round = heartbeat_round(k);
@@ -59,15 +59,17 @@ fn codec_level() {
             .iter()
             .map(|i| encode_frame(&Frame::Batch(vec![i.clone()])).len() as u64)
             .sum();
-        let predicted = (k as u64 - 1) * FRAME_OVERHEAD;
+        // The floor: one framing overhead per frame avoided. Items that
+        // share a frame also stop restating each other's fields, so the
+        // saving exceeds it whenever k > 1.
+        let framing = (k as u64 - 1) * FRAME_OVERHEAD;
         assert!(
             k == 1 || batched < unbatched,
             "batching must strictly save bytes for k={k}"
         );
-        assert_eq!(
-            unbatched - batched,
-            predicted,
-            "framing overhead model drifted"
+        assert!(
+            unbatched - batched >= framing,
+            "batching saved less than the framing it removed"
         );
         println!(
             "{:>6} {:>14} {:>16} {:>9.1}% {:>12}",
@@ -75,7 +77,7 @@ fn codec_level() {
             batched,
             unbatched,
             100.0 * (unbatched - batched) as f64 / unbatched as f64,
-            predicted
+            framing
         );
     }
 }

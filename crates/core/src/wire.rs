@@ -16,6 +16,15 @@
 //! clock    := value(8) owner(8)
 //! aoid     := node(4) index(4)
 //! ```
+//!
+//! This fixed 34/26(30)-byte unit layout is what the **simulator**
+//! charges: it models the paper's measurement, one RMI call per unit
+//! plus the calibrated [`RMI_CALL_ENVELOPE`]. The socket transport
+//! (`dgc_rt_net::frame`) does not put these encodings on the wire; it
+//! batches units into frames built from the primitives below
+//! ([`put_varint`] / [`get_varint`]) and elides whatever a frame already
+//! states, and its byte counters report what was actually written. The
+//! two accountings answer different questions and are not meant to agree.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -40,6 +49,12 @@ pub enum DecodeError {
     Truncated,
     /// The leading tag byte did not match the expected unit.
     BadTag(u8),
+    /// A varint ran past ten bytes or its value does not fit the field
+    /// it was read for.
+    Overflow,
+    /// A field was marked "same as the previous item's" where the frame
+    /// has no previous item carrying it.
+    NoContext,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -47,14 +62,15 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "wire buffer truncated"),
             DecodeError::BadTag(t) => write!(f, "unexpected wire tag 0x{t:02X}"),
+            DecodeError::Overflow => write!(f, "varint too long or out of range"),
+            DecodeError::NoContext => write!(f, "field elided against a missing previous item"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Appends an [`AoId`] (8 bytes). Public so node-level transports can
-/// compose frames out of the same primitives the simulator charges for.
+/// Appends an [`AoId`] in the fixed layout (8 bytes).
 pub fn put_aoid(buf: &mut impl BufMut, id: AoId) {
     buf.put_u32(id.node);
     buf.put_u32(id.index);
@@ -66,6 +82,39 @@ pub fn get_aoid(buf: &mut Bytes) -> Result<AoId, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     Ok(AoId::new(buf.get_u32(), buf.get_u32()))
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven value bits per byte,
+/// low group first, high bit set on every byte but the last (1 byte
+/// below 128, at most 10 for a full `u64`).
+pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// Reads a varint written by [`put_varint`]. Encodings longer than ten
+/// bytes, or whose tenth byte carries bits beyond the 64th, are
+/// [`DecodeError::Overflow`].
+pub fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        if buf.remaining() < 1 {
+            return Err(DecodeError::Truncated);
+        }
+        let byte = buf.get_u8();
+        let group = u64::from(byte & 0x7F);
+        if shift == 63 && group > 1 {
+            return Err(DecodeError::Overflow);
+        }
+        v |= group << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(DecodeError::Overflow)
 }
 
 /// Appends a [`NamedClock`] (16 bytes).
@@ -84,9 +133,7 @@ pub fn get_clock(buf: &mut Bytes) -> Result<NamedClock, DecodeError> {
     Ok(NamedClock { value, owner })
 }
 
-/// Appends an encoded DGC message to `buf` (tag included), letting
-/// transports embed messages inside larger frames without intermediate
-/// allocations.
+/// Appends an encoded DGC message to `buf` (tag included).
 pub fn put_message(buf: &mut impl BufMut, m: &DgcMessage) {
     buf.put_u8(TAG_MESSAGE);
     put_aoid(buf, m.sender);
@@ -335,5 +382,49 @@ mod tests {
     fn decode_error_display() {
         assert_eq!(DecodeError::Truncated.to_string(), "wire buffer truncated");
         assert!(DecodeError::BadTag(0xAB).to_string().contains("0xAB"));
+        assert!(DecodeError::Overflow.to_string().contains("varint"));
+        assert!(DecodeError::NoContext.to_string().contains("previous"));
+    }
+
+    fn varint(v: u64) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, v);
+        buf.freeze()
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_length_boundary() {
+        let edges = (0..64).flat_map(|bits| [(1u64 << bits) - 1, 1u64 << bits]);
+        for v in edges.chain([u64::MAX]) {
+            let mut enc = varint(v);
+            let expected_len = ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7);
+            assert_eq!(enc.len(), expected_len, "length of {v}");
+            assert_eq!(get_varint(&mut enc), Ok(v));
+            assert_eq!(enc.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn hostile_varints_are_errors() {
+        // Eleven continuation bytes: too long.
+        assert_eq!(
+            get_varint(&mut Bytes::from(vec![0x80; 11])),
+            Err(DecodeError::Overflow)
+        );
+        // Ten bytes whose last carries bits 64 and up.
+        let mut over = vec![0xFF; 9];
+        over.push(0x02);
+        assert_eq!(
+            get_varint(&mut Bytes::from(over)),
+            Err(DecodeError::Overflow)
+        );
+        // Every strict prefix of a multi-byte varint is truncated.
+        let full = varint(u64::MAX);
+        for len in 0..full.len() {
+            assert_eq!(
+                get_varint(&mut full.slice(0..len)),
+                Err(DecodeError::Truncated)
+            );
+        }
     }
 }

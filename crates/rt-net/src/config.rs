@@ -76,10 +76,6 @@ pub struct NetConfig {
     /// Which I/O engine drives the node's links. Defaults to whatever
     /// `DGC_NET_ENGINE` says ([`IoEngine::Threaded`] when unset).
     pub engine: IoEngine,
-    /// Reactor loop shards. The loop is structured so links could hash
-    /// across several independent pollers, but only `1` is implemented;
-    /// [`crate::NetNode::bind`] rejects anything else.
-    pub reactor_shards: usize,
     /// TTB sweep shards: how many threads a node's due-endpoint sweep
     /// fans out across ([`dgc_core::sweep_sharded`]). `1` (the default)
     /// sweeps inline on the event loop with no thread handoff. Whatever
@@ -120,7 +116,6 @@ impl NetConfig {
             membership: None,
             trace: TraceLevel::Off,
             engine: IoEngine::from_env(),
-            reactor_shards: 1,
             sweep_shards: std::env::var("DGC_SWEEP_SHARDS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -212,7 +207,6 @@ mod tests {
         assert!(c.egress.max_delay >= Dur::from_nanos(100_000));
         assert!(c.fail_after_attempts > 0);
         assert!(c.batching(false).egress.is_immediate());
-        assert_eq!(c.reactor_shards, 1);
         assert!(c.max_link_pending > 0);
         assert!(c.auth.is_none());
         assert!(c.handshake_timeout > Duration::ZERO);

@@ -7,9 +7,12 @@
 //! destination activity no longer exists, and — the paper's fig. 8 cost
 //! lever — **batching**: every unit the egress plane flushes toward one
 //! remote node (DGC heartbeats, membership digests, application
-//! payloads) shares a single frame and its overhead.
+//! payloads) shares a single frame, its overhead, and its *context*: a
+//! field the frame has already stated is not stated again.
 //!
-//! Layout (big-endian), length-prefixed for TCP:
+//! Layout, length-prefixed for TCP. `len`, `count` and the handshake
+//! frames are fixed-width big-endian; everything inside an item is an
+//! LEB128 varint (`v(..)`, [`dgc_core::wire::put_varint`]):
 //!
 //! ```text
 //! frame    := len(4) payload            len = payload size in bytes
@@ -18,38 +21,83 @@
 //!           | 0xF2 nonce(16)                               -- AuthInit
 //!           | 0xF3 nonce(16) mac(32)                       -- AuthChallenge
 //!           | 0xF4 mac(32)                                 -- AuthProof
-//! item     := 0x01 from(8) to(8) message                   -- Dgc
-//!           | 0x02 from(8) to(8) response                  -- Resp
-//!           | 0x03 holder(8) target(8)                     -- SendFailure
-//!           | 0x04 from(4) to(4) digest                    -- Gossip
-//!           | 0x05 from(8) to(8) flags(1) tenant(4)
-//!                  len(4) bytes                            -- App
+//! item     := head body                 head = kind | flags, one byte
+//!
+//! kind (bits 0-2)   body, `[x]` = absent when its flag is set
+//!   1 Dgc           [from] [to] [clock] [ttb]
+//!   2 Resp          [from] [to] [clock] depth
+//!   3 SendFailure   [target] [holder]       target as `from`, holder as `to`
+//!   4 Gossip        v(from) v(to) digest
+//!   5 App           [from] [to] v(tenant) v(len) bytes
+//!   6 Dgc           [from] [to] sender [clock] [ttb]       sender != from
+//!   7 Resp          [from] [to] responder [clock] depth    responder != from
+//!
+//! flags (bits 3-7)  3 SAME_FROM   4 SAME_TO       (kinds 1 2 3 5 6 7)
+//!                   5 SAME_CLOCK                  (Dgc, Resp)
+//!                   6 SAME_TTB    7 consensus     (Dgc)
+//!                   6 has_parent  7 consensus_reached   (Resp)
+//!                   5 reply                       (App)
+//!                   any other bit set: the frame is corrupt
+//!
+//! id       := v(0)                                  -- equal to its base
+//!           | v(((index << 1) | 0) + 1)             -- the base's node
+//!           | v(((index << 1) | 1) + 1) v(node)
+//! clock    := v(value) owner
+//! ttb      := v(nanoseconds)
+//! depth    := v(0) for none | v(depth + 1)
 //! ```
+//!
+//! **Within an item**, the sender of a `Dgc` (responder of a `Resp`) is
+//! `from` unless the kind says otherwise, and an id is written against a
+//! *base*: `sender` against `from`, a clock's `owner` against the unit's
+//! sender — so the usual clock, owned by whoever sends it, costs its
+//! value and one zero byte.
+//!
+//! **Across items**, `from`, `to`, `clock` and `ttb` are delta-coded
+//! against the most recent item *of this frame* that carried the field:
+//! equal is a flag bit and no bytes, and a differing `from`/`to` takes
+//! that previous id as its base, so activities of the same node omit
+//! the node. This is the shape a TTB sweep emits: one sender's fan-out
+//! is consecutive (same `from`, `clock`, `ttb`; only `to`'s index
+//! changes), and the responses to it share their `to`. Gossip items
+//! carry node ids, not activity ids, and neither use nor change the
+//! context.
+//!
+//! **The context resets at every frame boundary.** A frame is the unit
+//! the chaos proxy drops, delays and reorders, and the unit both engines
+//! salvage and re-send after a reconnect, so each must decode on its own;
+//! a "same as previous" flag with no previous item in the frame is
+//! [`DecodeError::NoContext`]. `len` and `count` stay fixed-width so
+//! [`FRAME_OVERHEAD`] is a constant and [`FrameDecoder`] finds frame
+//! boundaries without decoding.
 //!
 //! The `Auth*` frames carry the `dgc-plane` pre-shared-key handshake
 //! (HMAC-SHA256 challenge/response) that follows `Hello` on links with
 //! authentication configured; they are handshake-only and never appear
-//! inside a batch.
+//! inside a batch. `digest` is the self-delimiting encoding of
+//! [`dgc_membership::wire`], carried verbatim.
 //!
-//! `message` / `response` / `digest` reuse the self-delimiting
-//! encodings of [`dgc_core::wire`] and [`dgc_membership::wire`] byte
-//! for byte, so the bandwidth accounting of the simulator and of the
-//! socket transport agree on the cost of a protocol unit.
+//! Two byte accountings exist and model different things. The simulator
+//! charges each unit the fixed [`dgc_core::wire`] encoding plus a
+//! calibrated envelope: one Java-RMI call, as the paper measured.
+//! `NetStats::bytes_sent` counts what this module writes to a socket.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use dgc_core::clock::NamedClock;
 use dgc_core::egress::EgressClass;
 use dgc_core::id::AoId;
 use dgc_core::message::{DgcMessage, DgcResponse};
-use dgc_core::wire::{self, DecodeError};
+use dgc_core::units::Dur;
+use dgc_core::wire::{get_varint, put_varint, DecodeError};
 use dgc_membership::wire as membership_wire;
 use dgc_membership::Digest;
 
 /// Protocol version carried by [`Frame::Hello`]; bumped on any layout
 /// change so mismatched nodes fail the handshake instead of
-/// misinterpreting frames. Version 3: link-authentication handshake
-/// frames and a tenant tag on application items.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// misinterpreting frames. Version 4: context-compressed batch items
+/// (varints, intra-item elision, previous-item delta).
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Frame tag bytes (disjoint from `dgc_core::wire`'s unit tags).
 const TAG_HELLO: u8 = 0xF0;
@@ -64,13 +112,28 @@ pub const AUTH_NONCE_LEN: usize = 16;
 /// Length of an auth handshake MAC (`dgc_plane::auth::MAC_LEN`).
 pub const AUTH_MAC_LEN: usize = 32;
 
-const ITEM_DGC: u8 = 0x01;
-const ITEM_RESP: u8 = 0x02;
-const ITEM_FAIL: u8 = 0x03;
-const ITEM_GOSSIP: u8 = 0x04;
-const ITEM_APP: u8 = 0x05;
+/// Item kinds: the low three bits of an item's head byte.
+const KIND_MASK: u8 = 0b0000_0111;
+const ITEM_DGC: u8 = 1;
+const ITEM_RESP: u8 = 2;
+const ITEM_FAIL: u8 = 3;
+const ITEM_GOSSIP: u8 = 4;
+const ITEM_APP: u8 = 5;
+/// A `Dgc` / `Resp` whose unit names a sender / responder other than
+/// the item's `from`; the id follows `to`.
+const ITEM_DGC_DETACHED: u8 = 6;
+const ITEM_RESP_DETACHED: u8 = 7;
 
-const APP_FLAG_REPLY: u8 = 0b0000_0001;
+/// Head-byte flags: the field equals the one the frame last stated.
+const SAME_FROM: u8 = 1 << 3;
+const SAME_TO: u8 = 1 << 4;
+const SAME_CLOCK: u8 = 1 << 5;
+const DGC_SAME_TTB: u8 = 1 << 6;
+/// Head-byte flags carrying an item's own booleans.
+const DGC_CONSENSUS: u8 = 1 << 7;
+const RESP_HAS_PARENT: u8 = 1 << 6;
+const RESP_CONSENSUS_REACHED: u8 = 1 << 7;
+const APP_REPLY: u8 = 1 << 5;
 
 /// Hard cap on one application payload inside a frame (anything larger
 /// should stream on its own connection, not ride the shared frames).
@@ -84,8 +147,8 @@ pub const MAX_APP_PAYLOAD: usize = 1 << 20;
 pub const GOSSIP_ANYCAST: u32 = u32::MAX;
 
 /// Frames larger than this are rejected as corrupt rather than buffered
-/// (a batch of 64 Ki heartbeats is already ~3 MiB; nothing legitimate
-/// comes close).
+/// (writers split at [`MAX_BYTES_PER_FRAME`], half of it; nothing
+/// legitimate comes close).
 pub const MAX_FRAME_LEN: usize = 8 << 20;
 
 /// Hard cap on items per batch, mirrored by the encoder.
@@ -176,18 +239,26 @@ impl Item {
         }
     }
 
-    /// Encoded size of the item inside a batch, in bytes (tag and all
-    /// fields) — what the egress plane charges against its byte bound.
+    /// Bytes this item adds to a frame when nothing can be elided from
+    /// its predecessor — its exact size as the first item of a frame,
+    /// and an upper bound anywhere else. This is what the egress plane
+    /// charges against its byte bound and what [`split_len`] sums, so
+    /// no frame can outgrow [`MAX_BYTES_PER_FRAME`]; what a link really
+    /// wrote is `NetStats::bytes_sent`.
     pub fn wire_size(&self) -> u64 {
-        match self {
-            Item::Dgc { .. } => 1 + 8 + 8 + wire::message_wire_size(),
-            Item::Resp { response, .. } => {
-                1 + 8 + 8 + wire::response_wire_size(response.depth.is_some())
-            }
-            Item::SendFailure { .. } => 1 + 8 + 8,
-            Item::Gossip { digest, .. } => 1 + 4 + 4 + membership_wire::digest_wire_size(digest),
-            Item::App { payload, .. } => 1 + 8 + 8 + 1 + 4 + 4 + payload.len() as u64,
-        }
+        let mut size = ByteCount(0);
+        put_item(&mut size, &mut Prev::default(), self);
+        size.0
+    }
+}
+
+/// A sink that measures an encoding instead of storing it, so the size
+/// model and the encoder are the same code.
+struct ByteCount(u64);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len() as u64;
     }
 }
 
@@ -225,29 +296,130 @@ pub enum Frame {
     },
 }
 
-fn put_item(buf: &mut impl BufMut, item: &Item) {
+/// The context one frame builds up: the value of each delta-coded field
+/// in the most recent item that carried it. Starts empty at every frame.
+#[derive(Default)]
+struct Prev {
+    from: Option<AoId>,
+    to: Option<AoId>,
+    clock: Option<NamedClock>,
+    ttb: Option<Dur>,
+}
+
+/// `flag` if `on`, for assembling a head byte.
+fn flag(on: bool, flag: u8) -> u8 {
+    if on {
+        flag
+    } else {
+        0
+    }
+}
+
+/// Writes `id` against `base` (see the module's `id` grammar).
+fn put_id(buf: &mut impl BufMut, id: AoId, base: Option<AoId>) {
+    if base == Some(id) {
+        return put_varint(buf, 0);
+    }
+    let new_node = base.map(|b| b.node) != Some(id.node);
+    put_varint(buf, ((u64::from(id.index) << 1) | u64::from(new_node)) + 1);
+    if new_node {
+        put_varint(buf, u64::from(id.node));
+    }
+}
+
+/// Reads a varint that must fit a `u32` field (ids, tenants, lengths).
+fn get_varint_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Overflow)
+}
+
+fn get_id(buf: &mut Bytes, base: Option<AoId>) -> Result<AoId, DecodeError> {
+    let Some(code) = get_varint(buf)?.checked_sub(1) else {
+        return base.ok_or(DecodeError::NoContext);
+    };
+    let index = u32::try_from(code >> 1).map_err(|_| DecodeError::Overflow)?;
+    let node = if code & 1 == 1 {
+        get_varint_u32(buf)?
+    } else {
+        base.ok_or(DecodeError::NoContext)?.node
+    };
+    Ok(AoId::new(node, index))
+}
+
+/// Writes the head byte (adding the addressing flags to `head`) and the
+/// two addressing ids it does not elide.
+fn put_head(buf: &mut impl BufMut, prev: &mut Prev, head: u8, from: AoId, to: AoId) {
+    let head = head | flag(prev.from == Some(from), SAME_FROM) | flag(prev.to == Some(to), SAME_TO);
+    buf.put_u8(head);
+    if head & SAME_FROM == 0 {
+        put_id(buf, from, prev.from);
+    }
+    if head & SAME_TO == 0 {
+        put_id(buf, to, prev.to);
+    }
+    prev.from = Some(from);
+    prev.to = Some(to);
+}
+
+/// What `Dgc` and `Resp` share: head, addressing, the unit's own id
+/// when it is not `from` (`kinds` = plain, detached), and the clock.
+fn put_unit(
+    buf: &mut impl BufMut,
+    prev: &mut Prev,
+    kinds: (u8, u8),
+    flags: u8,
+    (from, to): (AoId, AoId),
+    unit_id: AoId,
+    clock: NamedClock,
+) {
+    let kind = if unit_id == from { kinds.0 } else { kinds.1 };
+    let same_clock = flag(prev.clock == Some(clock), SAME_CLOCK);
+    put_head(buf, prev, kind | flags | same_clock, from, to);
+    if unit_id != from {
+        put_id(buf, unit_id, Some(from));
+    }
+    if same_clock == 0 {
+        put_varint(buf, clock.value);
+        put_id(buf, clock.owner, Some(unit_id));
+    }
+    prev.clock = Some(clock);
+}
+
+fn put_item(buf: &mut impl BufMut, prev: &mut Prev, item: &Item) {
     match item {
         Item::Dgc { from, to, message } => {
-            buf.put_u8(ITEM_DGC);
-            wire::put_aoid(buf, *from);
-            wire::put_aoid(buf, *to);
-            wire::put_message(buf, message);
+            let same_ttb = flag(prev.ttb == Some(message.sender_ttb), DGC_SAME_TTB);
+            put_unit(
+                buf,
+                prev,
+                (ITEM_DGC, ITEM_DGC_DETACHED),
+                same_ttb | flag(message.consensus, DGC_CONSENSUS),
+                (*from, *to),
+                message.sender,
+                message.clock,
+            );
+            if same_ttb == 0 {
+                put_varint(buf, message.sender_ttb.as_nanos());
+            }
+            prev.ttb = Some(message.sender_ttb);
         }
         Item::Resp { from, to, response } => {
-            buf.put_u8(ITEM_RESP);
-            wire::put_aoid(buf, *from);
-            wire::put_aoid(buf, *to);
-            wire::put_response(buf, response);
+            put_unit(
+                buf,
+                prev,
+                (ITEM_RESP, ITEM_RESP_DETACHED),
+                flag(response.has_parent, RESP_HAS_PARENT)
+                    | flag(response.consensus_reached, RESP_CONSENSUS_REACHED),
+                (*from, *to),
+                response.responder,
+                response.clock,
+            );
+            put_varint(buf, response.depth.map_or(0, |d| u64::from(d) + 1));
         }
-        Item::SendFailure { holder, target } => {
-            buf.put_u8(ITEM_FAIL);
-            wire::put_aoid(buf, *holder);
-            wire::put_aoid(buf, *target);
-        }
+        Item::SendFailure { holder, target } => put_head(buf, prev, ITEM_FAIL, *target, *holder),
         Item::Gossip { from, to, digest } => {
             buf.put_u8(ITEM_GOSSIP);
-            buf.put_u32(*from);
-            buf.put_u32(*to);
+            put_varint(buf, u64::from(*from));
+            put_varint(buf, u64::from(*to));
             membership_wire::put_digest(buf, digest);
         }
         Item::App {
@@ -263,89 +435,159 @@ fn put_item(buf: &mut impl BufMut, item: &Item) {
                 "app payload of {} bytes exceeds MAX_APP_PAYLOAD",
                 payload.len()
             );
-            buf.put_u8(ITEM_APP);
-            wire::put_aoid(buf, *from);
-            wire::put_aoid(buf, *to);
-            buf.put_u8(if *reply { APP_FLAG_REPLY } else { 0 });
-            buf.put_u32(*tenant);
-            buf.put_u32(payload.len() as u32);
+            put_head(buf, prev, ITEM_APP | flag(*reply, APP_REPLY), *from, *to);
+            put_varint(buf, u64::from(*tenant));
+            put_varint(buf, payload.len() as u64);
             buf.put_slice(payload);
         }
     }
 }
 
-fn get_item(buf: &mut Bytes) -> Result<Item, DecodeError> {
+/// Reads one delta-coded field: what the frame last stated when `same`,
+/// otherwise whatever `read` decodes. Either way it is the context for
+/// the items that follow.
+fn delta<T: Copy>(
+    same: bool,
+    prev: &mut Option<T>,
+    read: impl FnOnce() -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let value = if same {
+        prev.ok_or(DecodeError::NoContext)?
+    } else {
+        read()?
+    };
+    *prev = Some(value);
+    Ok(value)
+}
+
+/// The decode side of [`put_unit`], after the addressing: the unit's
+/// own id and its clock.
+fn get_unit(
+    buf: &mut Bytes,
+    prev: &mut Prev,
+    head: u8,
+    detached: bool,
+    from: AoId,
+) -> Result<(AoId, NamedClock), DecodeError> {
+    let unit_id = if detached {
+        get_id(buf, Some(from))?
+    } else {
+        from
+    };
+    let clock = delta(head & SAME_CLOCK != 0, &mut prev.clock, || {
+        let value = get_varint(buf)?;
+        let owner = get_id(buf, Some(unit_id))?;
+        Ok(NamedClock { value, owner })
+    })?;
+    Ok((unit_id, clock))
+}
+
+fn get_item(buf: &mut Bytes, prev: &mut Prev) -> Result<Item, DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
-    match buf.get_u8() {
-        ITEM_DGC => {
-            let from = wire::get_aoid(buf)?;
-            let to = wire::get_aoid(buf)?;
-            let message = wire::get_message(buf)?;
-            Ok(Item::Dgc { from, to, message })
+    let head = buf.get_u8();
+    let kind = head & KIND_MASK;
+    let known_flags = match kind {
+        ITEM_DGC | ITEM_DGC_DETACHED | ITEM_RESP | ITEM_RESP_DETACHED => !KIND_MASK,
+        ITEM_FAIL => SAME_FROM | SAME_TO,
+        ITEM_APP => SAME_FROM | SAME_TO | APP_REPLY,
+        ITEM_GOSSIP => 0,
+        _ => return Err(DecodeError::BadTag(head)),
+    };
+    if head & !(KIND_MASK | known_flags) != 0 {
+        return Err(DecodeError::BadTag(head));
+    }
+    if kind == ITEM_GOSSIP {
+        let from = get_varint_u32(buf)?;
+        let to = get_varint_u32(buf)?;
+        let digest = membership_wire::get_digest(buf)?;
+        return Ok(Item::Gossip { from, to, digest });
+    }
+    let base = prev.from;
+    let from = delta(head & SAME_FROM != 0, &mut prev.from, || get_id(buf, base))?;
+    let base = prev.to;
+    let to = delta(head & SAME_TO != 0, &mut prev.to, || get_id(buf, base))?;
+    Ok(match kind {
+        ITEM_DGC | ITEM_DGC_DETACHED => {
+            let (sender, clock) = get_unit(buf, prev, head, kind == ITEM_DGC_DETACHED, from)?;
+            let sender_ttb = delta(head & DGC_SAME_TTB != 0, &mut prev.ttb, || {
+                Ok(Dur::from_nanos(get_varint(buf)?))
+            })?;
+            let message = DgcMessage {
+                sender,
+                clock,
+                consensus: head & DGC_CONSENSUS != 0,
+                sender_ttb,
+            };
+            Item::Dgc { from, to, message }
         }
-        ITEM_RESP => {
-            let from = wire::get_aoid(buf)?;
-            let to = wire::get_aoid(buf)?;
-            let response = wire::get_response(buf)?;
-            Ok(Item::Resp { from, to, response })
+        ITEM_RESP | ITEM_RESP_DETACHED => {
+            let (responder, clock) = get_unit(buf, prev, head, kind == ITEM_RESP_DETACHED, from)?;
+            let depth = get_varint(buf)?
+                .checked_sub(1)
+                .map(u32::try_from)
+                .transpose()
+                .map_err(|_| DecodeError::Overflow)?;
+            let response = DgcResponse {
+                responder,
+                clock,
+                has_parent: head & RESP_HAS_PARENT != 0,
+                consensus_reached: head & RESP_CONSENSUS_REACHED != 0,
+                depth,
+            };
+            Item::Resp { from, to, response }
         }
-        ITEM_FAIL => {
-            let holder = wire::get_aoid(buf)?;
-            let target = wire::get_aoid(buf)?;
-            Ok(Item::SendFailure { holder, target })
-        }
-        ITEM_GOSSIP => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let from = buf.get_u32();
-            let to = buf.get_u32();
-            let digest = membership_wire::get_digest(buf)?;
-            Ok(Item::Gossip { from, to, digest })
-        }
+        ITEM_FAIL => Item::SendFailure {
+            holder: to,
+            target: from,
+        },
         ITEM_APP => {
-            let from = wire::get_aoid(buf)?;
-            let to = wire::get_aoid(buf)?;
-            if buf.remaining() < 1 + 4 + 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let flags = buf.get_u8();
-            if flags & !APP_FLAG_REPLY != 0 {
-                return Err(DecodeError::BadTag(flags));
-            }
-            let tenant = buf.get_u32();
-            let len = buf.get_u32() as usize;
+            let tenant = get_varint_u32(buf)?;
+            let len = get_varint_u32(buf)? as usize;
             if len > MAX_APP_PAYLOAD {
-                return Err(DecodeError::BadTag(ITEM_APP));
+                return Err(DecodeError::BadTag(head));
             }
             if buf.remaining() < len {
                 return Err(DecodeError::Truncated);
             }
-            let payload = buf.split_to(len);
-            Ok(Item::App {
+            Item::App {
                 from,
                 to,
-                reply: flags & APP_FLAG_REPLY != 0,
+                reply: head & APP_REPLY != 0,
                 tenant,
-                payload,
-            })
+                payload: buf.split_to(len),
+            }
         }
-        other => Err(DecodeError::BadTag(other)),
+        _ => return Err(DecodeError::BadTag(head)),
+    })
+}
+
+/// Single source of truth for the batch payload layout.
+fn put_batch(buf: &mut impl BufMut, items: &[Item]) {
+    // dgc-analysis: allow(hot-path-panic): encode-side contract: a wire-limit breach is a local bug, not remote input
+    assert!(
+        items.len() <= MAX_BATCH_ITEMS as usize,
+        "batch of {} items exceeds MAX_BATCH_ITEMS",
+        items.len()
+    );
+    buf.put_u8(TAG_BATCH);
+    buf.put_u32(items.len() as u32);
+    let mut prev = Prev::default();
+    for item in items {
+        put_item(buf, &mut prev, item);
     }
 }
 
-/// Encodes `frame` *without* the length prefix (the payload).
-pub fn encode_payload(frame: &Frame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+/// Single source of truth for the payload layout of every frame kind.
+fn put_frame(buf: &mut impl BufMut, frame: &Frame) {
     match frame {
         Frame::Hello { node, version } => {
             buf.put_u8(TAG_HELLO);
             buf.put_u8(*version);
             buf.put_u32(*node);
         }
-        Frame::Batch(items) => put_batch(&mut buf, items),
+        Frame::Batch(items) => put_batch(buf, items),
         Frame::AuthInit { nonce } => {
             buf.put_u8(TAG_AUTH_INIT);
             buf.put_slice(nonce);
@@ -360,6 +602,12 @@ pub fn encode_payload(frame: &Frame) -> Bytes {
             buf.put_slice(mac);
         }
     }
+}
+
+/// Encodes `frame` *without* the length prefix (the payload).
+pub fn encode_payload(frame: &Frame) -> Bytes {
+    let mut buf = BytesMut::with_capacity(64);
+    put_frame(&mut buf, frame);
     buf.freeze()
 }
 
@@ -370,22 +618,6 @@ fn get_array<const N: usize>(buf: &mut Bytes) -> Result<[u8; N], DecodeError> {
     let mut out = [0u8; N];
     buf.copy_to_slice(&mut out);
     Ok(out)
-}
-
-/// Single source of truth for the batch payload layout, shared by
-/// [`encode_payload`] and [`encode_batch_frame`].
-fn put_batch(buf: &mut impl BufMut, items: &[Item]) {
-    // dgc-analysis: allow(hot-path-panic): encode-side contract: a wire-limit breach is a local bug, not remote input
-    assert!(
-        items.len() <= MAX_BATCH_ITEMS as usize,
-        "batch of {} items exceeds MAX_BATCH_ITEMS",
-        items.len()
-    );
-    buf.put_u8(TAG_BATCH);
-    buf.put_u32(items.len() as u32);
-    for item in items {
-        put_item(buf, item);
-    }
 }
 
 /// Decodes a payload produced by [`encode_payload`]. Trailing garbage
@@ -412,9 +644,15 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
             if count > MAX_BATCH_ITEMS {
                 return Err(DecodeError::BadTag(TAG_BATCH));
             }
-            let mut items = Vec::with_capacity(count.min(4096) as usize);
+            // Every item is at least its head byte: a count the payload
+            // cannot hold is refused before anything is allocated for it.
+            if count as usize > buf.remaining() {
+                return Err(DecodeError::Truncated);
+            }
+            let mut items = Vec::with_capacity((count as usize).min(MAX_ITEMS_PER_FRAME));
+            let mut prev = Prev::default();
             for _ in 0..count {
-                items.push(get_item(&mut buf)?);
+                items.push(get_item(&mut buf, &mut prev)?);
             }
             Frame::Batch(items)
         }
@@ -436,64 +674,41 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
     Ok(frame)
 }
 
-/// Encodes `frame` with its 4-byte length prefix — exactly the bytes a
-/// link writes to the socket. The payload is encoded in place after a
-/// placeholder prefix that is backfilled, so no intermediate buffer is
-/// copied.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = vec![0u8; 4];
-    match frame {
-        Frame::Hello { node, version } => {
-            out.put_u8(TAG_HELLO);
-            out.put_u8(*version);
-            out.put_u32(*node);
-        }
-        Frame::Batch(items) => put_batch(&mut out, items),
-        Frame::AuthInit { nonce } => {
-            out.put_u8(TAG_AUTH_INIT);
-            out.put_slice(nonce);
-        }
-        Frame::AuthChallenge { nonce, mac } => {
-            out.put_u8(TAG_AUTH_CHALLENGE);
-            out.put_slice(nonce);
-            out.put_slice(mac);
-        }
-        Frame::AuthProof { mac } => {
-            out.put_u8(TAG_AUTH_PROOF);
-            out.put_slice(mac);
-        }
-    }
+/// Backfills the 4-byte length placeholder a frame was encoded behind,
+/// so no intermediate buffer is copied.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
     let len = (out.len() - 4) as u32;
     // dgc-analysis: allow(hot-path-panic): the 4-byte length placeholder is written before any payload
     out[..4].copy_from_slice(&len.to_be_bytes());
     out
 }
 
-/// Exact encoded length of [`encode_batch_frame`]`(items)` — length
-/// prefix, batch header and every item — computed from the
-/// [`Item::wire_size`] model without encoding anything. Lets writers
-/// size buffers (and benches predict bandwidth) without a sizing pass
-/// over a cloned frame.
-pub fn batch_frame_len(items: &[Item]) -> usize {
-    FRAME_OVERHEAD as usize + items.iter().map(|i| i.wire_size() as usize).sum::<usize>()
+/// Encodes `frame` with its 4-byte length prefix — exactly the bytes a
+/// link writes to the socket.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut out = vec![0u8; 4];
+    put_frame(&mut out, frame);
+    seal(out)
 }
 
 /// Encodes a batch frame (length prefix included) straight from a
 /// borrowed slice, so link writers can frame their queues without
-/// cloning items into a `Frame`. Allocates exactly
-/// [`batch_frame_len`]`(items)` bytes up front.
+/// cloning items into a `Frame`. Reserves the context-free bound
+/// [`FRAME_OVERHEAD`]` + Σ `[`Item::wire_size`] up front, so encoding
+/// never reallocates; the frame is usually several times smaller.
 pub fn encode_batch_frame(items: &[Item]) -> Vec<u8> {
-    let total = batch_frame_len(items);
-    let mut out = Vec::with_capacity(total);
-    out.put_u32((total - 4) as u32);
+    let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
+    let mut out = Vec::with_capacity(bound as usize);
+    out.put_u32(0);
     put_batch(&mut out, items);
-    debug_assert_eq!(out.len(), total, "wire_size model drifted");
-    out
+    debug_assert!(out.len() as u64 <= bound, "wire_size is not an upper bound");
+    seal(out)
 }
 
 /// Length-prefix framing overhead plus batch header, in bytes: what one
-/// extra frame costs over adding an item to an existing batch. Used by
-/// the `net_batching` bench to predict fig. 8-style savings.
+/// extra frame costs over adding an item to an existing batch, before
+/// counting the context the new frame has to restate. Used by the
+/// `net_batching` bench as the floor of fig. 8-style savings.
 pub const FRAME_OVERHEAD: u64 = 4 + 1 + 4;
 
 /// Items per written frame, kept orders of magnitude under both
@@ -509,12 +724,12 @@ pub const MAX_ITEMS_PER_FRAME: usize = 4096;
 pub const MAX_BYTES_PER_FRAME: u64 = (MAX_FRAME_LEN as u64) / 2;
 
 /// How many leading items of `items` fit in one wire frame: up to
-/// [`MAX_ITEMS_PER_FRAME`] items or [`MAX_BYTES_PER_FRAME`] encoded
-/// payload bytes, whichever bound bites first. Always at least 1 for a
-/// non-empty slice (a single item can never exceed the byte bound, so
-/// oversized queues always make progress). Both I/O engines split
-/// their write queues at exactly this boundary, and `frame_props`
-/// fuzzes it directly.
+/// [`MAX_ITEMS_PER_FRAME`] items or [`MAX_BYTES_PER_FRAME`] payload
+/// bytes by the context-free [`Item::wire_size`] bound, whichever bites
+/// first. Always at least 1 for a non-empty slice (a single item can
+/// never exceed the byte bound, so oversized queues always make
+/// progress). Both I/O engines split their write queues at exactly this
+/// boundary, and `frame_props` fuzzes it directly.
 pub fn split_len(items: &[Item]) -> usize {
     let mut end = 0;
     let mut bytes = 0u64;
@@ -696,6 +911,254 @@ mod tests {
         ])
     }
 
+    /// The v4 layout, pinned: an accidental change to the codec must
+    /// fail here (and then bump [`PROTOCOL_VERSION`]), not on a peer.
+    #[test]
+    fn sample_batch_encoding_is_pinned() {
+        let mut golden = vec![0xF1, 0, 0, 0, 6];
+        // Dgc: head, from (0,1), to (1,0), clock 9 owned by the sender,
+        // ttb 25 ms in nanoseconds.
+        golden.extend([0x01, 0x04, 0x00, 0x02, 0x01, 0x09, 0x00]);
+        golden.extend([0xC0, 0xF0, 0xF5, 0x0B]);
+        // Resp: head (has_parent), from (1,0), to (0,1), clock 0 owned
+        // by the responder, depth 2.
+        golden.extend([0x42, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00, 0x03]);
+        // SendFailure: head (SAME_TO: the holder is the Resp's `to`),
+        // target index 9 on the previous `from`'s node.
+        golden.extend([0x13, 0x13]);
+        // Gossip: head, from 0, to 1, digest verbatim.
+        golden.extend([0x04, 0x00, 0x01]);
+        golden.extend([0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 2]);
+        golden.extend([
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 127, 0, 0, 1, 0x9C, 0xA4,
+        ]);
+        golden.extend([0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0]);
+        // App request: head, from (0,1), to (1,0), tenant 4, 48 bytes.
+        golden.extend([0x05, 0x04, 0x00, 0x02, 0x01, 0x04, 0x30]);
+        golden.extend([0xAB; 48]);
+        // App reply: head (reply), from (1,0), to (0,1), tenant 0, empty.
+        golden.extend([0x25, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00]);
+        assert_eq!(encode_payload(&sample_batch()).as_slice(), &golden[..]);
+    }
+
+    /// The shape a TTB sweep emits and the reason for the delta coding:
+    /// after a sender's first heartbeat, each further one costs its head
+    /// byte and the target's index; each response to them, its head, the
+    /// responder's index, its clock and its depth.
+    #[test]
+    fn fan_out_after_the_first_item_costs_head_and_target_index() {
+        let sender = AoId::new(0, 200);
+        let fan_out: Vec<Item> = (0..8)
+            .map(|k| Item::Dgc {
+                from: sender,
+                to: AoId::new(1, 100 + k),
+                message: DgcMessage {
+                    sender,
+                    consensus: k % 2 == 1,
+                    ..msg(0)
+                },
+            })
+            .collect();
+        let first = fan_out[0].wire_size() as usize;
+        assert_eq!(first, 1 + (2 + 1) + (2 + 1) + (1 + 1) + 4);
+        assert_eq!(
+            encode_batch_frame(&fan_out).len(),
+            FRAME_OVERHEAD as usize + first + 7 * (1 + 2)
+        );
+        let responses: Vec<Item> = (0..8)
+            .map(|k| Item::Resp {
+                from: AoId::new(1, 100 + k),
+                to: sender,
+                response: DgcResponse {
+                    responder: AoId::new(1, 100 + k),
+                    clock: NamedClock::initial(AoId::new(1, 100 + k)),
+                    ..resp(1)
+                },
+            })
+            .collect();
+        let first = responses[0].wire_size() as usize;
+        assert_eq!(first, 1 + (2 + 1) + (2 + 1) + (1 + 1) + 1);
+        assert_eq!(
+            encode_batch_frame(&responses).len(),
+            FRAME_OVERHEAD as usize + first + 7 * (1 + 2 + (1 + 1) + 1)
+        );
+        for frame in [fan_out, responses].map(Frame::Batch) {
+            assert_eq!(decode_payload(encode_payload(&frame)).unwrap(), frame);
+        }
+    }
+
+    /// Everything the common case elides, stated: a sender that is not
+    /// `from`, a clock owned by a third party, extreme values, a TTB
+    /// that changes mid-frame, and gossip in between (which must not
+    /// disturb the context the items around it share).
+    #[test]
+    fn uncommon_items_round_trip_inside_one_frame() {
+        let far = AoId::new(u32::MAX, u32::MAX);
+        let dgc = |ttb: u64, sender: AoId, owner: AoId| Item::Dgc {
+            from: AoId::new(0, 1),
+            to: AoId::new(1, 0),
+            message: DgcMessage {
+                sender,
+                clock: NamedClock {
+                    value: u64::MAX,
+                    owner,
+                },
+                consensus: true,
+                sender_ttb: Dur::from_nanos(ttb),
+            },
+        };
+        let Frame::Batch(sample) = sample_batch() else {
+            unreachable!()
+        };
+        let gossip = sample[3].clone();
+        let frame = Frame::Batch(vec![
+            dgc(u64::MAX, AoId::new(0, 1), AoId::new(7, 7)),
+            gossip,
+            dgc(u64::MAX, AoId::new(0, 1), AoId::new(7, 7)),
+            dgc(0, far, far),
+            Item::Resp {
+                from: far,
+                to: AoId::new(0, 0),
+                response: DgcResponse {
+                    responder: AoId::new(0, 0),
+                    clock: NamedClock {
+                        value: u64::MAX,
+                        owner: far,
+                    },
+                    has_parent: false,
+                    consensus_reached: true,
+                    depth: Some(u32::MAX),
+                },
+            },
+            Item::App {
+                from: far,
+                to: far,
+                reply: true,
+                tenant: u32::MAX,
+                payload: vec![1, 2, 3].into(),
+            },
+        ]);
+        let payload = encode_payload(&frame);
+        assert_eq!(decode_payload(payload.clone()).unwrap(), frame);
+        // The repeated heartbeat is its head byte alone, gossip or not.
+        let Frame::Batch(items) = &frame else {
+            unreachable!()
+        };
+        let without_repeat: Vec<Item> = [&items[..2], &items[3..]].concat();
+        assert_eq!(
+            encode_payload(&Frame::Batch(without_repeat)).len() + 1,
+            payload.len()
+        );
+    }
+
+    fn batch_of(count: u32, items: &[u8]) -> Result<Frame, DecodeError> {
+        let mut raw = vec![TAG_BATCH];
+        raw.extend(count.to_be_bytes());
+        raw.extend(items);
+        decode_payload(Bytes::from(raw))
+    }
+
+    #[test]
+    fn same_as_previous_on_a_first_item_is_rejected() {
+        // SendFailure with both ids elided, SendFailure naming "the
+        // previous node" and "the previous id", a Dgc eliding its clock
+        // and one eliding its TTB: none has a previous item to lean on.
+        let cases: [&[u8]; 6] = [
+            &[ITEM_FAIL | SAME_FROM, 0x02, 0x01],
+            &[ITEM_FAIL | SAME_TO, 0x02, 0x01],
+            &[ITEM_FAIL, 0x01, 0x02, 0x01],
+            &[ITEM_FAIL, 0x00, 0x02, 0x01],
+            &[ITEM_DGC | SAME_CLOCK, 0x04, 0x00, 0x02, 0x01, 0x19],
+            &[ITEM_DGC | DGC_SAME_TTB, 0x04, 0x00, 0x02, 0x01, 0x09, 0x00],
+        ];
+        for case in cases {
+            assert_eq!(
+                batch_of(1, case),
+                Err(DecodeError::NoContext),
+                "{case:02X?}"
+            );
+        }
+        // The same bytes are fine once an item has set the context.
+        let mut second = vec![ITEM_DGC, 0x04, 0x00, 0x02, 0x01, 0x09, 0x00, 0x19];
+        second.extend([ITEM_FAIL | SAME_FROM | SAME_TO]);
+        second.extend([ITEM_DGC | SAME_FROM | SAME_TO | SAME_CLOCK | DGC_SAME_TTB]);
+        let Ok(Frame::Batch(items)) = batch_of(3, &second) else {
+            panic!("context set by the first item must serve the rest");
+        };
+        assert_eq!(items[0], items[2]);
+    }
+
+    #[test]
+    fn unknown_head_bits_are_bad_tags() {
+        let bad_heads = [
+            0x00,                       // kind 0 does not exist
+            SAME_FROM,                  // ... whatever flags it carries
+            ITEM_FAIL | SAME_CLOCK,     // a SendFailure has no clock
+            ITEM_FAIL | DGC_CONSENSUS,  //
+            ITEM_GOSSIP | SAME_FROM,    // gossip carries no flag at all
+            ITEM_GOSSIP | APP_REPLY,    //
+            ITEM_APP | RESP_HAS_PARENT, // bits 6 and 7 mean nothing on App
+            ITEM_APP | DGC_CONSENSUS,   //
+        ];
+        for head in bad_heads {
+            let body = [head, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00];
+            assert_eq!(batch_of(1, &body), Err(DecodeError::BadTag(head)));
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_overflows() {
+        let too_wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
+        let cases: [Vec<u8>; 6] = [
+            // id: index past u32 (code = (2^32 << 1 | 1) + 1).
+            [
+                &[ITEM_FAIL, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00][..],
+                &[0x02, 0x01],
+            ]
+            .concat(),
+            // id: node past u32.
+            [&[ITEM_FAIL, 0x02][..], &too_wide, &[0x02, 0x01]].concat(),
+            // gossip: node id past u32.
+            [&[ITEM_GOSSIP][..], &too_wide].concat(),
+            // app: tenant past u32.
+            [&[ITEM_APP, 0x04, 0x00, 0x02, 0x01][..], &too_wide, &[0x00]].concat(),
+            // resp: depth past u32 (depth + 1 = 2^32 + 1).
+            [
+                &[ITEM_RESP, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00][..],
+                &[0x81, 0x80, 0x80, 0x80, 0x10],
+            ]
+            .concat(),
+            // dgc: an eleven-byte varint where the clock value goes.
+            [&[ITEM_DGC, 0x04, 0x00, 0x02, 0x01][..], &[0x80; 11]].concat(),
+        ];
+        for case in cases {
+            assert_eq!(
+                batch_of(1, &case),
+                Err(DecodeError::Overflow),
+                "{case:02X?}"
+            );
+        }
+        // An app length inside u32 but past the payload cap is corrupt,
+        // not a reason to wait for a megabyte that will never come.
+        let oversized = [ITEM_APP, 0x04, 0x00, 0x02, 0x01, 0x00, 0x81, 0x80, 0x40];
+        assert_eq!(batch_of(1, &oversized), Err(DecodeError::BadTag(ITEM_APP)));
+    }
+
+    #[test]
+    fn item_count_is_checked_before_anything_is_allocated() {
+        assert_eq!(
+            batch_of(MAX_BATCH_ITEMS + 1, &[0; 16]),
+            Err(DecodeError::BadTag(TAG_BATCH))
+        );
+        // A count the payload cannot possibly hold (every item is at
+        // least a head byte) is refused up front.
+        assert_eq!(
+            batch_of(MAX_BATCH_ITEMS, &[ITEM_FAIL, 0x04, 0x00, 0x02, 0x01]),
+            Err(DecodeError::Truncated)
+        );
+        assert_eq!(batch_of(1, &[]), Err(DecodeError::Truncated));
+    }
+
     #[test]
     fn hello_round_trips() {
         let f = Frame::Hello {
@@ -810,15 +1273,16 @@ mod tests {
         let Frame::Batch(items) = sample_batch() else {
             unreachable!()
         };
-        for item in items {
-            let mut buf = BytesMut::new();
-            put_item(&mut buf, &item);
+        // Exact for an item framed alone, an upper bound inside a batch.
+        for item in &items {
             assert_eq!(
-                buf.len() as u64,
-                item.wire_size(),
+                encode_batch_frame(std::slice::from_ref(item)).len() as u64,
+                FRAME_OVERHEAD + item.wire_size(),
                 "size model drifted for {item:?}"
             );
         }
+        let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
+        assert!((encode_batch_frame(&items).len() as u64) < bound);
     }
 
     #[test]
@@ -857,14 +1321,14 @@ mod tests {
                 message: msg(0),
             })
             .collect();
-        let batched = batch_frame_len(&items);
+        let batched = encode_batch_frame(&items).len();
         let unbatched: usize = items
             .iter()
-            .map(|i| batch_frame_len(std::slice::from_ref(i)))
+            .map(|i| encode_batch_frame(std::slice::from_ref(i)).len())
             .sum();
-        assert_eq!(batched, encode_batch_frame(&items).len());
-        assert!(batched < unbatched);
-        assert_eq!(unbatched - batched, 15 * FRAME_OVERHEAD as usize);
+        // Sharing a frame saves the 15 framing overheads and whatever
+        // the 15 later items no longer restate.
+        assert!(unbatched - batched > 15 * FRAME_OVERHEAD as usize);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! **network**: every node (address space) is a process-shaped runtime
 //! listening on a TCP socket, hosting many activities, and exchanging
 //! DGC messages/responses with peer nodes as length-prefixed binary
-//! frames built from the same [`dgc_core::wire`] codec the bandwidth
-//! figures are measured in.
+//! frames built from [`dgc_core::wire`]'s varint primitives, each frame
+//! stating a field once however many of its items share it.
 //!
 //! What the transport adds over a channel runtime:
 //!
 //! * [`frame`] — node-level envelopes (hello, activity-addressed
-//!   message/response, send-failure notification) with an incremental
+//!   message/response, send-failure notification), context-compressed
+//!   within a frame and independent across frames, with an incremental
 //!   [`frame::FrameDecoder`] for arbitrary TCP fragmentation;
 //! * [`node`] — the per-node event loop plus acceptor/reader threads;
 //!   responses travel back over the socket the referencer's node

@@ -501,10 +501,6 @@ impl NetNode {
         first_index: u32,
     ) -> std::io::Result<NetNode> {
         config.dgc.validate().expect("unsafe TTB/TTA configuration");
-        assert_eq!(
-            config.reactor_shards, 1,
-            "multi-shard reactor loops are a roadmap follow-on; reactor_shards must be 1"
-        );
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         // The telemetry plane: one registry per node, timestamps
@@ -1554,7 +1550,9 @@ impl Worker {
     /// loops it back locally). An application unit triggers an
     /// immediate flush — the queued background units piggyback — while
     /// heartbeats, digests and control units wait out the policy's
-    /// `max_delay` for company.
+    /// `max_delay` for company. The egress byte bound is charged the
+    /// item's context-free [`Item::wire_size`]: an upper bound on what
+    /// it will cost inside whichever frame it ends up sharing.
     fn route(&mut self, item: Item) {
         let dest = item.destination_node();
         if dest == self.node_id {

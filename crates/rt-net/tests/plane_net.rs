@@ -272,6 +272,66 @@ fn batch_before_auth_is_rejected_on_both_engines() {
     }
 }
 
+/// A peer still speaking the previous wire version is turned away at
+/// its `Hello` — counted as a decode error and disconnected — so the
+/// batch behind it, laid out the old way, is never parsed as the
+/// current layout. (Authentication is off here: nothing but the version
+/// check stands between that batch and the app plane.)
+#[test]
+fn previous_protocol_version_is_refused_on_both_engines() {
+    for engine in ENGINES {
+        let mut config = cfg(engine);
+        config.auth = None;
+        let node = NetNode::bind(0, config).unwrap();
+        let target = node.add_activity();
+        let mut stale = TcpStream::connect(node.addr()).unwrap();
+        stale
+            .write_all(&encode_frame(&Frame::Hello {
+                node: 7,
+                version: PROTOCOL_VERSION - 1,
+            }))
+            .unwrap();
+        // One v3 `App` item: tag, from(8), to(8), flags, tenant(4),
+        // len(4), bytes — fixed-width, as that version wrote it.
+        let mut v3 = vec![0xF1, 0, 0, 0, 1, 0x05];
+        v3.extend([0, 0, 0, 7, 0, 0, 0, 0]);
+        v3.extend(target.node.to_be_bytes());
+        v3.extend(target.index.to_be_bytes());
+        v3.extend([0, 0, 0, 0, 0, 0, 0, 0, 5]);
+        v3.extend(b"stale");
+        stale.write_all(&(v3.len() as u32).to_be_bytes()).unwrap();
+        stale.write_all(&v3).unwrap();
+        stale.flush().unwrap();
+        assert!(
+            poll_until(Duration::from_secs(5), || node.stats().decode_errors >= 1),
+            "[{engine:?}] the stale hello was not counted: {:?}",
+            node.stats()
+        );
+        assert!(wait_closed(&mut stale), "[{engine:?}]");
+        assert_eq!(node.stats().decode_errors, 1, "[{engine:?}] only the hello");
+        assert_eq!(node.stats().items_received, 0, "[{engine:?}]");
+
+        // The node still serves a peer that speaks the current version.
+        let mut current = TcpStream::connect(node.addr()).unwrap();
+        current
+            .write_all(&encode_frame(&Frame::Hello {
+                node: 8,
+                version: PROTOCOL_VERSION,
+            }))
+            .unwrap();
+        current
+            .write_all(&app_batch(8, target, b"current"))
+            .unwrap();
+        current.flush().unwrap();
+        assert!(
+            poll_until(Duration::from_secs(5), || !node.app_received().is_empty()),
+            "[{engine:?}] a current-version peer was not served"
+        );
+        assert_eq!(node.app_received()[0].payload, b"current", "[{engine:?}]");
+        node.shutdown();
+    }
+}
+
 #[test]
 fn chaos_handshakes_never_half_authenticate() {
     // Three adversaries per engine — truncator, corruptor, replayer —
