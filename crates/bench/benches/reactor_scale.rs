@@ -1,18 +1,14 @@
-//! Transport scaling — OS threads per peer, reactor vs threaded engine.
+//! Transport scaling — OS threads per node at a thousand-peer fan-in.
 //!
-//! The threaded engine spends ~3 dedicated blocking-I/O threads per
-//! connected peer (link writer + socket reader on the dialing side,
-//! reader + reply writer on the accepting side), which caps a node's
-//! fan-in around the scheduler's tolerance, not the protocol's. The
-//! reactor engine parks every socket of a node on one readiness loop:
-//! O(shards) threads regardless of peer count.
+//! Every socket of a node sits on the node's one readiness loop, so a
+//! node's thread count must not depend on how many peers it talks to:
+//! its fan-in is capped by the protocol and the kernel's descriptor
+//! limit, not by the scheduler's tolerance for per-link threads.
 //!
 //! This bench builds a hub-and-spoke cluster — one hub node hosting a
 //! busy activity, N spoke nodes each holding a reference to it — lets
 //! the spokes' TTB heartbeats converge on the hub for a fixed window,
-//! and reports live OS threads per node for both engines (the threaded
-//! engine at a reduced N so the comparison doesn't have to survive
-//! several thousand threads).
+//! and reports live OS threads per node.
 //!
 //! Run: `cargo bench -p dgc-bench --bench reactor_scale`
 //! (`DGC_BENCH_SCALE=quick` shrinks the cluster for smoke runs.)
@@ -22,7 +18,7 @@ use std::time::{Duration, Instant};
 use dgc_bench::Scale;
 use dgc_core::config::DgcConfig;
 use dgc_core::units::Dur;
-use dgc_rt_net::{IoEngine, NetConfig, NetNode};
+use dgc_rt_net::{NetConfig, NetNode};
 
 /// Live threads in this process, per the kernel.
 fn live_threads() -> usize {
@@ -44,17 +40,16 @@ struct Run {
     elapsed: Duration,
 }
 
-/// One hub + `spokes` spoke nodes on `engine`, heartbeating for
-/// `window`; threads are sampled at the end of the window, with every
-/// link long wired.
-fn run(engine: IoEngine, spokes: u32, window: Duration) -> Run {
+/// One hub + `spokes` spoke nodes, heartbeating for `window`; threads
+/// are sampled at the end of the window, with every link long wired.
+fn run(spokes: u32, window: Duration) -> Run {
     let before = live_threads();
     let dgc = DgcConfig::builder()
         .ttb(Dur::from_millis(300))
         .tta(Dur::from_millis(960))
         .max_comm(Dur::from_millis(240))
         .build();
-    let config = NetConfig::new(dgc).engine(engine);
+    let config = NetConfig::new(dgc);
     let hub = NetNode::bind(0, config).expect("bind hub");
     let target = hub.add_activity(); // stays busy: a root the spokes hold
     let mut nodes = Vec::with_capacity(spokes as usize);
@@ -83,10 +78,10 @@ fn run(engine: IoEngine, spokes: u32, window: Duration) -> Run {
     }
 }
 
-fn report(label: &str, r: &Run) -> f64 {
+fn report(r: &Run) -> f64 {
     let per_node = r.threads as f64 / r.nodes as f64;
     println!(
-        "  {label:>8}: {:>5} nodes, {:>6} transport threads ({per_node:>5.2}/node), \
+        "  {:>5} nodes, {:>6} transport threads ({per_node:>5.2}/node), \
          hub took {} heartbeats in {} frames over {:.1}s",
         r.nodes,
         r.threads,
@@ -101,24 +96,21 @@ fn main() {
     let scale = Scale::from_env();
     // A 1000-spoke hub needs ~4 fds per spoke across both endpoints.
     let nofile = polling::raise_nofile_limit();
-    let (reactor_spokes, threaded_spokes, window) = match scale {
-        Scale::Full => (1000, 128, Duration::from_secs(10)),
-        Scale::Quick => (128, 32, Duration::from_secs(3)),
+    let (spokes, window) = match scale {
+        Scale::Full => (1000, Duration::from_secs(10)),
+        Scale::Quick => (128, Duration::from_secs(3)),
     };
     println!(
         "reactor_scale: hub-and-spoke heartbeat convergence (RLIMIT_NOFILE {nofile}, \
          scale {scale:?})"
     );
 
-    let reactor = run(IoEngine::Reactor, reactor_spokes, window);
-    let reactor_per_node = report("reactor", &reactor);
-    let threaded = run(IoEngine::Threaded, threaded_spokes, window);
-    let threaded_per_node = report("threaded", &threaded);
+    let reactor = run(spokes, window);
+    let reactor_per_node = report(&reactor);
 
-    // The claim under test: the reactor breaks the thread-per-link
-    // ceiling. Every node is one event loop (== one thread), so the
-    // whole-process count stays ~1/node where the threaded engine pays
-    // its per-link retinue on top.
+    // The claim under test: every node is one event loop (== one
+    // thread), so the whole-process count stays ~1/node however many
+    // links converge on the hub.
     assert!(
         reactor.items_received > reactor.nodes as u64,
         "hub must have taken at least one heartbeat round from {} spokes, got {}",
@@ -127,11 +119,7 @@ fn main() {
     );
     assert!(
         reactor_per_node < 2.0,
-        "reactor engine regressed to per-link threads: {reactor_per_node:.2}/node"
-    );
-    assert!(
-        reactor_per_node < threaded_per_node,
-        "reactor ({reactor_per_node:.2}/node) must undercut threaded ({threaded_per_node:.2}/node)"
+        "the transport regressed to per-link threads: {reactor_per_node:.2}/node"
     );
 
     dgc_bench::record(
@@ -142,9 +130,6 @@ fn main() {
             ("reactor_threads_per_node", reactor_per_node),
             ("reactor_hub_items", reactor.items_received as f64),
             ("reactor_hub_frames", reactor.frames_received as f64),
-            ("threaded_nodes", threaded.nodes as f64),
-            ("threaded_threads", threaded.threads as f64),
-            ("threaded_threads_per_node", threaded_per_node),
             ("window_secs", window.as_secs_f64()),
         ],
     );

@@ -38,6 +38,7 @@
 //! stalls the node event loop itself (see
 //! [`crate::Cluster::listen_local_chaos`], which schedules both).
 
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,9 +47,51 @@ use std::time::{Duration, Instant};
 
 use dgc_core::faults::FaultProfile;
 use dgc_core::units::Time;
+use parking_lot::Mutex;
 
 use crate::frame::{encode_frame, Frame, FrameDecoder};
-use crate::node::SocketTracker;
+
+/// Registry of every live socket the proxy's pump threads are blocked
+/// on, so shutdown can unblock them all with `Shutdown::Both`. Entries
+/// remove themselves when their pump exits (no fd accumulation on
+/// flapping links).
+#[derive(Debug, Default)]
+struct SocketTracker {
+    sockets: Mutex<HashMap<u64, TcpStream>>,
+    next: AtomicU64,
+}
+
+impl SocketTracker {
+    /// Registers a clone of `stream`; the returned guard unregisters it
+    /// when dropped.
+    fn register(self: &Arc<Self>, stream: &TcpStream) -> Option<TrackedSocket> {
+        let clone = stream.try_clone().ok()?;
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.sockets.lock().insert(id, clone);
+        Some(TrackedSocket {
+            tracker: Arc::clone(self),
+            id,
+        })
+    }
+
+    /// Shuts down every registered socket, unblocking its pump.
+    fn shutdown_all(&self) {
+        for s in self.sockets.lock().values() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+struct TrackedSocket {
+    tracker: Arc<SocketTracker>,
+    id: u64,
+}
+
+impl Drop for TrackedSocket {
+    fn drop(&mut self) {
+        self.tracker.sockets.lock().remove(&self.id);
+    }
+}
 
 /// Counters of what the proxy did to traffic, per directed link.
 #[derive(Debug, Default)]

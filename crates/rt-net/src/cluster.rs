@@ -16,7 +16,7 @@
 //!   nodes `0..seeds`); every other node joins through them — retrying
 //!   across all of them — and discovers the rest via `dgc-membership`
 //!   gossip. With several seeds a crashed or restarted seed no longer
-//!   strands rejoins: dialers fall through to the surviving seeds, and
+//!   strands rejoins: every round probes the surviving seeds too, and
 //!   a restarted seed's fresh address replaces its stale entry. Join
 //!   clusters support *churn*: [`Cluster::crash_node`] /
 //!   [`Cluster::restart_node`] kill and resurrect whole nodes (fresh

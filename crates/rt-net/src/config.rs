@@ -8,35 +8,6 @@ use dgc_membership::MembershipConfig;
 use dgc_obs::TraceLevel;
 use dgc_plane::AuthKey;
 
-/// Which I/O engine drives a node's links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoEngine {
-    /// Blocking sockets, one OS thread per direction per link (an
-    /// acceptor, a reader per inbound connection, a writer plus a
-    /// reply writer per peer): ~3 threads per peer, the transport's
-    /// original shape. Still the default.
-    Threaded,
-    /// A single readiness loop (epoll on Linux via the vendored
-    /// `polling` shim, short-timeout poll emulation elsewhere) that
-    /// owns every socket nonblocking: O(shards) I/O threads however
-    /// many peers a node talks to.
-    Reactor,
-}
-
-impl IoEngine {
-    /// Engine selected by the `DGC_NET_ENGINE` environment variable
-    /// (`reactor` or `threaded`; anything else, or unset, means
-    /// [`IoEngine::Threaded`]). [`NetConfig::new`] reads this, so every
-    /// runner — conformance, workloads, tests — honours the variable
-    /// without plumbing.
-    pub fn from_env() -> IoEngine {
-        match std::env::var("DGC_NET_ENGINE").as_deref() {
-            Ok("reactor") => IoEngine::Reactor,
-            _ => IoEngine::Threaded,
-        }
-    }
-}
-
 /// Configuration of one network node: the DGC parameters its activities
 /// run with plus the link behaviour of the transport.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +28,7 @@ pub struct NetConfig {
     pub reconnect_max: Duration,
     /// Consecutive connection failures after which queued items for the
     /// peer are reported to the local protocol as send failures and the
-    /// link goes **terminal** — a `PeerUnreachable` verdict instead of
+    /// link goes **terminal** — an unreachable-peer verdict instead of
     /// an endless retry (referencers then drop the unreachable edges,
     /// as the paper's collector does when an RMI call fails
     /// permanently). Reached only after the full backoff ladder, so
@@ -73,9 +44,6 @@ pub struct NetConfig {
     /// ([`dgc_obs::Tracer`]). `Off` (the default) keeps the hot paths
     /// allocation-free; conformance runners flip it from `DGC_TRACE`.
     pub trace: TraceLevel,
-    /// Which I/O engine drives the node's links. Defaults to whatever
-    /// `DGC_NET_ENGINE` says ([`IoEngine::Threaded`] when unset).
-    pub engine: IoEngine,
     /// TTB sweep shards: how many threads a node's due-endpoint sweep
     /// fans out across ([`dgc_core::sweep_sharded`]). `1` (the default)
     /// sweeps inline on the event loop with no thread handoff. Whatever
@@ -115,7 +83,6 @@ impl NetConfig {
             fail_after_attempts: 20,
             membership: None,
             trace: TraceLevel::Off,
-            engine: IoEngine::from_env(),
             sweep_shards: std::env::var("DGC_SWEEP_SHARDS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -137,12 +104,6 @@ impl NetConfig {
     /// Bounds how long a connection may idle mid-handshake.
     pub fn handshake_timeout(mut self, timeout: Duration) -> Self {
         self.handshake_timeout = timeout.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Selects the I/O engine explicitly (overriding `DGC_NET_ENGINE`).
-    pub fn engine(mut self, engine: IoEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -208,6 +169,7 @@ mod tests {
         assert!(c.fail_after_attempts > 0);
         assert!(c.batching(false).egress.is_immediate());
         assert!(c.max_link_pending > 0);
+        assert_eq!(c.max_link_pending(0).max_link_pending, 1);
         assert!(c.auth.is_none());
         assert!(c.handshake_timeout > Duration::ZERO);
     }
@@ -221,13 +183,5 @@ mod tests {
         assert_eq!(c.auth, Some(key));
         // Zero would make every handshake instantly late; clamped.
         assert_eq!(c.handshake_timeout, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn engine_knob_overrides_environment() {
-        let c = NetConfig::default().engine(IoEngine::Reactor);
-        assert_eq!(c.engine, IoEngine::Reactor);
-        assert_eq!(c.engine(IoEngine::Threaded).engine, IoEngine::Threaded);
-        assert_eq!(NetConfig::default().max_link_pending(0).max_link_pending, 1);
     }
 }

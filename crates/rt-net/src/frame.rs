@@ -64,8 +64,9 @@
 //! context.
 //!
 //! **The context resets at every frame boundary.** A frame is the unit
-//! the chaos proxy drops, delays and reorders, and the unit both engines
-//! salvage and re-send after a reconnect, so each must decode on its own;
+//! the chaos proxy drops, delays and reorders, and the unit the link
+//! layer salvages and re-sends after a reconnect, so each must decode on
+//! its own;
 //! a "same as previous" flag with no previous item in the frame is
 //! [`DecodeError::NoContext`]. `len` and `count` stay fixed-width so
 //! [`FRAME_OVERHEAD`] is a constant and [`FrameDecoder`] finds frame
@@ -692,7 +693,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Encodes a batch frame (length prefix included) straight from a
-/// borrowed slice, so link writers can frame their queues without
+/// borrowed slice, so the link layer can frame its queues without
 /// cloning items into a `Frame`. Reserves the context-free bound
 /// [`FRAME_OVERHEAD`]` + Σ `[`Item::wire_size`] up front, so encoding
 /// never reallocates; the frame is usually several times smaller.
@@ -728,7 +729,7 @@ pub const MAX_BYTES_PER_FRAME: u64 = (MAX_FRAME_LEN as u64) / 2;
 /// bytes by the context-free [`Item::wire_size`] bound, whichever bites
 /// first. Always at least 1 for a non-empty slice (a single item can
 /// never exceed the byte bound, so oversized queues always make
-/// progress). Both I/O engines split their write queues at exactly this
+/// progress). The link layer splits its write queues at exactly this
 /// boundary, and `frame_props` fuzzes it directly.
 pub fn split_len(items: &[Item]) -> usize {
     let mut end = 0;

@@ -15,10 +15,14 @@
 //!   message/response, send-failure notification), context-compressed
 //!   within a frame and independent across frames, with an incremental
 //!   [`frame::FrameDecoder`] for arbitrary TCP fragmentation;
-//! * [`node`] — the per-node event loop plus acceptor/reader threads;
-//!   responses travel back over the socket the referencer's node
-//!   opened, preserving the paper's firewall/NAT story (§2.2). The
-//!   loop owns the node's **egress plane**
+//! * [`node`] — the per-node event loop, one OS thread that owns the
+//!   hosted collectors *and* every socket (listener, dialed links,
+//!   accepted connections) on a single readiness loop; it dials with
+//!   exponential-backoff reconnects, convicts a peer after
+//!   `fail_after_attempts`, bounds per-link buffering, and sends
+//!   responses back over the socket the referencer's node opened,
+//!   preserving the paper's firewall/NAT story (§2.2). The loop owns
+//!   the node's **egress plane**
 //!   ([`dgc_core::egress::Outbox`]): every outgoing unit — TTB
 //!   heartbeat, gossip digest, control, or an [`Item::App`] payload
 //!   sent via [`NetNode::send_app`] — queues per destination, and the
@@ -27,10 +31,6 @@
 //!   piggybacking (a heartbeat to a peer we're already talking to
 //!   costs ~0 extra frames), background units linger at most
 //!   `max_delay` — attacking the fig. 8 bandwidth cost at scale;
-//! * [`peer`] — reconnecting outbound links that write exactly what
-//!   the outbox flushes (one flush, one frame) and keep the transport
-//!   duties: exponential-backoff reconnects, terminal send-failure
-//!   surfacing, bounded buffering;
 //! * [`cluster`] — a localhost N-node driver with the same surface as
 //!   `ThreadGrid`, used by `tests/net.rs` to collect a cross-node cycle
 //!   end-to-end over real sockets;
@@ -51,17 +51,13 @@
 //!   what the `dgc-conformance` harness compares.
 //!
 //! Implementation note: the container this repository builds in has no
-//! crates.io access, so the runtime is written against `std::net` and
-//! ships **two I/O engines** behind one [`NetConfig::engine`] knob
-//! ([`IoEngine`], overridable via `DGC_NET_ENGINE`): the original
-//! *threaded* engine (dedicated blocking I/O threads per link — simple,
-//! but ~3 OS threads per peer) and the *reactor* engine
-//! ([`crate::reactor`]): every socket of a node on one nonblocking
-//! readiness loop over a vendored [`polling::Poller`] (epoll on Linux,
-//! portable emulation elsewhere), O(1) threads regardless of peer
-//! count. The module boundaries (frame codec / link layer / event
-//! loop) are the seams a tokio port would slot into; nothing in the
-//! public API exposes the engine choice.
+//! crates.io access, so the runtime is written against `std::net`:
+//! every socket of a node sits nonblocking on one readiness loop over
+//! a vendored [`polling::Poller`] (epoll on Linux; a portable
+//! short-timeout emulation elsewhere, or anywhere with
+//! `DGC_POLL_EMULATION=1`), so a node is one thread however many peers
+//! it talks to. The module boundaries (frame codec / link layer /
+//! event loop) are the seams a tokio port would slot into.
 //!
 //! ## Example: a cross-node cycle over real sockets
 //!
@@ -95,13 +91,12 @@ pub mod cluster;
 pub mod config;
 pub mod frame;
 pub mod node;
-pub mod peer;
 mod reactor;
 pub mod stats;
 
 pub use chaos::{ChaosProxy, ChaosStatsSnapshot};
 pub use cluster::Cluster;
-pub use config::{IoEngine, NetConfig};
+pub use config::NetConfig;
 pub use dgc_plane::{
     AuthKey, Envelope, Middleware, MiddlewareCtx, Pipeline, TenantCounters, TenantId, TenantLedger,
     TenantMap, Verdict,

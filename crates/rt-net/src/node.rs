@@ -7,12 +7,17 @@
 //!
 //! ```text
 //!            ┌────────────── NetNode (handle) ───────────────┐
-//!  control → │ event loop: endpoints, ticks, routing         │
-//!            │   ├─ outbound links (peer.rs): msgs out       │
-//!            │   └─ reply senders: responses/failures back   │
-//!            │ acceptor ─ reader thread per inbound conn     │
+//!  control → │ event loop (one thread): endpoints, ticks,    │
+//!   (waker)  │ egress plane, membership, routing             │
+//!            │   └─ reactor: listener, dialed links (msgs    │
+//!  sockets ⇄ │      out, replies in), accepted connections   │
+//!            │      (msgs in, replies out), join probes      │
 //!            └───────────────────────────────────────────────┘
 //! ```
+//!
+//! A node is exactly one OS thread: the loop parks in the reactor's
+//! `poll`, which socket readiness, link timers and (through the waker
+//! inside every handle) control events all interrupt.
 //!
 //! Routing discipline (paper §2.2): DGC **messages** and application
 //! **requests** go over the link this node *initiates* toward the
@@ -27,14 +32,13 @@
 //! payloads into shared frames — an app send flushes its destination
 //! immediately and carries the queued background units for free, while
 //! pure background traffic lingers at most the policy's `max_delay`.
-//! The link writers in [`crate::peer`] just write what the outbox
-//! flushes: one flush, one frame.
+//! The link layer (`reactor.rs`) just writes what the outbox flushes:
+//! one flush, one frame.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,18 +52,15 @@ use dgc_core::protocol::DgcState;
 use dgc_core::sweep::{sweep_sharded, SweepPools, SweepUnit};
 use dgc_core::telemetry::DgcObs;
 use dgc_core::units::Time;
-use dgc_membership::{
-    Digest, Membership, MembershipEvent, MembershipObs, NodeRecord, NodeStatus, Transition,
-};
+use dgc_membership::{Digest, Membership, MembershipEvent, MembershipObs, NodeRecord, Transition};
 use dgc_obs::{Registry, TimeSource, TraceLevel, Tracer};
 use dgc_plane::{
-    AuthKey, AuthMsg, Authenticator, Envelope, MiddlewareCtx, Pipeline, Step, TenantCounters,
-    TenantId, TenantLedger, TenantMap, Verdict,
+    AuthMsg, Envelope, MiddlewareCtx, Pipeline, TenantCounters, TenantId, TenantLedger, TenantMap,
+    Verdict,
 };
 
-use crate::config::{IoEngine, NetConfig};
-use crate::frame::{encode_frame, Frame, FrameDecoder, Item, GOSSIP_ANYCAST, PROTOCOL_VERSION};
-use crate::peer::{spawn_reply_writer, OutboundLink};
+use crate::config::NetConfig;
+use crate::frame::{Frame, Item, GOSSIP_ANYCAST};
 use crate::reactor::{Notice, Reactor};
 use crate::stats::{NetStats, NetStatsSnapshot};
 
@@ -81,77 +82,28 @@ pub(crate) fn poll_until(deadline: Duration, check: impl Fn() -> bool) -> bool {
 }
 
 /// The event loop's ingress handle: the mpsc sender every producer
-/// feeds, plus — reactor engine only — the poller waker that interrupts
-/// a loop parked in [`Reactor::poll`] rather than on the channel. With
-/// the threaded engine the waker is `None` and this is a plain sender.
+/// feeds, plus the poller waker that interrupts a loop parked in
+/// [`Reactor::poll`].
 #[derive(Clone)]
 pub(crate) struct LoopSender {
     tx: mpsc::Sender<Event>,
-    waker: Option<Arc<polling::Waker>>,
+    waker: Arc<polling::Waker>,
 }
 
 impl LoopSender {
-    pub(crate) fn new(tx: mpsc::Sender<Event>, waker: Option<Arc<polling::Waker>>) -> LoopSender {
-        LoopSender { tx, waker }
-    }
-
     /// Enqueues `event` and nudges the loop awake. Fails exactly when
     /// the underlying channel does (the loop is gone).
     pub(crate) fn send(&self, event: Event) -> Result<(), mpsc::SendError<Event>> {
         self.tx.send(event)?;
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
+        self.waker.wake();
         Ok(())
     }
 }
 
-/// Joins the transport's helper threads — socket readers, reply
-/// writers, join dialers — at node shutdown. They used to be detached
-/// ("they exit on EOF anyway"), which was true but unaccounted: under
-/// crash/rejoin churn the exited-but-unjoined carcasses and any reader
-/// wedged on a half-dead socket accumulated real OS threads. Every
-/// helper registers here; [`ThreadReaper::join_all`] reaps them after
-/// the sockets are shut down.
-#[derive(Default)]
-pub(crate) struct ThreadReaper {
-    handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl ThreadReaper {
-    /// Tracks `handle` for shutdown, dropping already-finished entries
-    /// so a long-lived node's list stays proportional to *live*
-    /// helpers, not historical churn.
-    pub(crate) fn register(&self, handle: JoinHandle<()>) {
-        let mut handles = self.handles.lock();
-        handles.retain(|h| !h.is_finished());
-        handles.push(handle);
-    }
-
-    /// Joins every tracked thread, looping until the list stays empty
-    /// (a reader being joined may have just registered the reply writer
-    /// it spawned). Callers must have unblocked the threads first —
-    /// sockets shut down, channels closed.
-    pub(crate) fn join_all(&self) {
-        loop {
-            let drained: Vec<JoinHandle<()>> = {
-                let mut handles = self.handles.lock();
-                std::mem::take(&mut *handles)
-            };
-            if drained.is_empty() {
-                return;
-            }
-            for h in drained {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 /// Bounded exponential backoff for transient `accept` errors (EMFILE,
-/// ECONNABORTED, ENFILE): both engines' accept paths count the error
-/// and wait this out instead of spinning — or worse, treating it as
-/// fatal and going silently deaf to inbound connections.
+/// ECONNABORTED, ENFILE): the accept path counts the error and waits
+/// this out instead of spinning — or worse, treating it as fatal and
+/// going silently deaf to inbound connections.
 pub(crate) struct AcceptBackoff {
     consecutive: u32,
 }
@@ -172,7 +124,7 @@ impl AcceptBackoff {
     /// Records one failed accept (the `net.accept_errors` counter) and
     /// returns how long to back off: 10ms doubling to a 500ms cap, so
     /// a descriptor-exhaustion episode retries promptly but a
-    /// persistent failure cannot busy-loop the acceptor.
+    /// persistent failure cannot busy-loop the listener.
     pub(crate) fn on_error(&mut self, stats: &NetStats) -> Duration {
         stats.on_accept_error();
         let wait = Self::BASE
@@ -270,19 +222,18 @@ pub enum Event {
         /// The unit to route.
         item: Item,
     },
-    /// Graceful departure: announce [`NodeStatus::Left`], flush every
-    /// farewell digest, stop gossiping, and acknowledge.
+    /// Graceful departure: announce
+    /// [`Left`](dgc_membership::NodeStatus::Left), flush every farewell
+    /// digest, stop gossiping, and acknowledge.
     Leave {
-        /// Signalled once the farewells reached the link writers.
+        /// Signalled once the farewells reached the sockets.
         ack: mpsc::Sender<()>,
     },
-    /// An accepted connection finished its hello; responses for `node`
-    /// now have a reply path.
-    PeerLink {
-        /// The remote node id.
-        node: u32,
-        /// Queue of the reply writer bound to that socket.
-        tx: mpsc::Sender<Vec<Item>>,
+    /// Seed bootstrap ([`NetNode::join`]): probe these addresses until
+    /// the directory shows a peer.
+    Join {
+        /// Listen addresses of already-running nodes.
+        seeds: Vec<SocketAddr>,
     },
     /// Registers the listen address of a remote node.
     AddPeer {
@@ -328,44 +279,6 @@ pub enum Event {
     Pause {
         /// When the world resumes (already-past deadlines are no-ops).
         until: Instant,
-    },
-    /// An outbound link burned through `fail_after_attempts`: the peer
-    /// is unreachable until further notice. With membership enabled
-    /// this is a transport-level suspicion (the dead verdict still
-    /// waits out the refutation window); without it, it is the
-    /// *terminal* send failure — every hosted collector treats the
-    /// node's activities as departed instead of retrying forever.
-    PeerUnreachable {
-        /// The unreachable node.
-        node: u32,
-        /// Everything the dead writer still had queued, handed back so
-        /// the event loop can reroute it over the peer's reply socket
-        /// (the forward direction failing says nothing about the
-        /// reverse one) or surface it as send failures — never drop it.
-        unsent: Vec<Item>,
-    },
-    /// A link writer could not ship these units and cannot retry them:
-    /// stragglers caught in the window between a terminal conviction
-    /// and the node dropping the link (rerouted over the peer's reply
-    /// socket if one is live), or units lost to a backlogged queue's
-    /// overflow shedding / a dying reply socket (failed outright — the
-    /// peer may still be fine, so no reroute that could reorder or
-    /// duplicate what the live path will deliver).
-    Undeliverable {
-        /// The peer the units were bound for.
-        node: u32,
-        /// The units.
-        items: Vec<Item>,
-        /// Try the reply path before surfacing failures.
-        reroute: bool,
-    },
-    /// A join-probe dialer opened this socket and already wrote the
-    /// hello and probe digest; the transport reads the seed's gossip
-    /// replies off it (a detached reader thread on the threaded
-    /// engine, an adopted reactor connection otherwise).
-    AdoptSocket {
-        /// The probe connection, handshake already sent.
-        stream: TcpStream,
     },
     /// Installs (or replaces) the application dispatch hook.
     SetAppHandler {
@@ -413,48 +326,6 @@ struct Endpoint {
     next_tick: Instant,
 }
 
-/// Registry of every live socket a node's reader threads are blocked
-/// on, so shutdown can unblock them all with `Shutdown::Both`. Entries
-/// remove themselves when their reader exits (no fd accumulation on
-/// flapping links).
-#[derive(Debug, Default)]
-pub(crate) struct SocketTracker {
-    sockets: Mutex<HashMap<u64, TcpStream>>,
-    next: AtomicU64,
-}
-
-impl SocketTracker {
-    /// Registers a clone of `stream`; the returned guard unregisters it
-    /// when dropped.
-    pub(crate) fn register(self: &Arc<Self>, stream: &TcpStream) -> Option<TrackedSocket> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.sockets.lock().insert(id, clone);
-        Some(TrackedSocket {
-            tracker: Arc::clone(self),
-            id,
-        })
-    }
-
-    /// Shuts down every registered socket, unblocking its reader.
-    pub(crate) fn shutdown_all(&self) {
-        for s in self.sockets.lock().values() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-pub(crate) struct TrackedSocket {
-    tracker: Arc<SocketTracker>,
-    id: u64,
-}
-
-impl Drop for TrackedSocket {
-    fn drop(&mut self) {
-        self.tracker.sockets.lock().remove(&self.id);
-    }
-}
-
 /// A running DGC node bound to a TCP listener.
 pub struct NetNode {
     node_id: u32,
@@ -471,15 +342,12 @@ pub struct NetNode {
     member_events: Arc<Mutex<Vec<MembershipEvent>>>,
     member_snapshot: Arc<Mutex<Option<Vec<NodeRecord>>>>,
     shutting_down: Arc<AtomicBool>,
-    tracker: Arc<SocketTracker>,
-    reaper: Arc<ThreadReaper>,
     loop_handle: Option<JoinHandle<()>>,
-    acceptor_handle: Option<JoinHandle<()>>,
 }
 
 impl NetNode {
     /// Binds `node_id` to a fresh ephemeral port on `127.0.0.1` and
-    /// starts its event loop and acceptor. First lives run as
+    /// starts its event loop. First lives run as
     /// incarnation 1; see [`NetNode::bind_rejoin`] for crash-restarts.
     ///
     /// # Panics
@@ -519,35 +387,15 @@ impl NetNode {
         let app_failures = Arc::new(Mutex::new(Vec::new()));
         let member_events = Arc::new(Mutex::new(Vec::new()));
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let tracker = Arc::new(SocketTracker::default());
-        let reaper = Arc::new(ThreadReaper::default());
 
-        // Engine selection. The reactor takes the listener onto its
-        // readiness loop (no acceptor thread at all) and hands out the
-        // waker that lets event senders interrupt a parked poll; the
-        // threaded engine keeps the listener for its blocking acceptor.
-        let mut listener = Some(listener);
-        let (links, waker) = match config.engine {
-            IoEngine::Reactor => {
-                let reactor = Reactor::new(
-                    node_id,
-                    listener.take().expect("listener is present"),
-                    config,
-                    Arc::clone(&stats),
-                )?;
-                let waker = reactor.waker();
-                (Links::Reactor(Box::new(reactor)), Some(waker))
-            }
-            IoEngine::Threaded => (
-                Links::Threaded {
-                    outbound: HashMap::new(),
-                    reply: HashMap::new(),
-                },
-                None,
-            ),
-        };
+        // The listener goes onto the readiness loop; the reactor's
+        // waker is what lets event senders interrupt a parked poll.
+        let reactor = Reactor::new(node_id, listener, config, Arc::clone(&stats))?;
         let (raw_tx, rx) = mpsc::channel();
-        let tx = LoopSender::new(raw_tx, waker);
+        let tx = LoopSender {
+            tx: raw_tx,
+            waker: reactor.waker(),
+        };
 
         let membership = config.membership.map(|m| {
             let mut engine = Membership::new(node_id, Some(addr), incarnation, Time::ZERO, m);
@@ -568,7 +416,8 @@ impl NetNode {
             loopback: tx.clone(),
             endpoints: BTreeMap::new(),
             peer_addrs: HashMap::new(),
-            links,
+            reactor,
+            join: None,
             outbox,
             sweep_pools: SweepPools::new(),
             msg_units: Vec::new(),
@@ -587,35 +436,11 @@ impl NetNode {
             app_failures: Arc::clone(&app_failures),
             app_handler: None,
             shutting_down: Arc::clone(&shutting_down),
-            tracker: Arc::clone(&tracker),
-            reaper: Arc::clone(&reaper),
         };
         let loop_handle = std::thread::Builder::new()
             .name(format!("dgc-net-node-{node_id}"))
             .spawn(move || worker.run())
             .expect("spawn node event loop");
-
-        // Threaded engine only: the reactor (which consumed the
-        // listener above) serves accepts from its own loop.
-        let acceptor_handle = listener.map(|listener| {
-            let acceptor = Acceptor {
-                ctx: ReaderCtx {
-                    node_id,
-                    events: tx.clone(),
-                    stats: Arc::clone(&stats),
-                    tracker: Arc::clone(&tracker),
-                    reaper: Arc::clone(&reaper),
-                    max_link_pending: config.max_link_pending,
-                    auth: config.auth,
-                    handshake_timeout: config.handshake_timeout,
-                },
-                shutting_down: Arc::clone(&shutting_down),
-            };
-            std::thread::Builder::new()
-                .name(format!("dgc-net-accept-{node_id}"))
-                .spawn(move || acceptor.run_with(move || listener.accept().map(|(s, _)| s)))
-                .expect("spawn acceptor")
-        });
 
         Ok(NetNode {
             node_id,
@@ -632,10 +457,7 @@ impl NetNode {
             member_events,
             member_snapshot,
             shutting_down,
-            tracker,
-            reaper,
             loop_handle: Some(loop_handle),
-            acceptor_handle,
         })
     }
 
@@ -668,11 +490,11 @@ impl NetNode {
 
     /// Bootstraps membership from `seeds` — listen addresses of any
     /// already-running nodes (typically one). Replaces static
-    /// registration: a detached dialer per seed sends a join probe
-    /// (hello + a one-record anycast gossip digest); the seed learns
+    /// registration: the event loop sends each seed a join probe (hello
+    /// plus a one-record anycast gossip digest); the seed learns
     /// `{node id, address}` from the record, replies with its full
     /// directory over the same socket, and anti-entropy spreads the
-    /// join. Dialers retry until the directory shows a peer, the node
+    /// join. Probes repeat until the directory shows a peer, the node
     /// shuts down, or the attempts run out.
     ///
     /// # Panics
@@ -683,103 +505,9 @@ impl NetNode {
             self.config.membership.is_some(),
             "NetNode::join needs membership enabled in NetConfig"
         );
-        let record = NodeRecord {
-            node: self.node_id,
-            incarnation: self.incarnation,
-            status: NodeStatus::Alive,
-            addr: Some(self.addr),
-        };
-        let auth = self.config.auth;
-        let handshake_timeout = self.config.handshake_timeout;
-        for seed in seeds {
-            let seed = *seed;
-            let probe_hello = encode_frame(&Frame::Hello {
-                node: self.node_id,
-                version: PROTOCOL_VERSION,
-            });
-            // Version 0 is safely below any live engine's counter, so
-            // the seed treats the probe as "nothing applied yet" and
-            // replies with a full sync.
-            let probe_digest = encode_frame(&Frame::Batch(vec![Item::Gossip {
-                from: self.node_id,
-                to: GOSSIP_ANYCAST,
-                digest: Digest {
-                    version: 0,
-                    ack: 0,
-                    full: false,
-                    records: vec![record],
-                },
-            }]));
-            let node_id = self.node_id;
-            let events = self.tx.clone();
-            let stats = Arc::clone(&self.stats);
-            let shutting_down = Arc::clone(&self.shutting_down);
-            let snapshot = Arc::clone(&self.member_snapshot);
-            let handle = std::thread::Builder::new()
-                .name(format!("dgc-net-join-{node_id}"))
-                .spawn(move || {
-                    for _ in 0..40 {
-                        if shutting_down.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let introduced = snapshot
-                            .lock()
-                            .as_ref()
-                            .is_some_and(|records| records.len() > 1);
-                        if introduced {
-                            return; // some seed already answered
-                        }
-                        if let Ok(mut stream) =
-                            TcpStream::connect_timeout(&seed, Duration::from_millis(500))
-                        {
-                            let _ = stream.set_nodelay(true);
-                            // With auth on, the seed accepts nothing —
-                            // the probe digest included — until the
-                            // challenge/response after our hello
-                            // succeeds. Adopted sockets are therefore
-                            // always pre-authenticated.
-                            let introduced_ok = stream.write_all(&probe_hello).is_ok()
-                                && match auth {
-                                    Some(key) => client_auth_handshake(
-                                        &mut stream,
-                                        key,
-                                        handshake_timeout,
-                                        &stats,
-                                    ),
-                                    None => true,
-                                };
-                            if introduced_ok && stream.write_all(&probe_digest).is_ok() {
-                                stats.on_frame_sent(
-                                    1,
-                                    (probe_hello.len() + probe_digest.len()) as u64,
-                                );
-                                // The seed replies over this same socket
-                                // (its reply path binds to our hello), so
-                                // hand it to the transport to read — the
-                                // event loop picks the engine-appropriate
-                                // way (detached reader or adopted
-                                // reactor connection).
-                                if events.send(Event::AdoptSocket { stream }).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                        // Sliced, so shutdown never waits out the retry.
-                        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                        let deadline = Instant::now() + Duration::from_millis(250);
-                        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                        while Instant::now() < deadline {
-                            if shutting_down.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                    }
-                });
-            if let Ok(handle) = handle {
-                self.reaper.register(handle);
-            }
-        }
+        let _ = self.tx.send(Event::Join {
+            seeds: seeds.to_vec(),
+        });
     }
 
     /// Membership transitions observed so far (join/suspect/dead/...).
@@ -937,20 +665,21 @@ impl NetNode {
     }
 
     /// Graceful departure (no-op without membership): announces
-    /// [`NodeStatus::Left`], flushes the farewell digests to every
-    /// present peer and stops gossiping. Returns once the farewells
-    /// reached the link writers (plus a short grace for the sockets),
-    /// so a [`NetNode::shutdown`] right after does not sever them
-    /// mid-write. Peers treat the `Left` verdict like a dead one for
-    /// collection purposes — the node's referencers are gone — but
-    /// without the suspicion delay.
+    /// [`Left`](dgc_membership::NodeStatus::Left), flushes the farewell
+    /// digests to every present peer and stops gossiping. Returns once
+    /// the farewells reached the sockets (plus a short grace for the
+    /// peers to read them), so a [`NetNode::shutdown`] right after does
+    /// not sever them mid-flight. Peers treat the `Left` verdict like a
+    /// dead one for collection purposes — the node's referencers are
+    /// gone — but without the suspicion delay.
     pub fn leave(&self) -> bool {
         let acked = self
             .leave_begin()
             .is_some_and(|rx| rx.recv_timeout(Duration::from_secs(1)).is_ok());
         if acked {
-            // The writers own the sockets; give them a beat to push the
-            // farewell frames out before any teardown severs them.
+            // The farewell frames are in the kernel's hands; give the
+            // peers a beat to read them before any teardown resets the
+            // connections under them.
             std::thread::sleep(Duration::from_millis(25));
         }
         acked
@@ -1014,7 +743,8 @@ impl NetNode {
         poll_until(deadline, || predicate(&self.terminated()))
     }
 
-    /// Stops the event loop, acceptor and link threads and joins them.
+    /// Stops the event loop — flushing what the egress plane and the
+    /// sockets still hold, within a bounded grace — and joins it.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -1022,278 +752,17 @@ impl NetNode {
     fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         let _ = self.tx.send(Event::Shutdown);
-        // Shut every live socket down *before* joining: the event loop
-        // join transitively joins writer threads, and a writer blocked
-        // in `write_all` against a peer that stopped reading can only
-        // be unblocked by killing its connection (each connection's
-        // reader registered a clone covering the whole socket).
-        self.tracker.shutdown_all();
         if let Some(h) = self.loop_handle.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.acceptor_handle.take() {
-            // Wake the blocking accept with a throwaway connection
-            // (reactor nodes have no acceptor thread to wake).
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-            let _ = h.join();
-        }
-        // Again, for connections established during the join window.
-        self.tracker.shutdown_all();
-        // Everything is unblocked (sockets severed, channels closed):
-        // reap the reader/reply/dialer threads so churn leaves nothing.
-        self.reaper.join_all();
     }
 }
 
 impl Drop for NetNode {
     fn drop(&mut self) {
-        if self.loop_handle.is_some() || self.acceptor_handle.is_some() {
+        if self.loop_handle.is_some() {
             self.stop();
         }
-    }
-}
-
-/// Everything a socket-side helper (acceptor, reader, reply writer,
-/// outbound link) needs from its node: identity, the event-loop
-/// ingress, counters, the shutdown socket registry, the thread reaper,
-/// and the per-link buffering bound.
-#[derive(Clone)]
-pub(crate) struct ReaderCtx {
-    pub(crate) node_id: u32,
-    pub(crate) events: LoopSender,
-    pub(crate) stats: Arc<NetStats>,
-    pub(crate) tracker: Arc<SocketTracker>,
-    pub(crate) reaper: Arc<ThreadReaper>,
-    pub(crate) max_link_pending: usize,
-    /// When set, accepted connections must complete the `dgc-plane`
-    /// challenge/response after their hello before any item passes.
-    pub(crate) auth: Option<AuthKey>,
-    /// Bound on how long an accepted connection may idle before its
-    /// hello (and auth handshake, if any) completes.
-    pub(crate) handshake_timeout: Duration,
-}
-
-/// The threaded engine's accept loop (the reactor serves accepts from
-/// its readiness loop instead).
-struct Acceptor {
-    ctx: ReaderCtx,
-    shutting_down: Arc<AtomicBool>,
-}
-
-impl Acceptor {
-    /// Runs the accept loop with its accept source injected, so tests
-    /// can feed it transient errors without exhausting real
-    /// descriptors. Production passes `listener.accept()`.
-    ///
-    /// A failed accept backs off ([`AcceptBackoff`]) instead of either
-    /// busy-looping or — the bug this replaces — ending inbound
-    /// connectivity forever while the node looks healthy. The wait is
-    /// sliced so shutdown never waits out a backoff.
-    fn run_with(self, mut accept: impl FnMut() -> std::io::Result<TcpStream>) {
-        let mut backoff = AcceptBackoff::new();
-        loop {
-            let stream = match accept() {
-                Ok(stream) => stream,
-                Err(_) => {
-                    if self.shutting_down.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                    let deadline = Instant::now() + backoff.on_error(&self.ctx.stats);
-                    // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                    while Instant::now() < deadline {
-                        if self.shutting_down.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                        let left = deadline.saturating_duration_since(Instant::now());
-                        std::thread::sleep(left.min(Duration::from_millis(10)));
-                    }
-                    continue;
-                }
-            };
-            backoff.on_success();
-            if self.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            // Readers exit on EOF/error, which `NetNode::stop` forces
-            // via the tracker's `Shutdown::Both`; the reaper joins them.
-            spawn_socket_reader(self.ctx.clone(), stream, true);
-        }
-    }
-}
-
-/// Spawns a thread decoding frames off `stream` into the event loop
-/// (registered with the node's reaper). Used for both sides of the
-/// link topology: accepted connections (`accept_hello = true`,
-/// registering a reply path on the peer's hello) and the read half of
-/// connections this node *initiated*, which is where the peer's
-/// responses and failure notifications arrive.
-///
-/// Accepted connections are held to `ctx.handshake_timeout`: until the
-/// hello — and, with `ctx.auth` set, the challenge/response that
-/// follows it — completes, the socket reads under a deadline, and
-/// expiry reclaims the slot (`net.handshake_timeouts`) instead of
-/// parking a reader thread on a silent peer forever. With auth on, the
-/// reply path is registered and items are accepted only *after* the
-/// peer proves key possession; a batch before that, a bad MAC, or an
-/// out-of-order handshake frame rejects the connection
-/// (`net.auth_rejects`) — a link is authenticated or dead, never
-/// half-trusted.
-pub(crate) fn spawn_socket_reader(ctx: ReaderCtx, stream: TcpStream, accept_hello: bool) {
-    let reaper = Arc::clone(&ctx.reaper);
-    let handle = std::thread::Builder::new()
-        .name(format!("dgc-net-read-{}", ctx.node_id))
-        .spawn(move || {
-            let mut stream = stream;
-            // Registered for the reader's lifetime: node shutdown can
-            // unblock this thread, and the entry leaves with it.
-            let _tracked = ctx.tracker.register(&stream);
-            let mut decoder = FrameDecoder::new();
-            let mut chunk = [0u8; 16 * 1024];
-            let mut peer: Option<u32> = None;
-            // Initiated connections authenticated synchronously before
-            // this reader existed (`client_auth_handshake`); accepted
-            // ones must still earn it when a key is configured.
-            let mut authenticated = !(accept_hello && ctx.auth.is_some());
-            let mut responder: Option<Authenticator> = None;
-            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-            let mut deadline = accept_hello.then(|| Instant::now() + ctx.handshake_timeout);
-            loop {
-                if let Some(d) = deadline {
-                    // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        ctx.stats.on_handshake_timeout();
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    let _ = stream.set_read_timeout(Some(left));
-                }
-                let n = match stream.read(&mut chunk) {
-                    Ok(0) => return,
-                    Ok(n) => n,
-                    Err(e)
-                        if deadline.is_some()
-                            && matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) =>
-                    {
-                        ctx.stats.on_handshake_timeout();
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    Err(_) => return,
-                };
-                ctx.stats.on_raw_received(n as u64);
-                decoder.push(&chunk[..n]);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(None) => break,
-                        Ok(Some(Frame::Hello { node, version })) => {
-                            if version != PROTOCOL_VERSION {
-                                ctx.stats.on_decode_error();
-                                let _ = stream.shutdown(Shutdown::Both);
-                                return;
-                            }
-                            ctx.stats.on_frame_received(0);
-                            if accept_hello && peer.is_none() {
-                                peer = Some(node);
-                                match ctx.auth {
-                                    // The hello names the peer, but the
-                                    // reply path waits for its proof.
-                                    Some(key) => {
-                                        responder =
-                                            Some(Authenticator::responder(key, fresh_nonce()));
-                                    }
-                                    None => {
-                                        // Give the event loop a reply
-                                        // path over this same socket
-                                        // (firewall-transparent).
-                                        if let Ok(w) = stream.try_clone() {
-                                            let (tx, h) = spawn_reply_writer(&ctx, node, w);
-                                            ctx.reaper.register(h);
-                                            let _ = ctx.events.send(Event::PeerLink { node, tx });
-                                        }
-                                        deadline = None;
-                                        let _ = stream.set_read_timeout(None);
-                                    }
-                                }
-                            }
-                        }
-                        Ok(Some(
-                            frame @ (Frame::AuthInit { .. }
-                            | Frame::AuthChallenge { .. }
-                            | Frame::AuthProof { .. }),
-                        )) => {
-                            ctx.stats.on_frame_received(0);
-                            let msg = frame_to_auth(&frame)
-                                .expect("auth frames convert to auth messages");
-                            // Handshake frames are meaningful exactly
-                            // once: on an accepted, hello'd, not yet
-                            // authenticated connection of an auth-enabled
-                            // node. Anywhere else they are an attack or
-                            // a confused peer — same verdict.
-                            let Some(machine) = responder.as_mut().filter(|_| !authenticated)
-                            else {
-                                ctx.stats.on_auth_reject();
-                                let _ = stream.shutdown(Shutdown::Both);
-                                return;
-                            };
-                            match machine.on_msg(&msg) {
-                                Ok(Step::Send(reply) | Step::SendAndDone(reply)) => {
-                                    let bytes = encode_frame(&auth_frame(&reply));
-                                    if stream.write_all(&bytes).is_err() {
-                                        return;
-                                    }
-                                    ctx.stats.on_frame_sent(0, bytes.len() as u64);
-                                }
-                                Ok(Step::Done) => {
-                                    authenticated = true;
-                                    ctx.stats.on_auth_ok();
-                                    let node = peer.expect("hello preceded the handshake");
-                                    if let Ok(w) = stream.try_clone() {
-                                        let (tx, h) = spawn_reply_writer(&ctx, node, w);
-                                        ctx.reaper.register(h);
-                                        let _ = ctx.events.send(Event::PeerLink { node, tx });
-                                    }
-                                    deadline = None;
-                                    let _ = stream.set_read_timeout(None);
-                                }
-                                Err(_) => {
-                                    ctx.stats.on_auth_reject();
-                                    let _ = stream.shutdown(Shutdown::Both);
-                                    return;
-                                }
-                            }
-                        }
-                        Ok(Some(Frame::Batch(items))) => {
-                            if !authenticated {
-                                // No frame item is ever processed from
-                                // a peer that has not proven the key.
-                                ctx.stats.on_auth_reject();
-                                let _ = stream.shutdown(Shutdown::Both);
-                                return;
-                            }
-                            ctx.stats.on_frame_received(items.len() as u64);
-                            for item in items {
-                                if ctx.events.send(Event::Item(item)).is_err() {
-                                    return; // node is shutting down
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            ctx.stats.on_decode_error();
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
-                    }
-                }
-            }
-        });
-    if let Ok(handle) = handle {
-        reaper.register(handle);
     }
 }
 
@@ -1338,107 +807,32 @@ pub(crate) fn fresh_nonce() -> [u8; dgc_plane::NONCE_LEN] {
     nonce
 }
 
-/// The initiator half of the link handshake, run synchronously on a
-/// freshly connected socket right after the hello: `AuthInit` out,
-/// `AuthChallenge` in (the responder's MAC verified), `AuthProof` out.
-/// Returns whether the link authenticated; every failure mode lands on
-/// exactly one counter — `net.handshake_timeouts` for a silent peer,
-/// `net.auth_rejects` for a wrong MAC or out-of-protocol frame,
-/// `net.decode_errors` for wire garbage — and the caller treats
-/// `false` like a failed connect.
-pub(crate) fn client_auth_handshake(
-    stream: &mut TcpStream,
-    key: AuthKey,
-    timeout: Duration,
-    stats: &NetStats,
-) -> bool {
-    // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-    let deadline = Instant::now() + timeout;
-    let (mut machine, init) = Authenticator::initiator(key, fresh_nonce());
-    let init_bytes = encode_frame(&auth_frame(&init));
-    if stream.write_all(&init_bytes).is_err() {
-        return false;
-    }
-    stats.on_frame_sent(0, init_bytes.len() as u64);
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            stats.on_handshake_timeout();
-            return false;
-        }
-        if stream.set_read_timeout(Some(left)).is_err() {
-            return false;
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => return false,
-            Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                stats.on_handshake_timeout();
-                return false;
-            }
-            Err(_) => return false,
-        };
-        stats.on_raw_received(n as u64);
-        decoder.push(&chunk[..n]);
-        match decoder.next_frame() {
-            Ok(None) => continue,
-            Ok(Some(frame)) => {
-                let Some(msg) = frame_to_auth(&frame) else {
-                    // The responder spoke out of protocol (a batch or
-                    // hello where its challenge belongs).
-                    stats.on_auth_reject();
-                    return false;
-                };
-                match machine.on_msg(&msg) {
-                    Ok(Step::SendAndDone(proof)) => {
-                        if decoder.pending_bytes() != 0 {
-                            // The responder must not say anything more
-                            // until it has our proof.
-                            stats.on_auth_reject();
-                            return false;
-                        }
-                        let bytes = encode_frame(&auth_frame(&proof));
-                        if stream.write_all(&bytes).is_err() {
-                            return false;
-                        }
-                        stats.on_frame_sent(0, bytes.len() as u64);
-                        let _ = stream.set_read_timeout(None);
-                        stats.on_auth_ok();
-                        return true;
-                    }
-                    _ => {
-                        stats.on_auth_reject();
-                        return false;
-                    }
-                }
-            }
-            Err(_) => {
-                stats.on_decode_error();
-                return false;
-            }
-        }
-    }
+/// How often a joining node re-probes its seeds.
+const JOIN_RETRY: Duration = Duration::from_millis(250);
+/// Probe rounds before a joining node gives up on its seeds.
+const JOIN_ATTEMPTS: u32 = 40;
+
+/// A seed bootstrap in progress ([`NetNode::join`]).
+struct JoinProbes {
+    seeds: Vec<SocketAddr>,
+    attempts_left: u32,
+    next_at: Instant,
 }
 
-/// The worker's link layer: which I/O engine carries its traffic.
-enum Links {
-    /// Thread-per-link: a writer thread per outbound peer, a reply
-    /// channel per inbound connection (plus their detached readers).
-    Threaded {
-        outbound: HashMap<u32, OutboundLink>,
-        reply: HashMap<u32, mpsc::Sender<Vec<Item>>>,
-    },
-    /// Every socket on the worker's own readiness loop: O(1) threads
-    /// regardless of peer count.
-    Reactor(Box<Reactor>),
+/// When a TTB tick that was scheduled for `scheduled` and ran at `now`
+/// fires next. Re-arming from the *scheduled* instant keeps the period
+/// exact — re-arming from `now` would add every wake-up's lateness to
+/// it, forever, and the §4.2 bound is stated over a heartbeat that
+/// leaves every TTB. A loop that is a whole period or more behind (a
+/// pause, a stall) restarts the cadence from `now` instead, so it never
+/// fires a burst of ticks to catch up.
+fn rearm(scheduled: Instant, now: Instant, ttb: Duration) -> Instant {
+    let next = scheduled + ttb;
+    if next > now {
+        next
+    } else {
+        now + ttb
+    }
 }
 
 struct Worker {
@@ -1448,7 +842,11 @@ struct Worker {
     loopback: LoopSender,
     endpoints: BTreeMap<u32, Endpoint>,
     peer_addrs: HashMap<u32, SocketAddr>,
-    links: Links,
+    /// The link layer: every socket of this node.
+    reactor: Reactor,
+    /// Seed bootstrap state, while the node is still looking for a
+    /// first peer.
+    join: Option<JoinProbes>,
     /// The egress plane: every outgoing unit queues here; the flush
     /// policy decides when a destination's queue becomes a frame.
     outbox: Outbox<Item>,
@@ -1470,8 +868,7 @@ struct Worker {
     /// Per-tenant app-plane traffic accounting
     /// (`enqueued = flushed + returned + pending`, per tenant).
     ledger: TenantLedger,
-    /// The node's telemetry plane (shared with the handle and, through
-    /// `stats`, with every link thread).
+    /// The node's telemetry plane (shared with the handle).
     obs: Registry,
     epoch: Instant,
     membership: Option<Membership>,
@@ -1484,56 +881,9 @@ struct Worker {
     app_failures: Arc<Mutex<Vec<AppReceived>>>,
     app_handler: Option<AppHandler>,
     shutting_down: Arc<AtomicBool>,
-    tracker: Arc<SocketTracker>,
-    reaper: Arc<ThreadReaper>,
 }
 
 impl Worker {
-    /// The plumbing bundle handed to every socket-side helper the
-    /// threaded engine spawns (link writers, readers, reply writers).
-    fn reader_ctx(&self) -> ReaderCtx {
-        ReaderCtx {
-            node_id: self.node_id,
-            events: self.loopback.clone(),
-            stats: Arc::clone(&self.stats),
-            tracker: Arc::clone(&self.tracker),
-            reaper: Arc::clone(&self.reaper),
-            max_link_pending: self.config.max_link_pending,
-            auth: self.config.auth,
-            handshake_timeout: self.config.handshake_timeout,
-        }
-    }
-
-    /// Whether a forward (initiated) link toward `dest` exists.
-    fn has_forward_link(&self, dest: u32) -> bool {
-        match &self.links {
-            Links::Threaded { outbound, .. } => outbound.contains_key(&dest),
-            Links::Reactor(r) => r.has_link(dest),
-        }
-    }
-
-    /// Drops `dest`'s forward link (address change, terminal verdict);
-    /// the next routed send re-dials lazily.
-    fn drop_forward_link(&mut self, dest: u32) {
-        match &mut self.links {
-            Links::Threaded { outbound, .. } => {
-                outbound.remove(&dest);
-            }
-            Links::Reactor(r) => r.drop_link(dest),
-        }
-    }
-
-    /// Severs every path to a departed peer: the forward link and the
-    /// reply route of whatever socket it had opened toward us.
-    fn drop_peer_links(&mut self, dest: u32) {
-        match &mut self.links {
-            Links::Threaded { outbound, reply } => {
-                outbound.remove(&dest);
-                reply.remove(&dest);
-            }
-            Links::Reactor(r) => r.drop_peer(dest),
-        }
-    }
     fn now(&self) -> Time {
         Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
@@ -1669,37 +1019,16 @@ impl Worker {
         }
     }
 
-    /// Hands `batch` to the reply writer bound to the socket `dest`
-    /// opened toward us; a missing or dead writer (its channel closed)
-    /// returns the batch and evicts the stale entry.
-    fn try_reply(&mut self, dest: u32, batch: Vec<Item>) -> Result<(), Vec<Item>> {
-        match &mut self.links {
-            Links::Threaded { reply, .. } => {
-                let Some(tx) = reply.get(&dest) else {
-                    return Err(batch);
-                };
-                match tx.send(batch) {
-                    Ok(()) => Ok(()),
-                    Err(mpsc::SendError(batch)) => {
-                        reply.remove(&dest);
-                        Err(batch)
-                    }
-                }
-            }
-            Links::Reactor(r) => r.queue_reply(dest, batch),
-        }
-    }
-
     fn send_batch_reply(&mut self, dest: u32, batch: Vec<Item>) {
         // No live inbound socket from that node: fall back to a
         // forward link if we can reach it at all.
-        if let Err(batch) = self.try_reply(dest, batch) {
+        if let Err(batch) = self.reactor.queue_reply(dest, batch) {
             self.send_batch_forward(dest, batch);
         }
     }
 
     fn send_batch_forward(&mut self, dest: u32, batch: Vec<Item>) {
-        if !self.has_forward_link(dest) {
+        if !self.reactor.has_link(dest) {
             let Some(addr) = self.peer_addrs.get(&dest).copied() else {
                 // Whether a missing address condemns the edges depends
                 // on the wiring. Static registration: unknown means
@@ -1732,28 +1061,12 @@ impl Worker {
             self.trace(TraceLevel::Info, "link-open", || {
                 format!("dial node {dest} at {addr}")
             });
-            let ctx = self.reader_ctx();
-            match &mut self.links {
-                Links::Threaded { outbound, .. } => {
-                    outbound.insert(dest, OutboundLink::spawn(dest, addr, self.config, ctx));
-                }
-                Links::Reactor(r) => r.open_link(dest, addr),
-            }
+            self.reactor.open_link(dest, addr);
         }
-        let result = match &mut self.links {
-            Links::Threaded { outbound, .. } => outbound
-                .get(&dest)
-                .expect("link just ensured")
-                .send_batch(batch),
-            Links::Reactor(r) => r.queue_forward(dest, batch),
-        };
-        if let Err(batch) = result {
-            // The writer went terminal and exited: its channel is a
-            // dead letterbox, not a link. Requests used to vanish into
-            // it here — fall back to the socket the peer opened to us
-            // (the reverse direction may be perfectly healthy), or
-            // fail fast so the caller learns.
-            self.drop_forward_link(dest);
+        if let Err(batch) = self.reactor.queue_forward(dest, batch) {
+            // No link took the batch: fall back to the socket the peer
+            // opened to us (the reverse direction may be perfectly
+            // healthy), or fail fast so the caller learns.
             self.reroute_or_fail(dest, batch);
         }
     }
@@ -1763,7 +1076,7 @@ impl Worker {
     /// otherwise. Never tries the forward direction again — that is
     /// what just failed.
     fn reroute_or_fail(&mut self, dest: u32, batch: Vec<Item>) {
-        if let Err(batch) = self.try_reply(dest, batch) {
+        if let Err(batch) = self.reactor.queue_reply(dest, batch) {
             self.fail_items(batch);
         }
     }
@@ -1831,17 +1144,17 @@ impl Worker {
         self.fail_items(stranded);
     }
 
-    /// A link burned through `fail_after_attempts`: stop feeding it
-    /// (membership, or a fresh address announcement, decides if it ever
-    /// comes back), try the peer's reply socket for whatever the dead
-    /// writer handed back — the *forward* direction is what failed, and
-    /// asymmetric failures are §2.2's normal case — then let membership
-    /// adjudicate, or treat the verdict as terminal without it.
+    /// A link burned through `fail_after_attempts` and the reactor
+    /// dropped it (membership, or a fresh address announcement, decides
+    /// if it ever comes back): try the peer's reply socket for whatever
+    /// the link still held — the *forward* direction is what failed,
+    /// and asymmetric failures are §2.2's normal case — then let
+    /// membership adjudicate, or treat the verdict as terminal without
+    /// it.
     fn on_peer_unreachable(&mut self, node: u32, unsent: Vec<Item>) {
         self.trace(TraceLevel::Info, "link-terminal", || {
             format!("node {node} unreachable, {} unsent", unsent.len())
         });
-        self.drop_forward_link(node);
         if !unsent.is_empty() {
             self.reroute_or_fail(node, unsent);
         }
@@ -2081,7 +1394,7 @@ impl Worker {
         }
         for (node, addr) in changed {
             self.peer_addrs.insert(node, addr);
-            self.drop_forward_link(node);
+            self.reactor.drop_link(node);
         }
     }
 
@@ -2106,7 +1419,7 @@ impl Worker {
                 for ep in self.endpoints.values_mut() {
                     ep.state.on_node_dead(ev.node);
                 }
-                self.drop_peer_links(ev.node);
+                self.reactor.drop_peer(ev.node);
                 // And its egress queue goes with it: items, bytes and
                 // the flush deadline — queued app units surface as
                 // send failures rather than rotting against a corpse.
@@ -2123,7 +1436,7 @@ impl Worker {
         match event {
             Event::Shutdown => {
                 // Hand whatever still lingers on the egress plane to
-                // the writers; they flush before exiting.
+                // the sockets; the loop drains them before exiting.
                 let flushes = self.outbox.flush_all();
                 for flush in flushes {
                     self.deliver_flush(flush);
@@ -2153,16 +1466,21 @@ impl Worker {
                     for flush in flushes {
                         self.deliver_flush(flush);
                     }
-                    // Threaded writers flush from their own threads;
-                    // the reactor's farewells only *queued* on its
-                    // sockets — push them out before acknowledging.
-                    if let Links::Reactor(r) = &mut self.links {
-                        r.drain(Duration::from_millis(100));
-                    }
+                    // The farewells only *queued* on the sockets —
+                    // push them out before acknowledging.
+                    self.reactor.drain(Duration::from_millis(100));
                     // The engine said goodbye; stop gossiping.
                     self.next_member_tick = None;
                 }
                 let _ = ack.send(());
+            }
+            Event::Join { seeds } => {
+                self.join = Some(JoinProbes {
+                    seeds,
+                    attempts_left: JOIN_ATTEMPTS,
+                    // Already past: the first round goes out this turn.
+                    next_at: self.epoch,
+                });
             }
             Event::Pause { until } => {
                 // A real stop-the-world: this thread owns every endpoint
@@ -2181,36 +1499,6 @@ impl Worker {
                 }
             }
             Event::Item(item) => self.handle_item(item),
-            Event::PeerLink { node, tx } => {
-                self.trace(TraceLevel::Info, "reply-link", || {
-                    format!("node {node} opened a connection")
-                });
-                // Reactor nodes track reply routes inside the engine;
-                // this event only arrives from threaded-engine readers.
-                if let Links::Threaded { reply, .. } = &mut self.links {
-                    reply.insert(node, tx);
-                }
-            }
-            Event::PeerUnreachable { node, unsent } => self.on_peer_unreachable(node, unsent),
-            Event::AdoptSocket { stream } => {
-                if let Links::Reactor(r) = &mut self.links {
-                    r.adopt(stream);
-                } else {
-                    let ctx = self.reader_ctx();
-                    spawn_socket_reader(ctx, stream, false);
-                }
-            }
-            Event::Undeliverable {
-                node,
-                items,
-                reroute,
-            } => {
-                if reroute {
-                    self.reroute_or_fail(node, items);
-                } else {
-                    self.fail_items(items);
-                }
-            }
             Event::SetAppHandler { handler } => {
                 self.app_handler = Some(handler);
             }
@@ -2295,9 +1583,7 @@ impl Worker {
     /// is what lets the per-peer writers coalesce a whole sweep into
     /// one frame; the reused scratch buffers are what keep the sweep
     /// allocation-free however many activities are hosted.
-    fn tick_due(&mut self) {
-        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-        let now_i = Instant::now();
+    fn tick_due(&mut self, now_i: Instant) {
         let now = self.now();
         let mut due: Vec<(u32, &mut Endpoint)> = self
             .endpoints
@@ -2315,7 +1601,8 @@ impl Worker {
             &mut pools,
             |(_, ep), scratch, units| {
                 ep.state.on_tick_into(now, ep.idle, scratch, units);
-                ep.next_tick = now_i + Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                let ttb = Duration::from_nanos(ep.state.current_ttb().as_nanos());
+                ep.next_tick = rearm(ep.next_tick, now_i, ttb);
             },
         );
         drop(due);
@@ -2325,8 +1612,51 @@ impl Worker {
         self.sweep_pools = pools;
     }
 
+    /// Seed bootstrap: while the directory still shows only this node,
+    /// dials one join probe per seed every [`JOIN_RETRY`], up to
+    /// [`JOIN_ATTEMPTS`] rounds. A probe that dies is not retried as
+    /// such — the next round dials afresh.
+    fn join_due(&mut self, now_i: Instant) {
+        let (Some(join), Some(engine)) = (&mut self.join, &self.membership) else {
+            return;
+        };
+        if now_i < join.next_at {
+            return;
+        }
+        if engine.directory().len() > 1 || join.attempts_left == 0 {
+            self.join = None; // some seed answered, or none ever will
+            return;
+        }
+        join.attempts_left -= 1;
+        join.next_at = now_i + JOIN_RETRY;
+        let me = NodeRecord::alive(
+            self.node_id,
+            engine.incarnation(),
+            engine.directory().addr_of(self.node_id),
+        );
+        for &seed in &join.seeds {
+            // Version 0 is safely below any live engine's counter, so
+            // the seed treats the probe as "nothing applied yet" and
+            // replies with a full sync.
+            let digest = Digest {
+                version: 0,
+                ack: 0,
+                full: false,
+                records: vec![me],
+            };
+            self.reactor.probe(
+                seed,
+                Item::Gossip {
+                    from: self.node_id,
+                    to: GOSSIP_ANYCAST,
+                    digest,
+                },
+            );
+        }
+    }
+
     /// The earliest instant the worker's own timers need it awake: TTB
-    /// ticks, membership gossip, egress flush deadlines.
+    /// ticks, membership gossip, join probes, egress flush deadlines.
     fn next_wake(&self) -> Instant {
         let mut next_wake = self
             .endpoints
@@ -2338,6 +1668,9 @@ impl Worker {
         if let Some(t) = self.next_member_tick {
             next_wake = next_wake.min(t);
         }
+        if let Some(join) = &self.join {
+            next_wake = next_wake.min(join.next_at);
+        }
         if let Some(deadline) = self.outbox.next_deadline() {
             // Egress deadlines live on the scenario clock; convert
             // back to the wall clock the loop sleeps on.
@@ -2346,65 +1679,20 @@ impl Worker {
         next_wake
     }
 
-    /// The engine's link layer as a reactor, or panics: only the
-    /// reactor loop calls this.
-    fn reactor_mut(&mut self) -> &mut Reactor {
-        match &mut self.links {
-            Links::Reactor(r) => r,
-            Links::Threaded { .. } => unreachable!("reactor loop over threaded links"),
-        }
-    }
-
-    fn reactor_deadline(&self) -> Option<Instant> {
-        match &self.links {
-            Links::Reactor(r) => r.next_deadline(),
-            Links::Threaded { .. } => None,
-        }
-    }
-
+    /// The loop: park in [`Reactor::poll`] — socket readiness, link
+    /// timers and (via the waker inside [`LoopSender`]) channel sends
+    /// all interrupt it — act on the link layer's notices, drain the
+    /// channel without blocking, then run whatever timers are due.
     fn run(mut self) {
-        if matches!(self.links, Links::Reactor(_)) {
-            self.run_reactor()
-        } else {
-            self.run_threaded()
-        }
-    }
-
-    /// The threaded engine's loop turn: park on the event channel (the
-    /// link threads do their own I/O) until an event or a timer.
-    fn run_threaded(&mut self) {
-        loop {
-            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-            let timeout = self.next_wake().saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(timeout) {
-                Ok(event) => {
-                    if !self.handle(event) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-            self.tick_due();
-            self.membership_due();
-            self.flush_due();
-        }
-    }
-
-    /// The reactor engine's loop turn: park in [`Reactor::poll`] —
-    /// socket readiness, reactor timers and (via the waker inside
-    /// [`LoopSender`]) channel sends all interrupt it — translate the
-    /// engine's notices, then drain the channel without blocking.
-    fn run_reactor(&mut self) {
         let mut notices: Vec<Notice> = Vec::new();
         loop {
             let mut next_wake = self.next_wake();
-            if let Some(d) = self.reactor_deadline() {
+            if let Some(d) = self.reactor.next_deadline() {
                 next_wake = next_wake.min(d);
             }
             // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
             let timeout = next_wake.saturating_duration_since(Instant::now());
-            self.reactor_mut().poll(timeout, &mut notices);
+            self.reactor.poll(timeout, &mut notices);
             for notice in notices.drain(..) {
                 match notice {
                     Notice::Item(item) => self.handle_item(item),
@@ -2431,19 +1719,22 @@ impl Worker {
                             // Shutdown flushed the egress plane into the
                             // reactor's queues; give the sockets a
                             // bounded grace to carry it out.
-                            self.reactor_mut().drain(Duration::from_millis(300));
+                            self.reactor.drain(Duration::from_millis(300));
                             return;
                         }
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
                     Err(mpsc::TryRecvError::Disconnected) => {
-                        self.reactor_mut().drain(Duration::from_millis(300));
+                        self.reactor.drain(Duration::from_millis(300));
                         return;
                     }
                 }
             }
-            self.tick_due();
+            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
+            let now_i = Instant::now();
+            self.tick_due(now_i);
             self.membership_due();
+            self.join_due(now_i);
             self.flush_due();
         }
     }
@@ -2452,50 +1743,54 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_frame, PROTOCOL_VERSION};
     use std::io::Write;
-    use std::sync::atomic::AtomicUsize;
+    use std::net::TcpStream;
+
+    #[test]
+    fn rearm_keeps_the_scheduled_cadence() {
+        let scheduled = Instant::now();
+        let ttb = Duration::from_millis(100);
+        // On time.
+        assert_eq!(rearm(scheduled, scheduled, ttb), scheduled + ttb);
+        // Late by less than a period: the lateness must not leak into
+        // the period (`now + ttb` here is the drift this replaces).
+        let late = scheduled + Duration::from_millis(3);
+        assert_eq!(rearm(scheduled, late, ttb), scheduled + ttb);
+        // A whole period or more behind: restart from now, no burst.
+        let stalled = scheduled + ttb;
+        assert_eq!(rearm(scheduled, stalled, ttb), stalled + ttb);
+        let paused = scheduled + Duration::from_millis(750);
+        assert_eq!(rearm(scheduled, paused, ttb), paused + ttb);
+    }
 
     /// Transient `accept` errors (the EMFILE / ECONNABORTED family)
-    /// must not kill the acceptor: three injected failures precede a
-    /// real connection, and the link must still come up — with every
-    /// failure landing on the `accept_errors` counter instead of
-    /// vanishing.
+    /// must not deafen the node: three injected failures each land on
+    /// the `accept_errors` counter and unhook the listener for a
+    /// backoff; once it expires the listener is re-armed, and a real
+    /// connection's hello registers its reply route.
     #[test]
     fn acceptor_survives_transient_accept_errors() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let (tx, rx) = mpsc::channel();
         let stats = NetStats::shared();
-        let tracker = Arc::new(SocketTracker::default());
-        let reaper = Arc::new(ThreadReaper::default());
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let acceptor = Acceptor {
-            ctx: ReaderCtx {
-                node_id: 7,
-                events: LoopSender::new(tx, None),
-                stats: Arc::clone(&stats),
-                tracker: Arc::clone(&tracker),
-                reaper: Arc::clone(&reaper),
-                max_link_pending: 1024,
-                auth: None,
-                handshake_timeout: Duration::from_secs(2),
-            },
-            shutting_down: Arc::clone(&shutting_down),
-        };
-        let handle = std::thread::spawn(move || {
-            let attempts = AtomicUsize::new(0);
-            acceptor.run_with(move || {
-                if attempts.fetch_add(1, Ordering::SeqCst) < 3 {
-                    Err(std::io::Error::other("injected descriptor exhaustion"))
-                } else {
-                    listener.accept().map(|(s, _)| s)
-                }
-            })
-        });
+        let mut reactor =
+            Reactor::new(7, listener, NetConfig::default(), Arc::clone(&stats)).unwrap();
+        for _ in 0..3 {
+            reactor.accept_ready_with(|_| {
+                Err(std::io::Error::other("injected descriptor exhaustion"))
+            });
+        }
+        assert_eq!(
+            stats.snapshot().accept_errors,
+            3,
+            "each injected failure must be counted"
+        );
+        assert!(
+            reactor.next_deadline().is_some(),
+            "the listener must be unhooked behind a re-arm timer"
+        );
 
-        // The injected failures cost 10+20+40ms of backoff; the fourth
-        // attempt must take the real connection and register a reply
-        // path off its hello.
         let client = TcpStream::connect(addr).unwrap();
         (&client)
             .write_all(&encode_frame(&Frame::Hello {
@@ -2503,24 +1798,28 @@ mod tests {
                 version: PROTOCOL_VERSION,
             }))
             .unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(Event::PeerLink { node, .. }) => assert_eq!(node, 3),
-            other => panic!("expected a PeerLink after recovery, got {other:?}"),
+        // The third failure backs off 40ms; the re-armed listener then
+        // takes the connection and its hello names the reply route.
+        let reply = || {
+            vec![Item::SendFailure {
+                holder: AoId::new(3, 0),
+                target: AoId::new(7, 0),
+            }]
+        };
+        let mut notices = Vec::new();
+        let start = Instant::now();
+        while reactor.queue_reply(3, reply()).is_err() {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "no reply route after recovery"
+            );
+            reactor.poll(Duration::from_millis(5), &mut notices);
         }
         assert_eq!(
-            stats.snapshot().accept_errors,
-            3,
-            "each injected failure must be counted"
+            reactor.next_deadline(),
+            None,
+            "the listener is re-armed and nothing else is pending"
         );
-
-        // Teardown: flag shutdown, poke the blocking accept, then
-        // unblock and reap the reader/reply-writer pair.
-        shutting_down.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
-        handle.join().unwrap();
-        drop(client);
-        drop(rx);
-        tracker.shutdown_all();
-        reaper.join_all();
+        assert_eq!(stats.snapshot().accept_errors, 3);
     }
 }

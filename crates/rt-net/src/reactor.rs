@@ -1,22 +1,35 @@
-//! The **reactor** I/O engine: every socket of a node, one readiness
-//! loop, zero per-peer threads.
+//! The node's **link layer**: every socket of a node on one readiness
+//! loop, driven from the node's own event-loop thread.
 //!
-//! The threaded engine ([`crate::peer`]) spends ~3 OS threads per peer
-//! (writer, reply writer, detached reader); past a few hundred peers
-//! that is the transport's scaling ceiling. This module keeps the exact
-//! link semantics — hello-first handshake, forward/reply routing
-//! discipline (§2.2 firewall transparency), exponential backoff with
-//! terminal conviction after `fail_after_attempts`, bounded per-link
-//! buffering with app-item salvage — but drives all of it from the
-//! node's own event-loop thread over nonblocking sockets and a
+//! The reactor owns the listener, every accepted and dialed connection
+//! and all outbound link state, nonblocking, behind a
 //! [`polling::Poller`] (epoll on Linux, portable emulation elsewhere).
+//! It implements the link semantics the layers above rely on:
 //!
-//! The worker calls [`Reactor::poll`] instead of parking on its event
-//! channel; cross-thread senders nudge the loop through the poller's
-//! [`polling::Waker`]. Everything the reactor cannot decide alone —
-//! delivering items, convicting peers, rerouting salvage — surfaces as
-//! a [`Notice`] for the worker, mirroring the events the threaded
-//! engine's link threads send.
+//! * **Hello first** — every dialed connection opens with a `Hello`
+//!   naming this node and, with a key configured, the `dgc-plane`
+//!   challenge/response right behind it; no item is framed to, or
+//!   accepted from, a peer that has not finished it, and a connection
+//!   that stalls mid-handshake is reclaimed at `handshake_timeout`.
+//! * **Forward/reply routing** (§2.2 firewall transparency) — forward
+//!   traffic rides the link this node dialed; replies ride back over
+//!   whichever socket the peer opened, never a fresh reverse
+//!   connection.
+//! * **Reconnect with backoff, then conviction** — a failed connect or
+//!   write backs the link off exponentially while its items stay
+//!   parked; `fail_after_attempts` consecutive failures convict the
+//!   peer and hand everything still unsent back to the worker.
+//! * **Bounded buffering** — a link holds at most `max_link_pending`
+//!   items; overflow sheds the oldest, and shed application payloads
+//!   surface as send failures (heartbeats and digests regenerate).
+//! * **Join probes** — [`Reactor::probe`] dials a seed with no link
+//!   state behind the connection: hello, handshake, one anycast digest,
+//!   then whatever gossip the seed sends back.
+//!
+//! The worker parks in [`Reactor::poll`]; cross-thread senders nudge
+//! the loop through the poller's [`polling::Waker`]. Everything the
+//! reactor cannot decide alone — delivering items, convicting peers,
+//! rerouting salvage — surfaces as a [`Notice`] for the worker.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -43,21 +56,20 @@ const TOKEN_WAKER: usize = 1;
 const TOKEN_BASE: usize = 2;
 
 /// How long an in-flight nonblocking connect may take before it counts
-/// as a failed attempt (the threaded engine's `connect_timeout`).
+/// as a failed attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// How long a connection may sit write-blocked with data pending before
-/// it is declared dead (the threaded engine's write timeout): a peer
-/// that accepts but never reads must not hoard frames forever.
+/// it is declared dead: a peer that accepts but never reads must not
+/// hoard frames forever.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
-/// Read buffer per syscall, matching the threaded reader's chunk size.
+/// Read buffer per syscall.
 const READ_CHUNK: usize = 16 * 1024;
 /// Most read syscalls served per readiness event, so one firehose
 /// connection cannot starve the rest of the loop (level-triggered
 /// polling re-reports whatever is left).
 const MAX_READS_PER_EVENT: usize = 16;
 
-/// What the reactor needs the worker to handle — the same decisions the
-/// threaded engine's link threads send as loop events.
+/// What the reactor needs the worker to handle.
 pub(crate) enum Notice {
     /// A decoded protocol unit addressed to this node.
     Item(Item),
@@ -88,11 +100,12 @@ enum ConnKind {
     /// Accepted from the listener: carries the peer's forward traffic
     /// in, our replies out (once its hello names the peer).
     Inbound,
-    /// Dialed by [`Reactor::open_link`]: carries our forward traffic
-    /// out, the peer's replies in. Failure feeds the link's backoff.
+    /// Dialed by this node: carries our forward traffic out, the
+    /// peer's replies in. A link's connection ([`Reactor::open_link`])
+    /// knows its peer and feeds the link's backoff when it fails; a
+    /// join probe ([`Reactor::probe`]) has no peer id and no link — it
+    /// carries one digest out, the seed's gossip in, and just closes.
     Outbound,
-    /// Handed over by a join-probe dialer: read-only gossip tail.
-    Adopted,
 }
 
 /// One frame mid-write: the encoded bytes, how far the socket got, and
@@ -109,8 +122,9 @@ struct PendingFrame {
 struct Conn {
     stream: TcpStream,
     kind: ConnKind,
-    /// Peer node id: always known for outbound conns, learned from the
-    /// hello on inbound ones.
+    /// Peer node id: known from birth on a link's connection, learned
+    /// from the hello on inbound ones, never on a join probe (it dialed
+    /// an address, not a node).
     peer: Option<u32>,
     decoder: FrameDecoder,
     /// Items accepted but not yet framed.
@@ -125,10 +139,9 @@ struct Conn {
     /// Set while a write sits in `WouldBlock`; expiry kills the conn.
     stall_deadline: Option<Instant>,
     /// Whether frame items may cross this connection. `true` from
-    /// birth on the trusted-LAN path (no key configured) and on
-    /// adopted join-probe sockets (their dialer authenticated
-    /// synchronously); earned through the challenge/response
-    /// otherwise. A batch on an unearned connection kills it.
+    /// birth on the trusted-LAN path (no key configured); earned
+    /// through the challenge/response otherwise. A batch on an
+    /// unearned connection kills it.
     authenticated: bool,
     /// The handshake state machine mid-flight: the responder on
     /// accepted connections, the initiator on dialed ones.
@@ -140,28 +153,19 @@ struct Conn {
 }
 
 impl Conn {
-    /// A read-only registration for an accepted or adopted socket.
-    fn reader(stream: TcpStream, kind: ConnKind) -> Conn {
-        Conn {
-            stream,
-            kind,
-            peer: None,
-            decoder: FrameDecoder::new(),
-            queue: VecDeque::new(),
-            wire: VecDeque::new(),
-            interest: Interest::READ,
-            connecting: false,
-            connect_deadline: None,
-            stall_deadline: None,
-            authenticated: true,
-            machine: None,
-            handshake_deadline: None,
-        }
-    }
-
     /// Bytes or items still waiting to go out.
     fn has_unsent(&self) -> bool {
         !self.wire.is_empty() || !self.queue.is_empty()
+    }
+
+    /// Whether the socket could take bytes right now: a frame is mid-
+    /// write, or items are queued *and* may be framed. Items parked
+    /// behind an unfinished handshake do not count — the socket is
+    /// writable the whole time the peer's challenge is in flight, and
+    /// asking for WRITE readiness then turns a level-triggered poll
+    /// into a busy loop.
+    fn wants_write(&self) -> bool {
+        !self.wire.is_empty() || (self.authenticated && !self.queue.is_empty())
     }
 }
 
@@ -175,8 +179,9 @@ enum LinkState {
     Backoff { until: Instant },
 }
 
-/// An outbound link: the reactor's analogue of a threaded
-/// [`crate::peer::OutboundLink`], minus the thread.
+/// An outbound link: the state that outlives any one connection toward
+/// a peer — where to dial, how many attempts in a row have failed, and
+/// the items waiting for the next connection.
 struct OutLink {
     addr: SocketAddr,
     state: LinkState,
@@ -188,8 +193,8 @@ struct OutLink {
     parked: VecDeque<Item>,
 }
 
-/// The engine: owns the listener, every connection, all outbound link
-/// state, and the poller that multiplexes them on one thread.
+/// Owns the listener, every connection, all outbound link state, and
+/// the poller that multiplexes them on one thread.
 pub(crate) struct Reactor {
     node_id: u32,
     config: NetConfig,
@@ -282,8 +287,7 @@ impl Reactor {
     }
 
     /// Whether an outbound link toward `dest` exists (wired or backing
-    /// off) — the reactor's analogue of the threaded outbound map's
-    /// `contains_key`.
+    /// off).
     pub(crate) fn has_link(&self, dest: u32) -> bool {
         self.links.contains_key(&dest)
     }
@@ -313,7 +317,7 @@ impl Reactor {
     /// Queues forward items (heartbeats, requests, anycast gossip) on
     /// `dest`'s link and pushes whatever the socket will take right
     /// now. `Err` hands the batch back: no link exists (the caller
-    /// reroutes or fails the items, as with a closed threaded channel).
+    /// reroutes or fails the items).
     pub(crate) fn queue_forward(&mut self, dest: u32, batch: Vec<Item>) -> Result<(), Vec<Item>> {
         let Some(link) = self.links.get_mut(&dest) else {
             return Err(batch);
@@ -427,25 +431,19 @@ impl Reactor {
         self.drop_link(dest);
     }
 
-    /// Adopts a socket a join-probe dialer opened (hello and probe
-    /// digest already written, blocking): the reactor reads the seed's
-    /// gossip replies from it until EOF.
-    pub(crate) fn adopt(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        if self.poller.add(&stream, token, Interest::READ).is_err() {
-            return;
-        }
-        self.conns
-            .insert(token, Conn::reader(stream, ConnKind::Adopted));
+    /// Dials `addr` as a **join probe**: a connection with no link
+    /// behind it whose hello (and handshake) is followed by `digest` —
+    /// the joiner's own record, anycast. The seed answers over the same
+    /// socket, which then carries its gossip in until either side
+    /// closes. A probe that fails — refused, timed out, rejected — just
+    /// closes; the worker's join timer dials the next one.
+    pub(crate) fn probe(&mut self, addr: SocketAddr, digest: Item) {
+        let _ = self.connect(addr, None, VecDeque::from([digest]));
     }
 
     /// The earliest instant any reactor timer fires: connect/write
     /// deadlines, backoff expiries with traffic parked, listener
-    /// re-arm. The worker folds this into its `recv_timeout`.
+    /// re-arm. The worker folds this into its poll timeout.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
         let mut next = self.listener_resume;
         for c in self.conns.values() {
@@ -487,9 +485,9 @@ impl Reactor {
     }
 
     /// Best-effort flush of everything still queued, for up to `grace`:
-    /// the reactor's shutdown/leave analogue of the threaded writers
-    /// draining their channels on drop. Notices raised while draining
-    /// stay pending (a leaving node surfaces them on its next poll; a
+    /// what lets a leaving or stopping node's last frames reach the
+    /// sockets before it goes. Notices raised while draining stay
+    /// pending (a leaving node surfaces them on its next poll; a
     /// stopping node discards them with the reactor).
     pub(crate) fn drain(&mut self, grace: Duration) {
         // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
@@ -544,13 +542,22 @@ impl Reactor {
         self.events = events;
     }
 
-    /// Accepts everything queued on the listener. A transient error
-    /// (EMFILE and friends) unhooks the listener for a bounded backoff
-    /// instead of killing accepts forever — the bug the threaded
-    /// acceptor shares the [`AcceptBackoff`] fix with.
     fn accept_ready(&mut self) {
+        self.accept_ready_with(|listener| listener.accept());
+    }
+
+    /// Accepts everything queued on the listener, with the accept call
+    /// injected so tests can feed it transient errors without
+    /// exhausting real descriptors. A transient error (EMFILE and
+    /// friends) unhooks the listener for a bounded [`AcceptBackoff`]
+    /// instead of spinning on a level-triggered listener — or going
+    /// deaf to inbound connections while the node looks healthy.
+    pub(crate) fn accept_ready_with(
+        &mut self,
+        mut accept: impl FnMut(&TcpListener) -> std::io::Result<(TcpStream, SocketAddr)>,
+    ) {
         loop {
-            match self.listener.accept() {
+            match accept(&self.listener) {
                 Ok((stream, _)) => {
                     self.accept_backoff.on_success();
                     if stream.set_nonblocking(true).is_err() {
@@ -562,14 +569,26 @@ impl Reactor {
                     if self.poller.add(&stream, token, Interest::READ).is_err() {
                         continue;
                     }
-                    let mut conn = Conn::reader(stream, ConnKind::Inbound);
-                    // Accepted sockets earn their keep before the
-                    // deadline: hello, plus the proof when a key is
-                    // configured — no more parking a silent peer's
-                    // connection (and its slot) forever.
-                    conn.authenticated = self.config.auth.is_none();
-                    // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
-                    conn.handshake_deadline = Some(Instant::now() + self.config.handshake_timeout);
+                    let conn = Conn {
+                        stream,
+                        kind: ConnKind::Inbound,
+                        peer: None,
+                        decoder: FrameDecoder::new(),
+                        queue: VecDeque::new(),
+                        wire: VecDeque::new(),
+                        interest: Interest::READ,
+                        connecting: false,
+                        connect_deadline: None,
+                        stall_deadline: None,
+                        authenticated: self.config.auth.is_none(),
+                        machine: None,
+                        // Accepted sockets earn their keep before the
+                        // deadline: hello, plus the proof when a key is
+                        // configured — a silent peer's connection (and
+                        // its slot) is reclaimed, not parked forever.
+                        // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
+                        handshake_deadline: Some(Instant::now() + self.config.handshake_timeout),
+                    };
                     self.conns.insert(token, conn);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -648,41 +667,55 @@ impl Reactor {
         let Some(link) = self.links.get_mut(&dest) else {
             return;
         };
-        match polling::connect_nonblocking(&link.addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let token = self.next_token;
-                self.next_token += 1;
-                let mut conn = Conn {
-                    stream,
-                    kind: ConnKind::Outbound,
-                    peer: Some(dest),
-                    decoder: FrameDecoder::new(),
-                    queue: std::mem::take(&mut link.parked),
-                    wire: VecDeque::new(),
-                    interest: Interest::WRITE,
-                    connecting: true,
-                    // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
-                    connect_deadline: Some(Instant::now() + CONNECT_TIMEOUT),
-                    stall_deadline: None,
-                    authenticated: self.config.auth.is_none(),
-                    machine: None,
-                    handshake_deadline: None,
-                };
-                if self
-                    .poller
-                    .add(&conn.stream, token, Interest::WRITE)
-                    .is_err()
-                {
-                    link.parked = std::mem::take(&mut conn.queue);
-                    self.penalize_link(dest, Vec::new());
-                    return;
+        let addr = link.addr;
+        let parked = std::mem::take(&mut link.parked);
+        match self.connect(addr, Some(dest), parked) {
+            Ok(token) => {
+                if let Some(link) = self.links.get_mut(&dest) {
+                    link.state = LinkState::Wired { token };
                 }
-                link.state = LinkState::Wired { token };
-                self.conns.insert(token, conn);
             }
-            Err(_) => self.penalize_link(dest, Vec::new()),
+            Err(parked) => self.penalize_link(dest, parked.into()),
         }
+    }
+
+    /// Opens a nonblocking connection to `addr` with `queue` waiting
+    /// behind its hello (and handshake), and returns its token. `peer`
+    /// is the link the connection serves, `None` for a join probe.
+    /// Hands the queue back if no socket could be opened or registered.
+    fn connect(
+        &mut self,
+        addr: SocketAddr,
+        peer: Option<u32>,
+        queue: VecDeque<Item>,
+    ) -> Result<usize, VecDeque<Item>> {
+        let Ok(stream) = polling::connect_nonblocking(&addr) else {
+            return Err(queue);
+        };
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token;
+        self.next_token += 1;
+        if self.poller.add(&stream, token, Interest::WRITE).is_err() {
+            return Err(queue);
+        }
+        let conn = Conn {
+            stream,
+            kind: ConnKind::Outbound,
+            peer,
+            decoder: FrameDecoder::new(),
+            queue,
+            wire: VecDeque::new(),
+            interest: Interest::WRITE,
+            connecting: true,
+            // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
+            connect_deadline: Some(Instant::now() + CONNECT_TIMEOUT),
+            stall_deadline: None,
+            authenticated: self.config.auth.is_none(),
+            machine: None,
+            handshake_deadline: None,
+        };
+        self.conns.insert(token, conn);
+        Ok(token)
     }
 
     /// An in-flight connect's socket polled writable: harvest `SO_ERROR`
@@ -791,9 +824,10 @@ impl Reactor {
                         let done = conn.wire.pop_front().expect("front frame exists");
                         self.stats
                             .on_frame_sent(done.items, done.bytes.len() as u64);
-                        // A fully written frame proves the link works —
-                        // the reactor's analogue of a completed flush
-                        // resetting the threaded writer's failure count.
+                        // Only a fully written frame proves the link
+                        // works; a landed connect alone must not reset
+                        // the count, or a peer that accepts and closes
+                        // at once would be redialed without backoff.
                         if matches!(conn.kind, ConnKind::Outbound) {
                             if let Some(dest) = conn.peer {
                                 if let Some(link) = self.links.get_mut(&dest) {
@@ -969,10 +1003,11 @@ impl Reactor {
         }
     }
 
-    /// Removes `token`'s connection and routes its unsent items:
-    /// outbound deaths take the link penalty path (backoff, eventually
+    /// Removes `token`'s connection and routes its unsent items: a
+    /// link's connection takes the penalty path (backoff, eventually
     /// conviction), inbound deaths surface queued replies as
-    /// non-reroutable salvage, adopted probes just close.
+    /// non-reroutable salvage, join probes just close (the next probe
+    /// carries a fresh digest).
     fn conn_dead(&mut self, token: usize) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
@@ -986,8 +1021,9 @@ impl Reactor {
         salvage.extend(conn.queue);
         match conn.kind {
             ConnKind::Outbound => {
-                let dest = conn.peer.expect("outbound conns always know their peer");
-                self.penalize_link(dest, salvage);
+                if let Some(dest) = conn.peer {
+                    self.penalize_link(dest, salvage);
+                }
             }
             ConnKind::Inbound => {
                 if let Some(peer) = conn.peer {
@@ -1006,14 +1042,12 @@ impl Reactor {
                     }
                 }
             }
-            ConnKind::Adopted => {}
         }
     }
 
     /// One failed connect or write on `dest`'s link (its connection, if
     /// any, is already gone): park the salvage, count the failure, and
-    /// back off — or convict the peer at `fail_after_attempts`, exactly
-    /// like the threaded writer's `penalty`.
+    /// back off — or convict the peer at `fail_after_attempts`.
     fn penalize_link(&mut self, dest: u32, salvage: Vec<Item>) {
         let Some(link) = self.links.get_mut(&dest) else {
             if !salvage.is_empty() {
@@ -1053,14 +1087,15 @@ impl Reactor {
     }
 
     /// Re-registers `token` with the interest its state wants: WRITE
-    /// while connecting, READ plus WRITE-while-unsent-data otherwise.
+    /// while connecting, READ otherwise — plus WRITE only while the
+    /// socket could take bytes ([`Conn::wants_write`]).
     fn update_interest(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let want = if conn.connecting {
             Interest::WRITE
-        } else if conn.has_unsent() {
+        } else if conn.wants_write() {
             Interest::BOTH
         } else {
             Interest::READ
@@ -1133,6 +1168,72 @@ mod tests {
             "hello must be the first frame on an outbound connection"
         );
         assert_eq!(frames[1], Frame::Batch(vec![app_item(7), app_item(8)]));
+    }
+
+    /// A dialed link whose peer has not answered the handshake yet has
+    /// items queued but nothing it may write: the (always writable)
+    /// socket must not be polled for WRITE, or every loop turn returns
+    /// at once until the challenge arrives.
+    #[test]
+    fn handshake_in_flight_does_not_spin_the_loop() {
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = sink.local_addr().unwrap();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        // Accepts and reads, never answers; reports once the hello and
+        // the `AuthInit` have both arrived.
+        let mute = std::thread::spawn(move || {
+            let (mut s, _) = sink.accept().unwrap();
+            let mut dec = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            let mut frames = 0;
+            loop {
+                match s.read(&mut buf) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => dec.push(&buf[..n]),
+                }
+                while let Ok(Some(_)) = dec.next_frame() {
+                    frames += 1;
+                    if frames == 2 {
+                        let _ = seen_tx.send(());
+                    }
+                }
+            }
+        });
+
+        let config = NetConfig::default().auth(dgc_plane::AuthKey::from_secret("reactor suite"));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut r = Reactor::new(1, listener, config, NetStats::shared()).unwrap();
+        r.open_link(2, addr);
+        r.queue_forward(2, vec![app_item(1)]).unwrap();
+        let mut notices = Vec::new();
+        let start = Instant::now();
+        while seen_rx.try_recv().is_err() {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "handshake never left"
+            );
+            r.poll(Duration::from_millis(5), &mut notices);
+        }
+        r.poll(Duration::from_millis(5), &mut notices);
+
+        let conn = r.conns.values().next().expect("the dialed connection");
+        assert!(
+            !conn.authenticated && !conn.queue.is_empty() && conn.interest == Interest::READ,
+            "an unauthenticated link with a parked item must wait for READ only"
+        );
+        // The symptom, where the backend can park at all (the emulation
+        // returns every millisecond by design).
+        if !r.poller.is_emulated() {
+            let parked = Instant::now();
+            r.poll(Duration::from_millis(60), &mut notices);
+            assert!(
+                parked.elapsed() >= Duration::from_millis(50),
+                "poll returned after {:?} with nothing to read and nothing it may write",
+                parked.elapsed()
+            );
+        }
+        drop(r);
+        mute.join().unwrap();
     }
 
     #[test]

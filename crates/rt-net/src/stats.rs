@@ -105,7 +105,7 @@ pub struct NetStatsSnapshot {
     /// (the egress plane's piggyback win).
     pub piggybacked: u64,
     /// Transient `accept()` failures (fd exhaustion and friends) the
-    /// acceptor survived by backing off instead of dying silently.
+    /// listener survived by backing off instead of going deaf.
     pub accept_errors: u64,
     /// Links that completed the `dgc-plane` auth handshake.
     pub auth_ok: u64,
@@ -292,7 +292,7 @@ impl NetStats {
         }
     }
 
-    /// Records a transient acceptor failure that triggered backoff.
+    /// Records a transient `accept()` failure that triggered backoff.
     pub fn on_accept_error(&self) {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {

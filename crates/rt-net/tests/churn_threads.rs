@@ -1,12 +1,10 @@
-//! Regression: crash/rejoin churn must not leak OS threads.
+//! A node is exactly one OS thread, through churn and after it.
 //!
-//! The transport's helper threads (socket readers, reply writers, join
-//! dialers) used to be detached; under membership churn the carcasses
-//! and the odd reader wedged on a half-dead socket accumulated real OS
-//! threads for the life of the process. Every helper now registers
-//! with the node's `ThreadReaper` and is joined at shutdown, so a wave
-//! of crash/rejoin cycles must leave the process's thread count where
-//! it started.
+//! Every socket of a node — listener, dialed links, accepted
+//! connections, join probes — lives on the node's own readiness loop,
+//! so a running cluster costs one thread per node, a wave of
+//! crash/rejoin cycles must leave that count where it was, and shutdown
+//! must return the process to the count it started with.
 //!
 //! Linux-only: counts live via `/proc/self/status`. The file holds a
 //! single test so the count is not polluted by parallel tests in the
@@ -50,7 +48,8 @@ fn live_threads() -> usize {
 }
 
 /// Polls until the live-thread count drops to `limit`, returning the
-/// last observed count.
+/// last observed count (a joined thread can linger in the kernel's
+/// count for a moment after `join` returns).
 fn settle_to(limit: usize, deadline: Duration) -> usize {
     let start = Instant::now();
     let mut n = live_threads();
@@ -76,16 +75,12 @@ fn crash_rejoin_churn_does_not_leak_threads() {
             "node {node} never converged"
         );
     }
-    // Baseline of a steady 3-node cluster: sample past the join
-    // dialers' exit so transient helpers don't inflate it.
-    std::thread::sleep(Duration::from_millis(300));
-    let baseline = (0..10)
-        .map(|_| {
-            std::thread::sleep(Duration::from_millis(30));
-            live_threads()
-        })
-        .min()
-        .unwrap();
+    // One loop thread per node and nothing else.
+    assert_eq!(
+        live_threads(),
+        before_cluster + 3,
+        "a steady 3-node cluster is three threads"
+    );
 
     for cycle in 0..4u64 {
         cluster.crash_node(2);
@@ -109,16 +104,16 @@ fn crash_rejoin_churn_does_not_leak_threads() {
         }
     }
 
-    // The churn wave over, the count must return to (about) the steady
-    // baseline — a leak grows by several threads per cycle.
-    let after_churn = settle_to(baseline + 3, Duration::from_secs(15));
-    assert!(
-        after_churn <= baseline + 3,
-        "thread leak under churn: baseline {baseline}, after 4 crash/rejoin cycles {after_churn}"
+    // The churn wave over, the count is the steady one again: each
+    // crash joined its node's thread, each restart spawned exactly one.
+    assert_eq!(
+        settle_to(before_cluster + 3, Duration::from_secs(15)),
+        before_cluster + 3,
+        "thread count moved across 4 crash/rejoin cycles"
     );
 
-    // And after shutdown every transport thread must be joined: back to
-    // the pre-cluster count (one of slack for the test harness).
+    // And after shutdown every node thread must be joined: back to the
+    // pre-cluster count (one of slack for the test harness).
     cluster.shutdown();
     let after_shutdown = settle_to(before_cluster + 1, Duration::from_secs(15));
     assert!(

@@ -3,8 +3,8 @@
 //! PR-5 bugfixes: (1) `Outbox` had no `remove` path, so a Dead/Left
 //! peer's queue — items, bytes and flush deadline — leaked for the
 //! node's lifetime; (2) an app request whose forward link had gone
-//! *terminal* was handed to the dead writer's closed channel and
-//! silently vanished, even when the peer's reply socket was alive.
+//! *terminal* silently vanished with it, even when the peer's reply
+//! socket was alive.
 
 use std::time::{Duration, Instant};
 
@@ -172,8 +172,8 @@ fn stranded_request_falls_back_to_the_live_reply_socket() {
     // Severed forward link + live reply socket: node 1 can reach node 0
     // (and did — that socket carries node 0's replies), but node 0's
     // *forward* address for node 1 points at a dead port. Requests
-    // node 0 -> node 1 must not be handed to the terminal writer's dead
-    // channel: they fall back to the reply path and arrive.
+    // node 0 -> node 1 must not die with the convicted link: they fall
+    // back to the reply path and arrive.
     let config = NetConfig {
         fail_after_attempts: 2,
         reconnect_base: Duration::from_millis(5),
@@ -204,14 +204,14 @@ fn stranded_request_falls_back_to_the_live_reply_socket() {
         node1.app_received(),
         node0.app_send_failures()
     );
-    // And a request sent *after* the writer exited (its channel is now
-    // closed) takes the same fallback instead of vanishing into it.
+    // And a request sent *after* the conviction (the link is gone)
+    // takes the same fallback instead of vanishing.
     node0.send_app(a0, a1, false, b"second".to_vec());
     assert!(
         poll_until(Duration::from_secs(10), || {
             node1.app_received().iter().any(|r| r.payload == b"second")
         }),
-        "post-terminal request must not vanish into the dead channel: got {:?}",
+        "post-terminal request must not vanish with the dead link: got {:?}",
         node1.app_received()
     );
     node0.shutdown();

@@ -445,7 +445,7 @@ proptest! {
     // Big allocations per case: fewer cases than the codec properties.
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The frame-splitting boundary both I/O engines cut their write
+    /// The frame-splitting boundary the link layer cuts its write
     /// queues at: greedy (never leaves room unused), bounded (never
     /// emits an oversized frame unless a single item alone is the
     /// frame), and a partition (repeated splits walk the whole queue

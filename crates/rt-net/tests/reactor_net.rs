@@ -1,8 +1,6 @@
-//! Edge cases of the reactor I/O engine, pinned explicitly (these
-//! tests force [`IoEngine::Reactor`] rather than relying on
-//! `DGC_NET_ENGINE`): partial frames dribbling across readiness
-//! events, write-buffer backpressure against a reader that never
-//! reads, and a connection severed mid-frame.
+//! Edge cases of the node's readiness loop: partial frames dribbling
+//! across readiness events, write-buffer backpressure against a reader
+//! that never reads, and a connection severed mid-frame.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -12,7 +10,7 @@ use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
 use dgc_core::units::Dur;
 use dgc_rt_net::frame::{encode_batch_frame, encode_frame, Frame, Item, PROTOCOL_VERSION};
-use dgc_rt_net::{Cluster, IoEngine, NetConfig, NetNode};
+use dgc_rt_net::{Cluster, NetConfig, NetNode};
 
 fn cfg() -> NetConfig {
     NetConfig::new(
@@ -22,7 +20,6 @@ fn cfg() -> NetConfig {
             .max_comm(Dur::from_millis(20))
             .build(),
     )
-    .engine(IoEngine::Reactor)
 }
 
 fn poll_until(deadline: Duration, check: impl Fn() -> bool) -> bool {
@@ -163,8 +160,8 @@ fn slow_reader_backpressure_sheds_instead_of_wedging_the_loop() {
 
 #[test]
 fn cross_node_cycle_is_collected_on_the_reactor_engine() {
-    // The whole-protocol smoke under the pinned reactor engine, env be
-    // damned: two nodes, a cross-node cycle, full collection.
+    // The whole-protocol smoke beside the edge cases: two nodes, a
+    // cross-node cycle, full collection.
     let cluster = Cluster::listen_local(2, cfg()).unwrap();
     let a = cluster.add_activity(0);
     let b = cluster.add_activity(1);
@@ -174,7 +171,7 @@ fn cross_node_cycle_is_collected_on_the_reactor_engine() {
     cluster.set_idle(b, true);
     assert!(
         cluster.wait_until(Duration::from_secs(20), |t| t.len() == 2),
-        "cyclic collection on the reactor engine: {:?}",
+        "cyclic collection over the readiness loop: {:?}",
         cluster.terminated()
     );
     cluster.shutdown();
