@@ -19,7 +19,6 @@ use dgc_simnet::queue::EventQueue;
 use dgc_simnet::rng::SimRng;
 use dgc_simnet::time::{SimDuration, SimTime};
 use dgc_simnet::topology::{ProcId, Topology};
-use dgc_simnet::trace::{TraceLevel, TraceLog};
 use dgc_simnet::traffic::{TrafficClass, TrafficMeter};
 
 use dgc_core::egress::{EgressClass, EgressObs, Flush, FlushPolicy, Outbox};
@@ -34,7 +33,7 @@ use dgc_membership::{
     Digest, GossipOut, Membership, MembershipConfig, MembershipEvent, MembershipObs, NodeRecord,
     Transition,
 };
-use dgc_obs::{Registry, TimeSource};
+use dgc_obs::{Registry, TimeSource, TraceLevel, Tracer};
 use dgc_plane::{
     AuthKey, Envelope, MiddlewareCtx, Pipeline, TenantCounters, TenantId, TenantLedger, TenantMap,
     Verdict,
@@ -46,6 +45,11 @@ use crate::activity::{Activity, AoCtx, Behavior, Effect, SpawnAlloc};
 use crate::collector::{proto_time, Collector, CollectorKind};
 use crate::oracle::{garbage_set, live_set, InflightMessage, SafetyViolation, Snapshot};
 use crate::request::{FutureId, Reply, Request};
+
+/// Capacity of the grid's trace ring: generous enough that a small
+/// scenario reads as an append-only log, bounded so soak runs cannot
+/// grow without limit.
+const TRACE_CAPACITY: usize = 65_536;
 
 /// Grid-level configuration.
 #[derive(Clone)]
@@ -385,7 +389,7 @@ pub struct Grid {
     procs: Vec<BTreeMap<u32, Activity>>,
     spawn_alloc: SpawnAlloc,
     rng: SimRng,
-    trace: TraceLog,
+    trace: Tracer,
     registry: BTreeMap<String, AoId>,
     collected: Vec<CollectedRecord>,
     violations: Vec<SafetyViolation>,
@@ -489,14 +493,14 @@ impl Grid {
                 );
             }
         }
-        let trace = TraceLog::new(config.trace_level);
+        let trace = Tracer::new(config.trace_level, TRACE_CAPACITY);
         let egress = config.egress;
         // One virtual clock for the whole grid: every per-proc registry
         // reads it, so cross-node telemetry timestamps are mutually
         // ordered — exactly like the wall clock on real sockets.
         let (obs_time, obs_clock) = TimeSource::simulated();
         let obs: Vec<Registry> = (0..procs_n)
-            .map(|_| Registry::with_tracer(obs_time.clone(), trace.tracer().clone()))
+            .map(|_| Registry::with_tracer(obs_time.clone(), trace.clone()))
             .collect();
         let outboxes: Vec<Outbox<OutUnit>> = obs
             .iter()
@@ -516,12 +520,11 @@ impl Grid {
                 })
             })
             .collect();
-        // The tenant ledger mirrors into proc 0's registry: tenants are
+        // The tenant ledger counts into proc 0's registry: tenants are
         // a grid-wide namespace, and `obs_merged` folds every registry
-        // anyway, so one mirror keeps the counters visible fleet-wide
+        // anyway, so one home keeps the counters visible fleet-wide
         // without double counting.
-        let mut ledger = TenantLedger::new();
-        ledger.set_obs(obs[0].clone());
+        let ledger = TenantLedger::new(&obs[0]);
         let proc_keys = vec![config.auth; procs_n as usize];
         Grid {
             spawn_alloc: SpawnAlloc::new(procs_n),
@@ -629,13 +632,9 @@ impl Grid {
         assert!(self.is_alive(holder), "make_ref: unknown holder {holder}");
         if self.tenants.of(holder) != self.tenants.of(target) {
             self.ledger.on_rejected_outgoing(self.tenants.of(holder));
-            if self.trace.enabled(TraceLevel::Debug) {
-                self.trace.debug(
-                    self.now,
-                    "ref-reject",
-                    format!("{holder}→{target}: cross-tenant"),
-                );
-            }
+            self.trace_event(TraceLevel::Debug, "ref-reject", || {
+                format!("{holder}→{target}: cross-tenant")
+            });
             return;
         }
         self.register_deserialized(holder, std::slice::from_ref(&target));
@@ -692,10 +691,9 @@ impl Grid {
         };
         if let Verdict::Reject(why) = self.pipeline.outgoing(&mut env, &ctx) {
             self.ledger.on_rejected_outgoing(self.tenants.of(env.from));
-            if self.trace.enabled(TraceLevel::Debug) {
-                self.trace
-                    .debug(self.now, "app-reject", format!("{from}→{to}: {why}"));
-            }
+            self.trace_event(TraceLevel::Debug, "app-reject", || {
+                format!("{from}→{to}: {why}")
+            });
             return;
         }
         self.ledger.on_enqueued(env.tenant);
@@ -890,10 +888,9 @@ impl Grid {
                 };
                 if let Verdict::Reject(why) = self.pipeline.incoming(&mut env, &ctx) {
                     self.ledger.on_rejected_incoming(env.tenant);
-                    if self.trace.enabled(TraceLevel::Debug) {
-                        self.trace
-                            .debug(self.now, "app-reject", format!("{from}→{to}: {why}"));
-                    }
+                    self.trace_event(TraceLevel::Debug, "app-reject", || {
+                        format!("{from}→{to}: {why}")
+                    });
                     return;
                 }
                 self.app_inbox.push(AppDelivered {
@@ -957,10 +954,7 @@ impl Grid {
         }
         self.procs[id.node as usize].insert(id.index, act);
         self.alive_count += 1;
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace
-                .info(self.now, "spawn", format!("{id} root={is_root}"));
-        }
+        self.trace_event(TraceLevel::Info, "spawn", || format!("{id} root={is_root}"));
         self.run_handler(id, HandlerKind::Start);
         self.refresh_idle(id);
     }
@@ -976,10 +970,7 @@ impl Grid {
                         ao,
                         reason: r,
                     });
-                    if self.trace.enabled(TraceLevel::Info) {
-                        self.trace
-                            .info(self.now, "violation", format!("{ao} was live"));
-                    }
+                    self.trace_event(TraceLevel::Info, "violation", || format!("{ao} was live"));
                 }
             }
         }
@@ -1011,10 +1002,9 @@ impl Grid {
             reason,
             at: self.now,
         });
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace
-                .info(self.now, "terminate", format!("{ao} reason={reason:?}"));
-        }
+        self.trace_event(TraceLevel::Info, "terminate", || {
+            format!("{ao} reason={reason:?}")
+        });
     }
 
     fn refresh_idle(&mut self, ao: AoId) {
@@ -1032,10 +1022,10 @@ impl Grid {
             if let Collector::Complete(s) = &mut act.collector {
                 s.on_became_idle(proto_time(now));
             }
-            self.trace.debug(now, "idle", format!("{ao}"));
+            self.trace_event(TraceLevel::Debug, "idle", || format!("{ao}"));
         } else {
             self.idle_count -= 1;
-            self.trace.debug(now, "busy", format!("{ao}"));
+            self.trace_event(TraceLevel::Debug, "busy", || format!("{ao}"));
         }
     }
 
@@ -1065,10 +1055,7 @@ impl Grid {
     fn deliver_request(&mut self, to: AoId, request: Request) {
         if !self.is_alive(to) {
             self.app_sends_to_dead += 1;
-            if self.trace.enabled(TraceLevel::Info) {
-                self.trace
-                    .info(self.now, "dead-call", format!("request to {to}"));
-            }
+            self.trace_event(TraceLevel::Info, "dead-call", || format!("request to {to}"));
             return;
         }
         self.register_deserialized(to, &request.refs);
@@ -1082,7 +1069,7 @@ impl Grid {
         if !self.is_alive(to) {
             // §4.1: a future update for a collected caller is dropped —
             // accepted behaviour, not a fault.
-            self.trace.debug(self.now, "late-reply", format!("to {to}"));
+            self.trace_event(TraceLevel::Debug, "late-reply", || format!("to {to}"));
             return;
         }
         self.register_deserialized(to, &reply.refs);
@@ -1815,13 +1802,9 @@ impl Grid {
                 s.on_node_dead(dead);
             }
         }
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace.info(
-                self.now,
-                "node-dead",
-                format!("proc {} buried node {}", observer.0, dead),
-            );
-        }
+        self.trace_event(TraceLevel::Info, "node-dead", || {
+            format!("proc {} buried node {}", observer.0, dead)
+        });
     }
 
     /// The fault plan's `NodeCrash` realization: every hosted activity
@@ -1850,10 +1833,9 @@ impl Grid {
             }
         }
         self.egress_wake[proc.0 as usize] = None;
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace
-                .info(self.now, "crash", format!("proc {} went down", proc.0));
-        }
+        self.trace_event(TraceLevel::Info, "crash", || {
+            format!("proc {} went down", proc.0)
+        });
     }
 
     /// Graceful departure of one process — the clean-shutdown path the
@@ -1882,13 +1864,9 @@ impl Grid {
             self.terminate_activity(AoId::new(proc.0, idx), None);
         }
         self.members[proc.0 as usize] = None;
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace.info(
-                self.now,
-                "leave",
-                format!("proc {} left gracefully", proc.0),
-            );
-        }
+        self.trace_event(TraceLevel::Info, "leave", || {
+            format!("proc {} left gracefully", proc.0)
+        });
     }
 
     /// Graceful teardown of the whole deployment: every live process
@@ -1932,13 +1910,9 @@ impl Grid {
         self.members[proc.0 as usize] = Some(engine);
         self.events
             .schedule(self.now, Event::MembershipTick { proc });
-        if self.trace.enabled(TraceLevel::Info) {
-            self.trace.info(
-                self.now,
-                "rejoin",
-                format!("proc {} back as incarnation {}", proc.0, incarnation),
-            );
-        }
+        self.trace_event(TraceLevel::Info, "rejoin", || {
+            format!("proc {} back as incarnation {}", proc.0, incarnation)
+        });
     }
 
     fn handle_local_gc(&mut self, proc: ProcId) {
@@ -2057,9 +2031,18 @@ impl Grid {
             .fold(dgc_obs::Snapshot::default(), |acc, s| acc.merge(&s))
     }
 
-    /// The trace log.
-    pub fn trace(&self) -> &TraceLog {
+    /// The grid's trace ring (shared by every process's registry);
+    /// events are stamped in virtual nanoseconds
+    /// (`SimTime::from_nanos(ev.at_nanos)`).
+    pub fn trace(&self) -> &Tracer {
         &self.trace
+    }
+
+    /// Records a trace event stamped "now"; `detail` runs only when
+    /// `level` passes the filter.
+    fn trace_event(&self, level: TraceLevel, tag: &'static str, detail: impl FnOnce() -> String) {
+        self.trace
+            .event_with(self.now.as_nanos(), level, tag, detail);
     }
 
     /// Aggregated protocol counters: collected endpoints plus alive ones.
@@ -3057,7 +3040,7 @@ mod tests {
         // no TTB sweep can cross the boundary through this edge.
         g.make_ref(b, c);
         assert_eq!(g.tenant_counters(TenantId(1)).rejected_outgoing, 2);
-        // The mirror surfaces the same ledger fleet-wide.
+        // The same counts read fleet-wide from the merged registries.
         let snap = g.obs_merged();
         assert_eq!(snap.counter("tenant.1.app_enqueued"), 1);
         assert_eq!(snap.counter("tenant.1.app_rejected_out"), 2);

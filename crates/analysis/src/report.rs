@@ -21,7 +21,6 @@ pub const RULES: &[&str] = &[
     "wall-clock",
     "unordered-iter",
     "hot-path-panic",
-    "counter-completeness",
     "lock-across-send",
 ];
 

@@ -1,16 +1,14 @@
-//! The five project-specific lint rules.
+//! The four project-specific lint rules.
 //!
 //! Each rule works on the token stream from [`crate::lexer`], so string
 //! literals, comments, raw strings and lifetimes can never masquerade
 //! as code. Rules are deliberately scoped by path: a rule only fires
 //! where its invariant actually matters (see the constants below), and
-//! `#[cfg(test)]` regions are skipped by every rule except
-//! `counter-completeness` (tests asserting on counter keys are exactly
-//! the literals that rule wants to cross-check).
+//! `#[cfg(test)]` regions are skipped by every rule.
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::report::Finding;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A lexed source file plus the per-token facts rules share.
 pub struct SourceFile {
@@ -66,11 +64,6 @@ impl<'a> Sig<'a> {
     fn is_punct(&self, i: usize, p: &str) -> bool {
         self.tok(i)
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
-    }
-    fn str_lit(&self, i: usize) -> Option<&'a str> {
-        self.tok(i)
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| t.text.as_str())
     }
     fn line(&self, i: usize) -> u32 {
         self.tok(i).map_or(0, |t| t.line)
@@ -479,182 +472,6 @@ pub fn hot_path_panic(f: &SourceFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: counter-completeness (workspace-level)
-// ---------------------------------------------------------------------------
-
-/// Cross-checks every `net.*` / `tenant.*.app_*` counter key in the
-/// workspace against the canonical sets: `net.*` keys must appear in
-/// `NetStatsSnapshot::named_counters` (or be the registered histogram),
-/// and tenant app-ledger suffixes must be registered by the tenant
-/// mirror. Catches typo'd keys and counters dodging the obs mirrors.
-pub fn counter_completeness(files: &[SourceFile]) -> Vec<Finding> {
-    let mut canonical_net: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    let mut histograms: BTreeSet<String> = BTreeSet::new();
-    let mut registered_net: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    let mut tenant_suffixes: BTreeSet<String> = BTreeSet::new();
-    let mut net_usages: Vec<(String, String, u32)> = Vec::new();
-    let mut tenant_usages: Vec<(String, String, u32)> = Vec::new();
-
-    let net_key = |s: &str| {
-        s.strip_prefix("net.").is_some_and(|rest| {
-            !rest.is_empty()
-                && rest
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '.')
-        })
-    };
-
-    for f in files {
-        if f.path.starts_with("crates/analysis/") {
-            continue; // this crate names the prefixes it checks
-        }
-        let s = Sig::new(f);
-        let n = s.len();
-
-        // The span of `fn named_counters { … }`, if this file has one.
-        let mut canon_range: Option<(usize, usize)> = None;
-        for i in 0..n {
-            if s.is_ident(i, "fn") && s.is_ident(i + 1, "named_counters") {
-                let mut j = i + 2;
-                while j < n && !s.is_punct(j, "{") {
-                    j += 1;
-                }
-                let start = j;
-                let mut d = 1usize;
-                j += 1;
-                while j < n && d > 0 {
-                    if s.is_punct(j, "{") {
-                        d += 1;
-                    } else if s.is_punct(j, "}") {
-                        d -= 1;
-                    }
-                    j += 1;
-                }
-                canon_range = Some((start, j));
-                break;
-            }
-        }
-
-        for i in 0..n {
-            let in_canon = canon_range.is_some_and(|(a, b)| i >= a && i < b);
-            if let Some(lit) = s.str_lit(i) {
-                if net_key(lit) {
-                    if in_canon {
-                        canonical_net
-                            .entry(lit.to_string())
-                            .or_insert_with(|| (f.path.clone(), s.line(i)));
-                    } else {
-                        net_usages.push((lit.to_string(), f.path.clone(), s.line(i)));
-                    }
-                }
-                if let Some(rest) = lit.strip_prefix("tenant.") {
-                    // `tenant.<seg>.app_<suffix>` — skip format
-                    // templates (they contain `{`).
-                    if !lit.contains('{') {
-                        if let Some((_seg, field)) = rest.split_once('.') {
-                            if let Some(sfx) = field.strip_prefix("app_") {
-                                if !sfx.is_empty()
-                                    && sfx.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-                                {
-                                    tenant_usages.push((
-                                        sfx.to_string(),
-                                        f.path.clone(),
-                                        s.line(i),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            } else if let Some(name) = s.ident(i) {
-                if name == "counter" && s.is_punct(i + 1, "(") {
-                    // `counter("net.x")` or `counter(&name("sfx"))`.
-                    let mut j = i + 2;
-                    if s.is_punct(j, "&") {
-                        j += 1;
-                    }
-                    if let Some(lit) = s.str_lit(j) {
-                        if net_key(lit) {
-                            registered_net
-                                .entry(lit.to_string())
-                                .or_insert_with(|| (f.path.clone(), s.line(j)));
-                        }
-                    } else if s.is_ident(j, "name") && s.is_punct(j + 1, "(") {
-                        if let Some(sfx) = s.str_lit(j + 2) {
-                            tenant_suffixes.insert(sfx.to_string());
-                        }
-                    }
-                } else if name == "histogram" && s.is_punct(i + 1, "(") {
-                    let mut j = i + 2;
-                    if s.is_punct(j, "&") {
-                        j += 1;
-                    }
-                    if let Some(lit) = s.str_lit(j) {
-                        if net_key(lit) {
-                            histograms.insert(lit.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    // If the workspace has no named_counters at all (e.g. a fixture
-    // set), only the tenant half can run meaningfully.
-    if !canonical_net.is_empty() {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        for (key, path, line) in &net_usages {
-            if canonical_net.contains_key(key) || histograms.contains(key) {
-                continue;
-            }
-            if !seen.insert(key) {
-                continue; // one finding per unknown key per pass
-            }
-            out.push(Finding {
-                rule: "counter-completeness",
-                path: path.clone(),
-                line: *line,
-                message: format!(
-                    "`{key}` is not enumerated in `NetStatsSnapshot::named_counters` — a typo'd \
-                     key or a counter dodging the obs conservation mirror"
-                ),
-            });
-        }
-        for (key, (path, line)) in &canonical_net {
-            if !registered_net.contains_key(key) && !net_usages.iter().any(|(k, _, _)| k == key) {
-                out.push(Finding {
-                    rule: "counter-completeness",
-                    path: path.clone(),
-                    line: *line,
-                    message: format!(
-                        "`{key}` is enumerated in `named_counters` but never registered or used"
-                    ),
-                });
-            }
-        }
-    }
-    if !tenant_suffixes.is_empty() {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        for (sfx, path, line) in &tenant_usages {
-            if tenant_suffixes.contains(sfx) || !seen.insert(sfx) {
-                continue;
-            }
-            out.push(Finding {
-                rule: "counter-completeness",
-                path: path.clone(),
-                line: *line,
-                message: format!(
-                    "tenant ledger suffix `app_{sfx}` is not registered by the tenant obs \
-                     mirror — the per-tenant conservation check will never see it"
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rule: lock-across-send
 // ---------------------------------------------------------------------------
 
@@ -933,21 +750,5 @@ mod tests {
                    }\n";
         let found = lock_across_send(&file("crates/rt-net/src/x.rs", src));
         assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn counter_completeness_cross_checks_sets() {
-        let stats = "impl Snap { pub fn named_counters(&self) -> Vec<(&str, u64)> {\n\
-                       vec![(\"net.frames_sent\", self.a)] } }\n\
-                     fn reg(o: &Obs) { o.counter(\"net.frames_sent\"); }\n";
-        let user = "fn f(o: &Obs) { o.counter(\"net.frames_sent\").inc();\n\
-                    o.counter(\"net.frames_snet\").inc(); }\n";
-        let files = vec![
-            file("crates/rt-net/src/stats.rs", stats),
-            file("crates/rt-net/src/node.rs", user),
-        ];
-        let found = counter_completeness(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("net.frames_snet"));
     }
 }

@@ -81,11 +81,6 @@ fn hot_path_panic() {
 }
 
 #[test]
-fn counter_completeness() {
-    run_case("counter_completeness");
-}
-
-#[test]
 fn lock_across_send() {
     run_case("lock_across_send");
 }

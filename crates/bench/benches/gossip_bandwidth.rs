@@ -105,7 +105,8 @@ fn steady_state_table() -> (f64, f64, f64) {
 /// Frame accounting for the piggyback: a digest flushed standalone pays
 /// frame overhead; a digest riding an app-send flush pays none. Uses
 /// the same `Outbox` both runtimes drive, with the socket frame
-/// overhead model the `net_batching` bench validated.
+/// overhead model `frame_props::batching_saves_exact_framing_overhead`
+/// pins.
 /// Returns `(standalone frame-overhead bytes, digests that rode)` for
 /// the recorded report.
 fn piggyback_accounting() -> (u64, u64) {

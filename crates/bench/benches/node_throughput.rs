@@ -1,5 +1,5 @@
-//! Hot-path node throughput: batched arena sweeps vs the pre-arena
-//! per-activity path, plus the full unit pipeline and the sharding axis.
+//! Hot-path node throughput: the batched arena sweep, the full unit
+//! pipeline and the sharding axis.
 //!
 //! A node hosting `K` activities pays three recurring costs per TTB
 //! round: the **sweep** (walk every due activity's referencer/referenced
@@ -7,37 +7,24 @@
 //! emitted units per destination, frame them), and the peer's **decode**.
 //! This bench measures all three:
 //!
-//! 1. **Sweep ablation** — the arena/batched path (`DgcState::on_tick_into`
-//!    with reused [`SweepScratch`]/[`SweepUnit`] buffers over a flat due
-//!    list) against an in-run reconstruction of the pre-change path:
-//!    the `BTreeMap` tables kept verbatim in `dgc_core::legacy`, the
-//!    old `on_tick`'s idle-path logic transcribed over them (expiry
-//!    scan, acyclic/cyclic checks, per-destination consensus-bit
-//!    lookup), a fresh `Vec<Action>` per activity, and the old
-//!    runtime's collect-ids-then-`get_mut` endpoint loop.
+//! 1. **Sweep** — `DgcState::on_tick_into` with reused
+//!    [`SweepPools`] buffers over a flat due list.
 //! 2. **Pipeline** — units/second through sweep → egress outbox →
 //!    [`split_len`]-bounded [`encode_batch_frame`] → [`FrameDecoder`]
 //!    (the zero-copy decode).
 //! 3. **Sharding** — the same sweep fanned across
 //!    [`dgc_core::sweep_sharded`] worker threads. On a single-core
 //!    runner threads cannot beat inline; the axis is recorded honestly
-//!    for what it is.
+//!    for what it is (`cores` is part of the record).
 //!
-//! **Methodology.** Shared runners drift by integer factors between
-//! runs, so the ablation is *paired*: both populations are built up
-//! front, rounds alternate arena/legacy under the same clock, and each
-//! leg is scored by its **minimum** round time over the repetitions
-//! (after one untimed warmup round each, so first-touch page faults on
-//! the tables and unit pools stay out of the numbers). Minimum-of-N
-//! discards noise spikes; alternation cancels slow phases of the box.
+//! **Methodology.** Each leg is scored by its **minimum** round time
+//! over the repetitions, after one untimed warmup round (so first-touch
+//! page faults on the tables and unit pools stay out of the numbers).
+//! Minimum-of-N discards the noise spikes of a shared runner. These are
+//! in-memory slices; what a cluster sustains on sockets is the
+//! `benchmark/` harness's job.
 //!
 //! Scale: `quick` stops at 100 k activities; `full` adds the 1 M row.
-//! The gate this bench enforces at 100 k activities: on a runner with
-//! 2+ cores, the sharded batched sweep must clear **2×** the
-//! (single-threaded, as it always was) pre-change path; on a
-//! single-core runner, where the shard fan-out cannot help, the
-//! unsharded batched sweep must still clear **1.25×** — the
-//! single-thread ablation floor.
 //!
 //! Run: `cargo bench -p dgc-bench --bench node_throughput`
 
@@ -49,8 +36,7 @@ use dgc_core::clock::NamedClock;
 use dgc_core::config::DgcConfig;
 use dgc_core::egress::{FlushPolicy, Outbox};
 use dgc_core::id::AoId;
-use dgc_core::legacy;
-use dgc_core::message::{Action, DgcMessage, TerminateReason};
+use dgc_core::message::{Action, DgcMessage};
 use dgc_core::protocol::DgcState;
 use dgc_core::sweep::{sweep_sharded, SweepPools};
 use dgc_core::units::{Dur, Time};
@@ -83,7 +69,7 @@ fn heartbeat(sender: AoId) -> DgcMessage {
     }
 }
 
-/// The arena-path node: every hosted activity's full state machine.
+/// The node under test: every hosted activity's full state machine.
 fn build_states(k: u32) -> HashMap<u32, DgcState> {
     let cfg = config();
     let t0 = Time::ZERO;
@@ -101,105 +87,6 @@ fn build_states(k: u32) -> HashMap<u32, DgcState> {
         states.insert(i, s);
     }
     states
-}
-
-/// The pre-change ablation baseline: the `BTreeMap` tables the arena
-/// replaced, swept exactly the way the old `on_tick` used them.
-struct LegacyEndpoint {
-    id: AoId,
-    clock: NamedClock,
-    last_message_timestamp: Time,
-    last_tick_at: Option<Time>,
-    messages_sent: u64,
-    referencers: legacy::ReferencerTable,
-    referenced: legacy::ReferencedTable,
-}
-
-impl LegacyEndpoint {
-    /// The old sweep for one idle activity, transcribed from the
-    /// pre-change `DgcState::on_tick` Active path over the legacy
-    /// tables: allocate-and-collect expiries, the acyclic self-timeout
-    /// and cyclic consensus checks, allocate-and-collect broadcast
-    /// targets, a per-destination consensus bit (Algorithm 2's
-    /// `lastResponse` lookup), and a fresh `Vec<Action>` for the
-    /// caller to route.
-    fn on_tick(&mut self, now: Time, cfg: &DgcConfig) -> Vec<Action> {
-        self.last_tick_at = Some(now);
-        let expired = self.referencers.expire_silent(now, cfg.tta, cfg.max_comm);
-        std::hint::black_box(expired.len());
-        // Acyclic garbage: no DGC message for TTA (never fires here —
-        // the bench measures the steady broadcast state).
-        let timeout = self.referencers.max_expiry(cfg.tta, cfg.max_comm);
-        if now.since(self.last_message_timestamp) > timeout {
-            return vec![Action::Terminate {
-                reason: TerminateReason::Acyclic,
-            }];
-        }
-        // Cyclic garbage: our clock, unanimously echoed (never here —
-        // the recorded referencer bits are all false).
-        if self.clock.is_owned_by(self.id)
-            && !self.referencers.is_empty()
-            && self.referencers.agree(self.clock)
-        {
-            return vec![Action::Terminate {
-                reason: TerminateReason::CyclicDetected,
-            }];
-        }
-        let (targets, dropped) = self.referenced.broadcast_targets();
-        std::hint::black_box(dropped.len());
-        let mut actions = Vec::new();
-        for dest in targets {
-            let consensus = self
-                .referenced
-                .last_response(dest)
-                .is_some_and(|r| r.clock == self.clock)
-                && self.clock.is_owned_by(self.id);
-            self.messages_sent += 1;
-            actions.push(Action::SendMessage {
-                to: dest,
-                message: DgcMessage {
-                    sender: self.id,
-                    clock: self.clock,
-                    consensus,
-                    sender_ttb: cfg.ttb,
-                },
-            });
-        }
-        actions
-    }
-}
-
-fn build_legacy(k: u32) -> HashMap<u32, LegacyEndpoint> {
-    let t0 = Time::ZERO;
-    let mut eps = HashMap::new();
-    for i in 0..k {
-        let me = AoId::new(0, i);
-        let mut ep = LegacyEndpoint {
-            id: me,
-            clock: NamedClock::initial(me),
-            last_message_timestamp: t0,
-            last_tick_at: None,
-            messages_sent: 0,
-            referencers: legacy::ReferencerTable::new(),
-            referenced: legacy::ReferencedTable::new(),
-        };
-        for j in 0..TARGETS {
-            ep.referenced
-                .on_stub_deserialized(AoId::new(1, (i + j) % PEER_ACTIVITIES));
-        }
-        for j in 0..REFERENCERS {
-            let from = AoId::new(1, (i * 7 + j) % PEER_ACTIVITIES);
-            ep.referencers.record_message(
-                from,
-                NamedClock::initial(from),
-                false,
-                t0,
-                Dur::from_secs(30),
-            );
-        }
-        eps.insert(i, ep);
-    }
-    eps
 }
 
 /// Timed repetitions per leg (one extra untimed warmup round precedes
@@ -233,64 +120,9 @@ fn arena_round(
     units
 }
 
-/// One pre-change sweep round: collect due ids, re-hash every endpoint
-/// (`HashMap::get_mut` each, as the old runtime loop did), route each
-/// activity's freshly allocated `Vec<Action>`.
-fn legacy_round(eps: &mut HashMap<u32, LegacyEndpoint>, cfg: &DgcConfig, now: Time) -> u64 {
-    let due: Vec<u32> = eps.keys().copied().collect();
-    let mut units = 0u64;
-    for idx in due {
-        let Some(ep) = eps.get_mut(&idx) else {
-            continue;
-        };
-        let actions = ep.on_tick(now, cfg);
-        for action in actions {
-            std::hint::black_box(&action);
-            units += 1;
-        }
-    }
-    units
-}
-
-/// Paired sweep ablation at `k` activities: alternating arena/legacy
-/// rounds, each leg scored by its minimum round time. Returns
-/// `(arena units/s, legacy units/s, arena activities/s)`.
-fn sweep_pair(k: u32, reps: u32) -> (f64, f64, f64) {
-    let cfg = config();
-    let mut states = build_states(k);
-    let mut eps = build_legacy(k);
-    let mut pools = SweepPools::new();
-    let per_round = k as u64 * TARGETS as u64;
-    let mut arena_best = f64::INFINITY;
-    let mut legacy_best = f64::INFINITY;
-    for r in 0..=reps {
-        let now = Time::from_nanos((r as u64 + 1) * 1_000_000_000);
-
-        let t = Instant::now();
-        let arena_units = arena_round(&mut states, &mut pools, now, 1);
-        let arena_dt = t.elapsed().as_secs_f64();
-        assert_eq!(arena_units, per_round, "arena sweep emission drifted");
-
-        let t = Instant::now();
-        let legacy_units = legacy_round(&mut eps, &cfg, now);
-        let legacy_dt = t.elapsed().as_secs_f64();
-        assert_eq!(legacy_units, per_round, "legacy sweep emission drifted");
-
-        if r > 0 {
-            arena_best = arena_best.min(arena_dt);
-            legacy_best = legacy_best.min(legacy_dt);
-        }
-    }
-    (
-        per_round as f64 / arena_best,
-        per_round as f64 / legacy_best,
-        k as f64 / arena_best,
-    )
-}
-
-/// Sharded sweep throughput at `k` activities: minimum round time over
-/// `reps` repetitions after a warmup round.
-fn sharded_sweep(k: u32, shards: usize, reps: u32) -> f64 {
+/// Sweep throughput (units/s) at `k` activities over `shards` threads:
+/// minimum round time over `reps` repetitions after a warmup round.
+fn sweep(k: u32, shards: usize, reps: u32) -> f64 {
     let mut states = build_states(k);
     let mut pools = SweepPools::new();
     let per_round = k as u64 * TARGETS as u64;
@@ -300,7 +132,7 @@ fn sharded_sweep(k: u32, shards: usize, reps: u32) -> f64 {
         let t = Instant::now();
         let units = arena_round(&mut states, &mut pools, now, shards);
         let dt = t.elapsed().as_secs_f64();
-        assert_eq!(units, per_round, "sharded sweep emission drifted");
+        assert_eq!(units, per_round, "sweep emission drifted");
         if r > 0 {
             best = best.min(dt);
         }
@@ -386,74 +218,35 @@ fn main() {
 
     println!("node_throughput (scale {scale:?}): K activities x {TARGETS} heartbeat targets");
     println!(
-        "{:>9} {:>16} {:>16} {:>8} {:>16} {:>16}",
-        "K", "arena units/s", "legacy units/s", "speedup", "arena acts/s", "pipeline units/s"
+        "{:>9} {:>16} {:>16} {:>16}",
+        "K", "sweep units/s", "sweep acts/s", "pipeline units/s"
     );
 
     let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut speedup_100k = 0.0;
     for &k in sizes {
-        let (arena_ups, legacy_ups, arena_aps) = sweep_pair(k, reps);
+        let sweep_ups = sweep(k, 1, reps);
+        let sweep_aps = sweep_ups / TARGETS as f64;
         let pipe_ups = pipeline(k, reps);
-        let speedup = arena_ups / legacy_ups;
-        if k == 100_000 {
-            speedup_100k = speedup;
-        }
-        println!(
-            "{:>9} {:>16.0} {:>16.0} {:>7.2}x {:>16.0} {:>16.0}",
-            k, arena_ups, legacy_ups, speedup, arena_aps, pipe_ups
-        );
+        println!("{k:>9} {sweep_ups:>16.0} {sweep_aps:>16.0} {pipe_ups:>16.0}");
         let tag = if k >= 1_000_000 {
             format!("{}m", k / 1_000_000)
         } else {
             format!("{}k", k / 1_000)
         };
-        metrics.push((format!("sweep_units_per_sec_{tag}"), arena_ups));
-        metrics.push((format!("legacy_sweep_units_per_sec_{tag}"), legacy_ups));
-        metrics.push((format!("sweep_speedup_{tag}"), speedup));
-        metrics.push((format!("sweep_activities_per_sec_{tag}"), arena_aps));
+        metrics.push((format!("sweep_units_per_sec_{tag}"), sweep_ups));
+        metrics.push((format!("sweep_activities_per_sec_{tag}"), sweep_aps));
         metrics.push((format!("pipeline_units_per_sec_{tag}"), pipe_ups));
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!();
     println!("sharding axis at 100k ({cores} core(s)):");
-    let mut best_sharded = 0.0f64;
     for shards in [1usize, 2, 4] {
-        let ups = sharded_sweep(100_000, shards, reps);
+        let ups = sweep(100_000, shards, reps);
         println!("  shards {shards}: {ups:>14.0} units/s");
         metrics.push((format!("sharded_units_per_sec_100k_s{shards}"), ups));
-        best_sharded = best_sharded.max(ups);
     }
-    let legacy_100k = metrics
-        .iter()
-        .find(|(n, _)| n == "legacy_sweep_units_per_sec_100k")
-        .map_or(1.0, |(_, v)| *v);
-    let sharded_speedup = best_sharded / legacy_100k;
-    metrics.push(("sharded_speedup_100k".to_string(), sharded_speedup));
     metrics.push(("cores".to_string(), cores as f64));
-    println!(
-        "  best sharded vs pre-change path: {sharded_speedup:.2}x \
-         (unsharded ablation {speedup_100k:.2}x)"
-    );
-
-    if cores >= 2 {
-        assert!(
-            sharded_speedup >= 2.0,
-            "sharded batched sweep must clear 2x the pre-change path at \
-             100k activities on a {cores}-core runner (measured \
-             {sharded_speedup:.2}x; unsharded {speedup_100k:.2}x)"
-        );
-    } else {
-        // One core: the fan-out cannot beat inline, so hold the
-        // single-thread ablation to its floor instead.
-        assert!(
-            speedup_100k >= 1.25,
-            "batched arena sweep must clear 1.25x the pre-change path at \
-             100k activities on a single-core runner (measured \
-             {speedup_100k:.2}x)"
-        );
-    }
 
     let borrowed: Vec<(&str, f64)> = metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     dgc_bench::record("node_throughput", &borrowed);

@@ -466,9 +466,7 @@ pub fn run_simnet_obs(scenario: &Scenario, seed: u64) -> (Verdict, RunTelemetry)
         snapshot: grid.obs_merged(),
         trace_tails: vec![(
             "grid (all procs)".to_string(),
-            grid.trace()
-                .tracer()
-                .tail(TRACE_TAIL * scenario.nodes as usize),
+            grid.trace().tail(TRACE_TAIL * scenario.nodes as usize),
         )],
     };
     if verdict.wrongful_collection == grid.violations().is_empty() {

@@ -338,7 +338,7 @@ fn two_tenants_agree_with_their_single_tenant_ground_truths_on_rtnet() {
     assert!(delivered
         .iter()
         .all(|d| d.payload != b"cross-tenant forgery"));
-    // Per-tenant conservation on every node, mirrored into dgc-obs.
+    // Per-tenant conservation on every node.
     for node in 0..2 {
         let snap = cluster
             .tenant_snapshot(node)

@@ -200,14 +200,14 @@ pub struct EgressStats {
 
 /// Cached `dgc-obs` handles an [`Outbox`] mirrors its [`EgressStats`]
 /// into when attached ([`Outbox::set_obs`]). Counter names live under
-/// `egress.` in the owning node's registry and converge to the legacy
+/// `egress.` in the owning node's registry and converge to that
 /// struct by delta-sync: the enqueue and flush hot paths touch **no**
 /// shared atomics — histogram samples buffer in a [`LocalHistogram`]
 /// and counter deltas accumulate in plain stats, and the outbox pushes
 /// both into the registry on a sparse cadence (every
 /// [`SYNC_EVERY_FLUSHES`]th flush, any forced flush or destination
 /// drop, and whenever the outbox drains empty). A mid-burst snapshot
-/// may therefore lag the legacy struct slightly; at quiescence they are
+/// may therefore lag the struct slightly; at quiescence they are
 /// equal (the conservation tests cross-check). The histograms add what
 /// plain counters cannot: the distribution of how long flushed units
 /// lingered waiting for company (`egress.flush_linger_ns`) and of

@@ -76,8 +76,6 @@ pub mod egress;
 pub mod faults;
 pub mod harness;
 pub mod id;
-#[doc(hidden)]
-pub mod legacy;
 pub mod message;
 pub mod process_graph;
 pub mod protocol;

@@ -98,9 +98,9 @@ impl DgcState {
     }
 
     /// Attaches cached telemetry handles (usually
-    /// [`DgcObs::new`] against the hosting node's registry). The
-    /// legacy [`DgcStats`] counters keep counting regardless; the
-    /// handles add latency histograms and fleet-mergeable counters.
+    /// [`DgcObs::new`] against the hosting node's registry): node-wide,
+    /// fleet-mergeable counters and latency histograms beside this
+    /// endpoint's own [`DgcStats`].
     pub fn set_obs(&mut self, obs: DgcObs) {
         self.obs = Some(obs);
     }

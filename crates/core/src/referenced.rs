@@ -20,7 +20,7 @@
 //! [`ReferencedTable::broadcast_targets_into`] fills caller-owned
 //! scratch buffers instead of allocating per sweep. Iteration order is
 //! unchanged (id order, load-bearing for conformance); the `BTreeMap`
-//! original lives on in [`crate::legacy`] as model and baseline.
+//! original lives on as the reference model of `tests/table_props.rs`.
 
 use crate::id::AoId;
 use crate::message::DgcResponse;

@@ -18,8 +18,7 @@
 //! `O(log n)` by binary search. Iteration remains id-ordered — the
 //! determinism the simulator's reproducibility and the conformance
 //! oracle rely on. The pre-arena `BTreeMap` implementation survives as
-//! [`crate::legacy`]: the proptest model and the bench ablation
-//! baseline.
+//! the reference model of `tests/table_props.rs`.
 
 use crate::clock::NamedClock;
 use crate::id::AoId;

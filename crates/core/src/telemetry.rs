@@ -4,9 +4,10 @@
 //! [`crate::protocol::DgcState`] records into when a registry is
 //! attached ([`crate::protocol::DgcState::set_obs`]). The handles are
 //! resolved once at attach time, so the hot path pays one relaxed
-//! atomic op per event and exactly nothing when detached — the legacy
-//! [`crate::stats::DgcStats`] counters keep counting either way, which
-//! is what the conservation tests cross-check.
+//! atomic op per event and exactly nothing when detached. They count
+//! per *node*; [`crate::stats::DgcStats`] is the per-*endpoint* tally
+//! each state keeps for its own reporting — a different granularity,
+//! not a second copy.
 //!
 //! Metric names (under the owning node's registry):
 //!

@@ -1,27 +1,19 @@
 //! The pre-arena `BTreeMap` table implementations, kept verbatim.
 //!
-//! Two jobs, neither of them production:
-//!
-//! * **Model.** The arena tables in [`crate::referencers`] /
-//!   [`crate::referenced`] must be observationally identical to these —
-//!   same returns, same expiry/broadcast sets, same id-ordered
-//!   iteration — under any operation interleaving. The
-//!   `table_props` proptest drives both side by side.
-//! * **Ablation baseline.** The `node_throughput` bench replays the
-//!   pre-change per-activity sweep (BTreeMap walk + fresh `Vec` per
-//!   table per beat) against the batched arena sweep, so the recorded
-//!   speedup is measured in-run rather than asserted from memory.
-//!
-//! Not part of the public API surface; do not build on it.
+//! The reference model of the `table_props` proptest: the arena tables
+//! in [`dgc_core::referencers`] / [`dgc_core::referenced`] must be
+//! observationally identical to these — same returns, same
+//! expiry/broadcast sets, same id-ordered iteration — under any
+//! operation interleaving. Test support only; not part of `dgc_core`.
 
 use std::collections::BTreeMap;
 
-use crate::clock::NamedClock;
-use crate::id::AoId;
-use crate::message::DgcResponse;
-use crate::referenced::ReferencedInfo;
-use crate::referencers::ReferencerInfo;
-use crate::units::{Dur, Time};
+use dgc_core::clock::NamedClock;
+use dgc_core::id::AoId;
+use dgc_core::message::DgcResponse;
+use dgc_core::referenced::ReferencedInfo;
+use dgc_core::referencers::ReferencerInfo;
+use dgc_core::units::{Dur, Time};
 
 /// `BTreeMap`-backed referencer table (pre-arena implementation).
 #[derive(Debug, Clone, Default)]
@@ -35,7 +27,7 @@ impl ReferencerTable {
         Self::default()
     }
 
-    /// See [`crate::referencers::ReferencerTable::record_message`].
+    /// See [`dgc_core::referencers::ReferencerTable::record_message`].
     pub fn record_message(
         &mut self,
         sender: AoId,
@@ -57,14 +49,14 @@ impl ReferencerTable {
             .is_none()
     }
 
-    /// See [`crate::referencers::ReferencerTable::agree`].
+    /// See [`dgc_core::referencers::ReferencerTable::agree`].
     pub fn agree(&self, clock: NamedClock) -> bool {
         self.entries
             .values()
             .all(|r| r.clock == clock && r.consensus)
     }
 
-    /// See [`crate::referencers::ReferencerTable::expire_silent`] —
+    /// See [`dgc_core::referencers::ReferencerTable::expire_silent`] —
     /// including the original collect-then-remove allocation pattern.
     pub fn expire_silent(&mut self, now: Time, tta: Dur, max_comm: Dur) -> Vec<AoId> {
         let expired: Vec<AoId> = self
@@ -86,12 +78,12 @@ impl ReferencerTable {
         expired
     }
 
-    /// See [`crate::referencers::ReferencerTable::remove`].
+    /// See [`dgc_core::referencers::ReferencerTable::remove`].
     pub fn remove(&mut self, id: AoId) -> bool {
         self.entries.remove(&id).is_some()
     }
 
-    /// See [`crate::referencers::ReferencerTable::max_expiry`].
+    /// See [`dgc_core::referencers::ReferencerTable::max_expiry`].
     pub fn max_expiry(&self, tta: Dur, max_comm: Dur) -> Dur {
         self.entries
             .values()
@@ -106,22 +98,22 @@ impl ReferencerTable {
             .unwrap_or(tta)
     }
 
-    /// See [`crate::referencers::ReferencerTable::get`].
+    /// See [`dgc_core::referencers::ReferencerTable::get`].
     pub fn get(&self, id: AoId) -> Option<&ReferencerInfo> {
         self.entries.get(&id)
     }
 
-    /// See [`crate::referencers::ReferencerTable::len`].
+    /// See [`dgc_core::referencers::ReferencerTable::len`].
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// See [`crate::referencers::ReferencerTable::is_empty`].
+    /// See [`dgc_core::referencers::ReferencerTable::is_empty`].
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// See [`crate::referencers::ReferencerTable::iter`].
+    /// See [`dgc_core::referencers::ReferencerTable::iter`].
     pub fn iter(&self) -> impl Iterator<Item = (AoId, &ReferencerInfo)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
@@ -139,7 +131,7 @@ impl ReferencedTable {
         Self::default()
     }
 
-    /// See [`crate::referenced::ReferencedTable::on_stub_deserialized`].
+    /// See [`dgc_core::referenced::ReferencedTable::on_stub_deserialized`].
     pub fn on_stub_deserialized(&mut self, target: AoId) -> bool {
         let entry = self.entries.entry(target).or_insert(ReferencedInfo {
             last_response: None,
@@ -152,7 +144,7 @@ impl ReferencedTable {
         was_new
     }
 
-    /// See [`crate::referenced::ReferencedTable::on_stubs_collected`].
+    /// See [`dgc_core::referenced::ReferencedTable::on_stubs_collected`].
     pub fn on_stubs_collected(&mut self, target: AoId) -> bool {
         match self.entries.get_mut(&target) {
             None => false,
@@ -168,7 +160,7 @@ impl ReferencedTable {
         }
     }
 
-    /// See [`crate::referenced::ReferencedTable::record_response`].
+    /// See [`dgc_core::referenced::ReferencedTable::record_response`].
     pub fn record_response(&mut self, target: AoId, response: DgcResponse) -> bool {
         match self.entries.get_mut(&target) {
             Some(info) => {
@@ -179,12 +171,12 @@ impl ReferencedTable {
         }
     }
 
-    /// See [`crate::referenced::ReferencedTable::remove`].
+    /// See [`dgc_core::referenced::ReferencedTable::remove`].
     pub fn remove(&mut self, target: AoId) -> bool {
         self.entries.remove(&target).is_some()
     }
 
-    /// See [`crate::referenced::ReferencedTable::broadcast_targets`] —
+    /// See [`dgc_core::referenced::ReferencedTable::broadcast_targets`] —
     /// including the original two-pass collect-then-mutate allocation
     /// pattern.
     pub fn broadcast_targets(&mut self) -> (Vec<AoId>, Vec<AoId>) {
@@ -206,34 +198,34 @@ impl ReferencedTable {
         (targets, dropped)
     }
 
-    /// See [`crate::referenced::ReferencedTable::last_response`].
+    /// See [`dgc_core::referenced::ReferencedTable::last_response`].
     pub fn last_response(&self, target: AoId) -> Option<&DgcResponse> {
         self.entries
             .get(&target)
             .and_then(|i| i.last_response.as_ref())
     }
 
-    /// See [`crate::referenced::ReferencedTable::get`].
+    /// See [`dgc_core::referenced::ReferencedTable::get`].
     pub fn get(&self, target: AoId) -> Option<&ReferencedInfo> {
         self.entries.get(&target)
     }
 
-    /// See [`crate::referenced::ReferencedTable::contains`].
+    /// See [`dgc_core::referenced::ReferencedTable::contains`].
     pub fn contains(&self, target: AoId) -> bool {
         self.entries.contains_key(&target)
     }
 
-    /// See [`crate::referenced::ReferencedTable::len`].
+    /// See [`dgc_core::referenced::ReferencedTable::len`].
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// See [`crate::referenced::ReferencedTable::is_empty`].
+    /// See [`dgc_core::referenced::ReferencedTable::is_empty`].
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// See [`crate::referenced::ReferencedTable::iter`].
+    /// See [`dgc_core::referenced::ReferencedTable::iter`].
     pub fn iter(&self) -> impl Iterator<Item = (AoId, &ReferencedInfo)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }

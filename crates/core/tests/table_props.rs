@@ -5,7 +5,7 @@
 //! scratch-buffer sweep APIs) must be a pure representation change —
 //! every return value, every expiry/broadcast set, and the id-ordered
 //! iteration the conformance determinism hangs off must match the
-//! pre-arena implementation (kept verbatim in `dgc_core::legacy`).
+//! pre-arena implementation (kept verbatim in `support/legacy.rs`).
 //! These properties drive both side by side through random op streams,
 //! and additionally pin `on_tick` ≡ `on_tick_into` across reused
 //! scratch buffers — the batched sweep emits exactly the action stream
@@ -20,7 +20,10 @@ use dgc_core::message::{DgcMessage, DgcResponse};
 use dgc_core::protocol::DgcState;
 use dgc_core::sweep::{SweepScratch, SweepUnit};
 use dgc_core::units::{Dur, Time};
-use dgc_core::{legacy, referenced, referencers};
+use dgc_core::{referenced, referencers};
+
+#[path = "support/legacy.rs"]
+mod legacy;
 
 fn ao(n: u32) -> AoId {
     AoId::new(n % 5, n % 7)
@@ -131,13 +134,23 @@ fn assert_ref_tables_equal(arena: &referencers::ReferencerTable, model: &legacy:
     let a: Vec<_> = arena.iter().map(|(id, info)| (id, *info)).collect();
     let m: Vec<_> = model.iter().map(|(id, info)| (id, *info)).collect();
     assert_eq!(a, m, "same entries in the same (id) order");
+    // `ao` maps 0..35 onto every id the op streams can name.
+    for id in (0..35).map(ao) {
+        assert_eq!(arena.get(id), model.get(id), "point lookup of {id:?}");
+    }
 }
 
 fn assert_rfd_tables_equal(arena: &referenced::ReferencedTable, model: &legacy::ReferencedTable) {
     assert_eq!(arena.len(), model.len());
+    assert_eq!(arena.is_empty(), model.is_empty());
     let a: Vec<_> = arena.iter().map(|(id, info)| (id, info.clone())).collect();
     let m: Vec<_> = model.iter().map(|(id, info)| (id, info.clone())).collect();
     assert_eq!(a, m, "same entries in the same (id) order");
+    for id in (0..35).map(ao) {
+        assert_eq!(arena.get(id), model.get(id), "point lookup of {id:?}");
+        assert_eq!(arena.contains(id), model.contains(id));
+        assert_eq!(arena.last_response(id), model.last_response(id));
+    }
 }
 
 proptest! {

@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// Verbosity of a trace event. Mirrors the simulator's historical
-/// levels so the `TraceLog` adapter is a pure re-export.
+/// Verbosity of a trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     /// Nothing is recorded.
@@ -253,11 +252,6 @@ impl Tracer {
     /// True if nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Discards retained events (level and drop counter are kept).
-    pub fn clear(&self) {
-        self.inner.buf.lock().events.clear();
     }
 }
 

@@ -18,8 +18,9 @@
 //! * [`tenant`] — **tenant isolation and accounting**: a [`TenantId`]
 //!   woven through the app plane, a [`TenantMap`] of activity
 //!   ownership, and a [`TenantLedger`] whose per-tenant counters obey
-//!   the egress plane's conservation law (enqueued = flushed + returned
-//!   + pending) and mirror into `dgc-obs` under `tenant.<id>.*`.
+//!   the egress plane's conservation law (enqueued = flushed +
+//!   returned + pending) and live in the node's `dgc-obs` registry
+//!   under `tenant.<id>.*`.
 //!
 //! Everything here is sans-io and deterministic: no sockets, no clocks,
 //! no randomness (nonces are injected by the runtimes).

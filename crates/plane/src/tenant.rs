@@ -94,11 +94,10 @@ impl TenantCounters {
     }
 }
 
-/// Cached `tenant.<id>.*` registry handles (one set per tenant, interned
-/// once — the hot path pays one relaxed atomic per event, like the
-/// `net.*` mirror).
-#[derive(Debug, Clone)]
-struct TenantObs {
+/// One tenant's `tenant.<id>.app_*` handles in the node's registry,
+/// interned when the tenant moves its first unit.
+#[derive(Debug)]
+struct TenantHandles {
     enqueued: Counter,
     flushed: Counter,
     returned: Counter,
@@ -106,10 +105,10 @@ struct TenantObs {
     rejected_incoming: Counter,
 }
 
-impl TenantObs {
-    fn new(registry: &Registry, tenant: TenantId) -> TenantObs {
+impl TenantHandles {
+    fn new(registry: &Registry, tenant: TenantId) -> TenantHandles {
         let name = |field: &str| format!("tenant.{tenant}.app_{field}");
-        TenantObs {
+        TenantHandles {
             enqueued: registry.counter(&name("enqueued")),
             flushed: registry.counter(&name("flushed")),
             returned: registry.counter(&name("returned")),
@@ -117,84 +116,84 @@ impl TenantObs {
             rejected_incoming: registry.counter(&name("rejected_in")),
         }
     }
+
+    fn read(&self) -> TenantCounters {
+        TenantCounters {
+            enqueued: self.enqueued.get(),
+            flushed: self.flushed.get(),
+            returned: self.returned.get(),
+            rejected_outgoing: self.rejected_outgoing.get(),
+            rejected_incoming: self.rejected_incoming.get(),
+        }
+    }
 }
 
-/// The per-tenant app-plane ledger one runtime event loop keeps, with an
-/// optional `dgc-obs` mirror so per-tenant traffic merges fleet-wide
-/// like every other metric.
-#[derive(Debug, Default)]
+/// The per-tenant app-plane ledger one runtime event loop keeps. The
+/// counts live in the loop's [`Registry`] under `tenant.<id>.app_*`, so
+/// per-tenant traffic merges fleet-wide like every other metric;
+/// [`TenantCounters`] is the typed view of one tenant's handles.
+#[derive(Debug)]
 pub struct TenantLedger {
-    per: BTreeMap<TenantId, TenantCounters>,
-    obs: Option<(Registry, BTreeMap<TenantId, TenantObs>)>,
+    registry: Registry,
+    per: BTreeMap<TenantId, TenantHandles>,
 }
 
 impl TenantLedger {
-    /// Fresh, unmirrored ledger.
-    pub fn new() -> TenantLedger {
-        TenantLedger::default()
-    }
-
-    /// Mirrors every subsequent increment into `registry` under
-    /// `tenant.<id>.app_*`.
-    pub fn set_obs(&mut self, registry: Registry) {
-        self.obs = Some((registry, BTreeMap::new()));
-    }
-
-    fn bump(&mut self, tenant: TenantId, f: impl Fn(&mut TenantCounters), g: impl Fn(&TenantObs)) {
-        f(self.per.entry(tenant).or_default());
-        if let Some((registry, handles)) = &mut self.obs {
-            g(handles
-                .entry(tenant)
-                .or_insert_with(|| TenantObs::new(registry, tenant)));
+    /// An empty ledger counting into `registry`.
+    pub fn new(registry: &Registry) -> TenantLedger {
+        TenantLedger {
+            registry: registry.clone(),
+            per: BTreeMap::new(),
         }
+    }
+
+    fn handles(&mut self, tenant: TenantId) -> &TenantHandles {
+        self.per
+            .entry(tenant)
+            .or_insert_with(|| TenantHandles::new(&self.registry, tenant))
     }
 
     /// One app unit accepted onto the egress plane.
     pub fn on_enqueued(&mut self, tenant: TenantId) {
-        self.bump(tenant, |c| c.enqueued += 1, |o| o.enqueued.incr());
+        self.handles(tenant).enqueued.incr();
     }
 
     /// One app unit flushed toward its destination.
     pub fn on_flushed(&mut self, tenant: TenantId) {
-        self.bump(tenant, |c| c.flushed += 1, |o| o.flushed.incr());
+        self.handles(tenant).flushed.incr();
     }
 
     /// One app unit returned to its sender as a failure.
     pub fn on_returned(&mut self, tenant: TenantId) {
-        self.bump(tenant, |c| c.returned += 1, |o| o.returned.incr());
+        self.handles(tenant).returned.incr();
     }
 
     /// One outgoing app unit rejected by the pipeline.
     pub fn on_rejected_outgoing(&mut self, tenant: TenantId) {
-        self.bump(
-            tenant,
-            |c| c.rejected_outgoing += 1,
-            |o| o.rejected_outgoing.incr(),
-        );
+        self.handles(tenant).rejected_outgoing.incr();
     }
 
     /// One incoming app unit rejected by the pipeline.
     pub fn on_rejected_incoming(&mut self, tenant: TenantId) {
-        self.bump(
-            tenant,
-            |c| c.rejected_incoming += 1,
-            |o| o.rejected_incoming.incr(),
-        );
+        self.handles(tenant).rejected_incoming.incr();
     }
 
     /// `tenant`'s counters (zeros if it never moved a unit).
     pub fn counters(&self, tenant: TenantId) -> TenantCounters {
-        self.per.get(&tenant).copied().unwrap_or_default()
+        self.per
+            .get(&tenant)
+            .map(TenantHandles::read)
+            .unwrap_or_default()
     }
 
     /// Every tenant that moved at least one unit, with its counters.
     pub fn snapshot(&self) -> Vec<(TenantId, TenantCounters)> {
-        self.per.iter().map(|(t, c)| (*t, *c)).collect()
+        self.per.iter().map(|(t, h)| (*t, h.read())).collect()
     }
 
     /// True when every tenant's counters satisfy the conservation law.
     pub fn conserves(&self) -> bool {
-        self.per.values().all(TenantCounters::conserves)
+        self.per.values().all(|h| h.read().conserves())
     }
 }
 
@@ -217,8 +216,7 @@ mod tests {
     #[test]
     fn ledger_conserves_and_mirrors() {
         let registry = Registry::default();
-        let mut ledger = TenantLedger::new();
-        ledger.set_obs(registry.clone());
+        let mut ledger = TenantLedger::new(&registry);
         let (a, b) = (TenantId(1), TenantId(2));
         ledger.on_enqueued(a);
         ledger.on_enqueued(a);
@@ -246,7 +244,7 @@ mod tests {
 
     #[test]
     fn broken_ledger_fails_conservation() {
-        let mut ledger = TenantLedger::new();
+        let mut ledger = TenantLedger::new(&Registry::default());
         ledger.on_flushed(TenantId(3));
         assert!(!ledger.conserves());
         assert_eq!(ledger.counters(TenantId(3)).pending(), 0);

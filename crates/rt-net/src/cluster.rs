@@ -55,6 +55,12 @@ struct Slot {
     next_first_index: u32,
     /// Highest incarnation this position has lived.
     incarnation: u64,
+    /// What this position's earlier lives had counted when they went
+    /// down, so fleet totals stay monotone across crash and restart:
+    /// the typed transport view…
+    retired_stats: NetStatsSnapshot,
+    /// …and the whole registry.
+    retired_obs: dgc_obs::Snapshot,
 }
 
 type SharedSlot = Arc<Mutex<Slot>>;
@@ -81,13 +87,17 @@ fn seed_addrs_for(seeds: &SeedMap, joiner: u32) -> Vec<SocketAddr> {
 
 /// Kills the node in `slot` (if any): collector terminations it
 /// recorded are preserved in `graveyard`, its id allocation high-water
-/// mark is kept for the restart, and the node is shut down.
+/// mark is kept for the restart, the node is shut down, and its final
+/// counts are folded into the slot.
 fn crash_slot(slot: &SharedSlot, graveyard: &Mutex<Vec<Terminated>>) {
     let mut s = lock(slot);
-    if let Some(node) = s.node.take() {
+    if let Some(mut node) = s.node.take() {
         s.next_first_index = node.allocated();
         graveyard.lock().extend(node.terminated());
-        node.shutdown();
+        // Joined first, so the reading is final.
+        node.stop();
+        s.retired_stats.merge(&node.stats());
+        s.retired_obs = s.retired_obs.merge(&node.obs().snapshot());
     }
 }
 
@@ -156,6 +166,8 @@ impl Cluster {
                         incarnation: node.incarnation(),
                         next_first_index: 0,
                         node: Some(node),
+                        retired_stats: NetStatsSnapshot::default(),
+                        retired_obs: dgc_obs::Snapshot::default(),
                     }))
                 })
                 .collect(),
@@ -622,21 +634,28 @@ impl Cluster {
         crate::node::poll_until(deadline, || predicate(&self.stats()))
     }
 
-    /// Per-node transport counters (zeroed placeholders for down nodes).
+    /// Per-node transport counters of each node's **current life**
+    /// (zeroed placeholders for down nodes; a restarted node counts
+    /// from zero).
     pub fn stats(&self) -> Vec<NetStatsSnapshot> {
         (0..self.slots.len() as u32)
             .map(|n| self.with_node(n, |nd| nd.stats()).unwrap_or_default())
             .collect()
     }
 
-    /// Transport counters summed over all nodes.
+    /// Transport counters summed over all nodes and all their lives:
+    /// what a crashed or departed node had counted stays in the total.
     pub fn total_stats(&self) -> NetStatsSnapshot {
         let mut total = NetStatsSnapshot::default();
-        for s in self.stats() {
+        for slot in &self.slots {
+            let s = lock(slot);
             // An exhaustive fold (`merge` destructures the snapshot),
             // so a newly added counter can never be silently dropped
             // from the cluster total — the PR 5 `piggybacked` bug class.
-            total.merge(&s);
+            total.merge(&s.retired_stats);
+            if let Some(node) = &s.node {
+                total.merge(&node.stats());
+            }
         }
         total
     }
@@ -648,14 +667,18 @@ impl Cluster {
         self.with_node(node, |nd| nd.obs().clone())
     }
 
-    /// One fleet-wide metric snapshot: every live node's registry
-    /// merged, with the chaos proxies' counters folded in under
-    /// `chaos.*` so the whole deployment reads as one tree.
+    /// One fleet-wide metric snapshot: every node's registry merged —
+    /// live ones as they read now, crashed and departed lives as they
+    /// read when they went down — with the chaos proxies' counters
+    /// folded in under `chaos.*` so the whole deployment reads as one
+    /// tree.
     pub fn obs_merged(&self) -> dgc_obs::Snapshot {
         let mut snap = dgc_obs::Snapshot::default();
-        for node in 0..self.slots.len() as u32 {
-            if let Some(s) = self.with_node(node, |nd| nd.obs().snapshot()) {
-                snap = snap.merge(&s);
+        for slot in &self.slots {
+            let s = lock(slot);
+            snap = snap.merge(&s.retired_obs);
+            if let Some(node) = &s.node {
+                snap = snap.merge(&node.obs().snapshot());
             }
         }
         let chaos = self.chaos_stats();

@@ -20,7 +20,7 @@ pub struct NetConfig {
     /// flushes immediately — with the queue piggybacking — on every
     /// application send; [`FlushPolicy::immediate`] restores the
     /// one-RMI-call-per-message behaviour the paper measured as its
-    /// baseline (kept so `net_batching` can quantify the difference).
+    /// baseline.
     pub egress: FlushPolicy,
     /// First reconnect delay after a link drops; doubles per failure.
     pub reconnect_base: Duration,
@@ -136,17 +136,6 @@ impl NetConfig {
         self.trace = level;
         self
     }
-
-    /// Enables (default policy) or disables ([`FlushPolicy::immediate`])
-    /// egress coalescing — the switch the `net_batching` bench flips.
-    pub fn batching(mut self, on: bool) -> Self {
-        self.egress = if on {
-            FlushPolicy::default()
-        } else {
-            FlushPolicy::immediate()
-        };
-        self
-    }
 }
 
 impl Default for NetConfig {
@@ -167,7 +156,6 @@ mod tests {
         assert!(c.egress.flush_on_app);
         assert!(c.egress.max_delay >= Dur::from_nanos(100_000));
         assert!(c.fail_after_attempts > 0);
-        assert!(c.batching(false).egress.is_immediate());
         assert!(c.max_link_pending > 0);
         assert_eq!(c.max_link_pending(0).max_link_pending, 1);
         assert!(c.auth.is_none());

@@ -708,8 +708,8 @@ pub fn encode_batch_frame(items: &[Item]) -> Vec<u8> {
 
 /// Length-prefix framing overhead plus batch header, in bytes: what one
 /// extra frame costs over adding an item to an existing batch, before
-/// counting the context the new frame has to restate. Used by the
-/// `net_batching` bench as the floor of fig. 8-style savings.
+/// counting the context the new frame has to restate — the floor of
+/// fig. 8-style batching savings (`frame_props` pins it exactly).
 pub const FRAME_OVERHEAD: u64 = 4 + 1 + 4;
 
 /// Items per written frame, kept orders of magnitude under both

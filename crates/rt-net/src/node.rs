@@ -381,7 +381,7 @@ impl NetNode {
             TimeSource::wall_since(epoch),
             Tracer::new(config.trace, dgc_obs::trace::DEFAULT_CAPACITY),
         );
-        let stats = NetStats::shared_with_obs(&obs);
+        let stats = NetStats::shared(&obs);
         let terminated = Arc::new(Mutex::new(Vec::new()));
         let app_log = Arc::new(Mutex::new(Vec::new()));
         let app_failures = Arc::new(Mutex::new(Vec::new()));
@@ -407,8 +407,7 @@ impl NetNode {
         let next_member_tick = membership.as_ref().map(|_| Instant::now());
         let mut outbox = Outbox::new(config.egress);
         outbox.set_obs(EgressObs::new(&obs));
-        let mut ledger = TenantLedger::new();
-        ledger.set_obs(obs.clone());
+        let ledger = TenantLedger::new(&obs);
         let worker = Worker {
             node_id,
             config,
@@ -655,8 +654,9 @@ impl NetNode {
 
     /// The egress plane's lifetime counters ([`EgressStats`]), answered
     /// through the event loop like [`NetNode::egress_pending`]. The
-    /// conservation tests compare these legacy counters against the
-    /// node registry's `egress.*` mirrors; `None` means the event loop
+    /// outbox publishes them into the node registry's `egress.*`
+    /// metrics in buffered deltas, and the conservation test checks
+    /// that publish against this struct; `None` means the event loop
     /// did not answer.
     pub fn egress_stats(&self) -> Option<dgc_core::egress::EgressStats> {
         let (reply, rx) = mpsc::channel();
@@ -726,7 +726,7 @@ impl NetNode {
     }
 
     /// This node's telemetry plane: the registry every layer records
-    /// into (`net.*` transport mirrors, `egress.*` flush metrics,
+    /// into (`net.*` transport counters, `egress.*` flush metrics,
     /// `dgc.*` collection latencies, `member.*` verdict transitions)
     /// plus the tracer ring behind `config.trace`.
     pub fn obs(&self) -> &Registry {
@@ -749,7 +749,9 @@ impl NetNode {
         self.stop();
     }
 
-    fn stop(&mut self) {
+    /// [`NetNode::shutdown`] for an owner that still wants to read the
+    /// node's final counters afterwards.
+    pub(crate) fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         let _ = self.tx.send(Event::Shutdown);
         if let Some(h) = self.loop_handle.take() {
@@ -1773,7 +1775,7 @@ mod tests {
     fn acceptor_survives_transient_accept_errors() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let stats = NetStats::shared();
+        let stats = NetStats::shared(&Registry::default());
         let mut reactor =
             Reactor::new(7, listener, NetConfig::default(), Arc::clone(&stats)).unwrap();
         for _ in 0..3 {

@@ -1110,10 +1110,17 @@ impl Reactor {
 mod tests {
     use super::*;
     use dgc_core::id::AoId;
+    use dgc_obs::Registry;
 
     fn test_reactor() -> Reactor {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        Reactor::new(1, listener, NetConfig::default(), NetStats::shared()).unwrap()
+        Reactor::new(
+            1,
+            listener,
+            NetConfig::default(),
+            NetStats::shared(&Registry::default()),
+        )
+        .unwrap()
     }
 
     fn app_item(n: u32) -> Item {
@@ -1202,7 +1209,8 @@ mod tests {
 
         let config = NetConfig::default().auth(dgc_plane::AuthKey::from_secret("reactor suite"));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut r = Reactor::new(1, listener, config, NetStats::shared()).unwrap();
+        let mut r =
+            Reactor::new(1, listener, config, NetStats::shared(&Registry::default())).unwrap();
         r.open_link(2, addr);
         r.queue_forward(2, vec![app_item(1)]).unwrap();
         let mut notices = Vec::new();
@@ -1260,7 +1268,8 @@ mod tests {
             ..NetConfig::default()
         };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut r = Reactor::new(1, listener, config, NetStats::shared()).unwrap();
+        let mut r =
+            Reactor::new(1, listener, config, NetStats::shared(&Registry::default())).unwrap();
         r.open_link(2, addr);
         let _ = r.queue_forward(2, vec![app_item(1)]);
         let mut notices = Vec::new();

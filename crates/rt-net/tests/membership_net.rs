@@ -142,6 +142,68 @@ fn rejoined_node_runs_the_full_collection_cycle() {
     cluster.shutdown();
 }
 
+/// Every counter and histogram of `earlier` reads at least as high in
+/// `later`.
+fn assert_never_decreased(earlier: &dgc_obs::Snapshot, later: &dgc_obs::Snapshot, when: &str) {
+    for (key, v) in &earlier.counters {
+        assert!(later.counter(key) >= *v, "{key} went backwards {when}");
+    }
+    for (key, h) in &earlier.histograms {
+        let count = later.histogram(key).count;
+        assert!(count >= h.count, "{key} lost samples {when}");
+    }
+}
+
+#[test]
+fn total_stats_and_obs_merged_are_monotone_across_crash_and_rejoin() {
+    let cluster = Cluster::join_local(3, cfg()).expect("bind cluster");
+    for node in 0..3 {
+        assert!(cluster.wait_membership_until(node, Duration::from_secs(10), |r| full_alive(r, 3)));
+    }
+    // Convergence took gossip, so node 2 has counted frames by now.
+    let before = cluster.total_stats();
+    let before_obs = cluster.obs_merged();
+    let reg2 = cluster.obs(2).expect("up");
+    cluster.crash_node(2);
+    // The handle outlives the node; its loop was joined, so this is
+    // everything node 2's first life ever counted.
+    let first_life = reg2.snapshot();
+    assert!(first_life.counter("net.frames_sent") > 0);
+    assert!(first_life.histogram("egress.flush_items").count > 0);
+
+    // Survivors first, totals second: the survivors only count up, so
+    // each total must cover their reading plus the whole dead life.
+    let floor = first_life
+        .merge(&cluster.obs(0).expect("up").snapshot())
+        .merge(&cluster.obs(1).expect("up").snapshot());
+    let down = cluster.total_stats();
+    let down_obs = cluster.obs_merged();
+    assert_never_decreased(&floor, &down_obs, "below survivors + the crashed life");
+    assert!(
+        down.frames_sent >= floor.counter("net.frames_sent"),
+        "total_stats dropped the crashed node's frames: {down:?}"
+    );
+    assert!(down.frames_sent >= before.frames_sent && down.bytes_sent >= before.bytes_sent);
+    assert_never_decreased(&before_obs, &down_obs, "across the crash");
+    // The per-node view keeps its per-life meaning: zero while down.
+    assert_eq!(cluster.stats()[2], Default::default());
+
+    cluster.restart_node(2, 2).expect("restart");
+    assert!(
+        cluster.wait_membership_until(0, Duration::from_secs(15), |r| {
+            r.iter().any(|x| x.node == 2 && x.incarnation == 2)
+        }),
+        "node 0 never heard from the second life: {:?}",
+        cluster.member_records(0)
+    );
+    // The second life counts from zero; the totals carry on from the
+    // first life's.
+    let after = cluster.total_stats();
+    assert!(after.frames_sent >= down.frames_sent && after.bytes_sent >= down.bytes_sent);
+    assert_never_decreased(&down_obs, &cluster.obs_merged(), "across the rejoin");
+    cluster.shutdown();
+}
+
 #[test]
 fn a_crashed_seed_no_longer_strands_rejoins() {
     // 4 nodes, 2 seeds (0 and 1). Seed 0 — the node every pre-multi-seed

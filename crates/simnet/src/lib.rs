@@ -16,8 +16,7 @@
 //! * [`traffic`] — the meters themselves;
 //! * [`fault`] — link-delay and process-pause injection for the hard
 //!   real-time discussion of §4.2;
-//! * [`rng`] — seeded, forkable randomness so every run is reproducible;
-//! * [`trace`] — an in-memory structured trace log.
+//! * [`rng`] — seeded, forkable randomness so every run is reproducible.
 //!
 //! Higher layers (`dgc-activeobj`) build the active-object middleware and
 //! the DGC driver on top of these pieces.
@@ -49,7 +48,6 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod traffic;
 
 pub use fault::{FaultPlan, LinkDrop, LinkFault, LinkPartition, ProcessPause};
@@ -58,5 +56,8 @@ pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{ProcId, Site, SiteId, Topology};
-pub use trace::{TraceLevel, TraceLog, TraceRecord};
 pub use traffic::{format_mib, TrafficClass, TrafficMeter};
+
+/// Trace verbosity for grid configurations; events land in a
+/// [`dgc_obs::Tracer`] ring stamped with [`SimTime`] nanoseconds.
+pub use dgc_obs::TraceLevel;

@@ -21,7 +21,7 @@ use dgc_activeobj::runtime::{Grid, GridConfig, Sample};
 use dgc_core::id::AoId;
 use dgc_simnet::time::{SimDuration, SimTime};
 use dgc_simnet::topology::{ProcId, Topology};
-use dgc_simnet::trace::TraceLevel;
+use dgc_simnet::TraceLevel;
 
 /// Method: initial reference distribution.
 pub const M_INIT: u32 = 1;

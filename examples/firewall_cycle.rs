@@ -14,9 +14,9 @@ use grid_dgc::activeobj::collector::CollectorKind;
 use grid_dgc::activeobj::runtime::{Grid, GridConfig};
 use grid_dgc::dgc::config::DgcConfig;
 use grid_dgc::dgc::units::Dur;
-use grid_dgc::simnet::time::SimDuration;
+use grid_dgc::simnet::time::{SimDuration, SimTime};
 use grid_dgc::simnet::topology::Topology;
-use grid_dgc::simnet::trace::TraceLevel;
+use grid_dgc::simnet::TraceLevel;
 use grid_dgc::workloads::scenarios::fig7_compound;
 
 fn main() {
@@ -43,8 +43,9 @@ fn main() {
     grid.run_for(SimDuration::from_secs(700));
 
     println!("trace (spawns, terminations):");
-    for record in grid.trace().records() {
-        println!("  {record}");
+    for ev in grid.trace().events() {
+        let at = SimTime::from_nanos(ev.at_nanos);
+        println!("  [{at}] {:<14} {}", ev.tag, ev.detail);
     }
 
     let stats = grid.dgc_stats();
