@@ -8,7 +8,7 @@
 //! |------|-----------|
 //! | `wall-clock` | all time flows through the `TimeSource` seam |
 //! | `unordered-iter` | no hash-order nondeterminism in protocol/oracle code |
-//! | `hot-path-panic` | no panic sites in the PR 9 hot-path modules |
+//! | `hot-path-panic` | no panic sites in the PR 9 hot-path modules and the node kernel |
 //! | `lock-across-send` | no shim-mutex guard held across a blocking call |
 //!
 //! Intentional violations carry an inline

@@ -164,9 +164,11 @@ fn mark_cfg_test(tokens: &[Token], sig: &[usize]) -> Vec<bool> {
 // Rule scopes
 // ---------------------------------------------------------------------------
 
-/// PR 9's hot-path modules: one allocation or panic here shows up
-/// straight in the steady-state throughput numbers.
+/// PR 9's hot-path modules, plus the node kernel that runs the sweep
+/// and the per-unit dispatch for every host: one allocation or panic
+/// here shows up straight in the steady-state throughput numbers.
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/core/src/kernel.rs",
     "crates/core/src/sweep.rs",
     "crates/core/src/referencers.rs",
     "crates/core/src/referenced.rs",

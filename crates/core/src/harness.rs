@@ -1,24 +1,27 @@
 //! In-memory protocol harness.
 //!
-//! Drives a set of [`DgcState`]s over a loss-less, fixed-latency, FIFO
-//! in-memory network with manually advanced time. This is *not* the full
-//! middleware (no request queues, no futures, no local GC) — it exists so
-//! that protocol-level behaviours (the figures of the paper, liveness
-//! bounds, races) can be tested precisely and quickly, both here and in
-//! the property-based suites.
+//! Hosts a [`NodeKernel`] over a loss-less, fixed-latency, FIFO
+//! in-memory network with manually advanced time — the same kernel the
+//! socket and thread runtimes drive, with a queue for a transport. This
+//! is *not* the full middleware (no request queues, no futures, no
+//! local GC) — it exists so that protocol-level behaviours (the figures
+//! of the paper, liveness bounds, races) can be tested precisely and
+//! quickly, both here and in the property-based suites.
 //!
 //! The harness owns idleness: tests declare objects idle or busy, create
-//! and drop reference edges, and step simulated time; the harness ticks
-//! every endpoint at its own TTB phase, ships messages and responses
-//! after `latency`, and records terminations.
+//! and drop reference edges, and step simulated time; the kernel ticks
+//! every endpoint at its own TTB phase, the harness ships the messages
+//! and responses it emits after `latency` and records terminations.
+//! Calls naming an endpoint that was never added or has terminated are
+//! no-ops, as in the runtimes.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use crate::config::DgcConfig;
 use crate::id::AoId;
+use crate::kernel::NodeKernel;
 use crate::message::{Action, DgcMessage, DgcResponse, TerminateReason};
-use crate::protocol::DgcState;
+use crate::sweep::SweepPools;
 use crate::units::{Dur, Time};
 
 /// A recorded termination.
@@ -45,17 +48,11 @@ enum Wire {
     },
 }
 
-struct Endpoint {
-    state: DgcState,
-    idle: bool,
-    next_tick: Time,
-}
-
 /// Deterministic multi-endpoint protocol driver.
 pub struct Harness {
     now: Time,
     latency: Dur,
-    endpoints: BTreeMap<AoId, Endpoint>,
+    kernel: NodeKernel,
     in_flight: VecDeque<(Time, Wire)>,
     terminations: Vec<Termination>,
     next_node: u32,
@@ -67,7 +64,7 @@ impl Harness {
         Harness {
             now: Time::ZERO,
             latency,
-            endpoints: BTreeMap::new(),
+            kernel: NodeKernel::new(1),
             in_flight: VecDeque::new(),
             terminations: Vec::new(),
             next_node: 0,
@@ -85,15 +82,7 @@ impl Harness {
     pub fn add(&mut self, config: DgcConfig) -> AoId {
         let id = AoId::new(self.next_node, 0);
         self.next_node += 1;
-        let first_tick = self.now + config.ttb;
-        self.endpoints.insert(
-            id,
-            Endpoint {
-                state: DgcState::new(id, self.now, config),
-                idle: false,
-                next_tick: first_tick,
-            },
-        );
+        self.kernel.spawn(id, self.now, config, None);
         id
     }
 
@@ -105,53 +94,27 @@ impl Harness {
     /// Declares `id` idle or busy; a busy→idle transition bumps the
     /// activity clock exactly as the middleware would.
     pub fn set_idle(&mut self, id: AoId, idle: bool) {
-        let now = self.now;
-        let ep = self.endpoints.get_mut(&id).expect("unknown endpoint");
-        if idle && !ep.idle {
-            ep.state.on_became_idle(now);
-        }
-        ep.idle = idle;
-    }
-
-    /// True if `id` is currently declared idle.
-    pub fn is_idle(&self, id: AoId) -> bool {
-        self.endpoints.get(&id).map(|e| e.idle).unwrap_or(false)
+        self.kernel.set_idle(self.now, id, idle);
     }
 
     /// Creates the reference edge `from → to` (stub deserialization).
     pub fn add_ref(&mut self, from: AoId, to: AoId) {
-        self.endpoints
-            .get_mut(&from)
-            .expect("unknown endpoint")
-            .state
-            .on_stub_deserialized(to);
+        self.kernel.add_ref(from, to);
     }
 
     /// Removes the reference edge `from → to` (all stubs collected).
     pub fn drop_ref(&mut self, from: AoId, to: AoId) {
-        self.endpoints
-            .get_mut(&from)
-            .expect("unknown endpoint")
-            .state
-            .on_stubs_collected(to);
+        self.kernel.drop_ref(from, to);
     }
 
-    /// Immutable view of an endpoint's protocol state.
-    pub fn state(&self, id: AoId) -> &DgcState {
-        &self.endpoints.get(&id).expect("unknown endpoint").state
-    }
-
-    /// True if `id` is still alive (present and not dead).
+    /// True if `id` is still alive (added and not terminated).
     pub fn alive(&self, id: AoId) -> bool {
-        self.endpoints.get(&id).is_some_and(|e| !e.state.is_dead())
+        self.kernel.hosts(id)
     }
 
     /// Number of endpoints still alive.
     pub fn alive_count(&self) -> usize {
-        self.endpoints
-            .values()
-            .filter(|e| !e.state.is_dead())
-            .count()
+        self.kernel.hosted()
     }
 
     /// All recorded terminations, in order.
@@ -165,13 +128,7 @@ impl Harness {
         loop {
             // Earliest pending delivery or tick.
             let next_delivery = self.in_flight.front().map(|(t, _)| *t);
-            let next_tick = self
-                .endpoints
-                .values()
-                .filter(|e| !e.state.is_dead())
-                .map(|e| e.next_tick)
-                .min();
-            let next = match (next_delivery, next_tick) {
+            let next = match (next_delivery, self.kernel.next_tick()) {
                 (None, None) => break,
                 (Some(d), None) => d,
                 (None, Some(t)) => t,
@@ -185,7 +142,8 @@ impl Harness {
                 let (_, wire) = self.in_flight.pop_front().expect("non-empty");
                 self.deliver(wire);
             } else {
-                self.tick_due();
+                let out = self.kernel.tick_due(next);
+                self.emit_all(out);
             }
         }
         self.now = self.now.max(deadline);
@@ -196,94 +154,56 @@ impl Harness {
         self.run_until(self.now + d);
     }
 
-    fn tick_due(&mut self) {
-        let due: Vec<AoId> = self
-            .endpoints
-            .iter()
-            .filter(|(_, e)| !e.state.is_dead() && e.next_tick <= self.now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in due {
-            let (idle, actions, period) = {
-                let ep = self.endpoints.get_mut(&id).expect("exists");
-                let idle = ep.idle;
-                let actions = ep.state.on_tick(self.now, idle);
-                let period = ep.state.current_ttb();
-                ep.next_tick = self.now + period;
-                (idle, actions, period)
-            };
-            let _ = (idle, period);
-            self.apply_actions(id, actions);
-        }
-    }
-
     fn deliver(&mut self, wire: Wire) {
         match wire {
             Wire::Message { from, to, message } => {
-                let actions = match self.endpoints.get_mut(&to) {
-                    Some(ep) if !ep.state.is_dead() => ep.state.on_message(self.now, &message),
-                    _ => {
-                        // Target terminated: sender observes a failure.
-                        if let Some(sender) = self.endpoints.get_mut(&from) {
-                            sender.state.on_send_failure(to);
-                        }
-                        return;
-                    }
-                };
-                self.apply_actions(to, actions);
+                match self.kernel.on_message(self.now, to, &message) {
+                    Some(out) => self.emit_all(out),
+                    // Target terminated: sender observes a failure.
+                    None => self.kernel.on_send_failure(from, to),
+                }
             }
             Wire::Response { from, to, response } => {
-                let Some(ep) = self.endpoints.get_mut(&to) else {
-                    return;
-                };
-                if ep.state.is_dead() {
-                    return;
+                for action in self.kernel.on_response(self.now, from, to, &response) {
+                    self.emit(to, action);
                 }
-                let idle = ep.idle;
-                let actions = ep.state.on_response(self.now, from, &response, idle);
-                self.apply_actions(to, actions);
             }
         }
     }
 
-    fn apply_actions(&mut self, who: AoId, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::SendMessage { to, message } => {
-                    self.in_flight.push_back((
-                        self.now + self.latency,
-                        Wire::Message {
-                            from: who,
-                            to,
-                            message,
-                        },
-                    ));
-                }
-                Action::SendResponse { to, response } => {
-                    self.in_flight.push_back((
-                        self.now + self.latency,
-                        Wire::Response {
-                            from: who,
-                            to,
-                            response,
-                        },
-                    ));
-                }
-                Action::Terminate { reason } => {
-                    self.terminations.push(Termination {
-                        id: who,
-                        reason,
-                        at: self.now,
-                    });
-                }
-            }
+    fn emit_all(&mut self, mut out: SweepPools) {
+        for unit in out.drain_units() {
+            self.emit(unit.from, unit.action);
         }
-        // Keep the queue sorted by delivery time; pushes use now+latency
-        // with constant latency so it already is, but ticks at different
-        // phases can interleave — enforce it for safety.
-        let mut v: Vec<_> = std::mem::take(&mut self.in_flight).into();
-        v.sort_by_key(|(t, _)| *t);
-        self.in_flight = v.into();
+        self.kernel.recycle(out);
+    }
+
+    /// Puts what `who` emitted on the wire, or in the termination log.
+    fn emit(&mut self, who: AoId, action: Action) {
+        let wire = match action {
+            Action::SendMessage { to, message } => Wire::Message {
+                from: who,
+                to,
+                message,
+            },
+            Action::SendResponse { to, response } => Wire::Response {
+                from: who,
+                to,
+                response,
+            },
+            Action::Terminate { reason } => {
+                return self.terminations.push(Termination {
+                    id: who,
+                    reason,
+                    at: self.now,
+                });
+            }
+        };
+        // `now` never goes back and the latency is constant, so pushing
+        // at the back keeps the queue in delivery order.
+        let at = self.now + self.latency;
+        debug_assert!(self.in_flight.back().is_none_or(|(t, _)| *t <= at));
+        self.in_flight.push_back((at, wire));
     }
 }
 

@@ -25,6 +25,9 @@
 //! ## Crate layout
 //!
 //! * [`protocol::DgcState`] — the state machine (Algorithms 1–4);
+//! * [`kernel::NodeKernel`] — everything one node hosts: the activity
+//!   table, the TTB timers and the DGC dispatch every host (socket
+//!   runtime, thread runtime, [`harness`]) drives instead of owning;
 //! * [`clock::NamedClock`] — the named Lamport clock;
 //! * [`message`] — DGC messages/responses and the [`message::Action`]s a
 //!   runtime executes;
@@ -76,6 +79,7 @@ pub mod egress;
 pub mod faults;
 pub mod harness;
 pub mod id;
+pub mod kernel;
 pub mod message;
 pub mod process_graph;
 pub mod protocol;
@@ -92,6 +96,7 @@ pub use config::{DgcConfig, DgcConfigBuilder, ParentPolicy, TimingMode};
 pub use egress::{EgressClass, EgressObs, EgressStats, Flush, FlushPolicy, FlushReason, Outbox};
 pub use faults::{FaultKind, FaultProfile, LinkDisruption, NodeCrash, NodePause, Window};
 pub use id::{AoId, AoIdAllocator};
+pub use kernel::{NodeKernel, Terminated};
 pub use message::{Action, DgcMessage, DgcResponse, TerminateReason};
 pub use process_graph::ProcessGraph;
 pub use protocol::{DgcState, Phase};

@@ -4,7 +4,9 @@
 //! per beat. The naive loop materializes a fresh `Vec<Action>` per
 //! activity plus two table-sized `Vec`s inside `on_tick` — at hundreds
 //! of thousands of activities that is the sweep's dominant cost. This
-//! module is the zero-allocation replacement shared by every runtime:
+//! module is the zero-allocation replacement; the socket runtime, the
+//! thread runtime and the in-memory harness all reach it through one
+//! caller, [`NodeKernel::tick_due`](crate::kernel::NodeKernel::tick_due):
 //!
 //! * [`ActionSink`] — where [`DgcState::on_tick_into`] emits its
 //!   actions instead of returning a `Vec`; an `Outbox`-feeding sink
@@ -80,34 +82,52 @@ impl SweepScratch {
     }
 }
 
+/// One sweep worker's `(scratch, unit buffer)` pair.
+type Shard = (SweepScratch, Vec<SweepUnit>);
+
 /// Per-shard `(scratch, unit buffer)` pairs, reused across sweeps so
 /// the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct SweepPools {
-    shards: Vec<(SweepScratch, Vec<SweepUnit>)>,
+    /// Shard 0 exists from the start: an unsharded sweep runs on it,
+    /// and so does a single activity answering a message
+    /// ([`SweepPools::unit_buf`]).
+    lead: Shard,
+    /// Shards 1.., materialized on first use.
+    rest: Vec<Shard>,
 }
 
 impl SweepPools {
-    /// Empty pool; shards materialize on first use.
+    /// Empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
     fn ensure(&mut self, n: usize) {
-        while self.shards.len() < n {
-            self.shards.push((SweepScratch::new(), Vec::new()));
+        while self.rest.len() + 1 < n {
+            self.rest.push(Shard::default());
         }
+    }
+
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
+        std::iter::once(&mut self.lead).chain(self.rest.iter_mut())
+    }
+
+    /// The first shard's unit buffer: the sink for one activity's
+    /// actions outside a sweep, drained like a sweep's.
+    pub fn unit_buf(&mut self) -> &mut Vec<SweepUnit> {
+        &mut self.lead.1
     }
 
     /// Drains every buffered unit in shard order — the exact order the
     /// unsharded sweep would have produced.
     pub fn drain_units(&mut self) -> impl Iterator<Item = SweepUnit> + '_ {
-        self.shards.iter_mut().flat_map(|(_, buf)| buf.drain(..))
+        self.shards_mut().flat_map(|(_, buf)| buf.drain(..))
     }
 
     /// Units currently buffered (all shards).
     pub fn buffered(&self) -> usize {
-        self.shards.iter().map(|(_, buf)| buf.len()).sum()
+        self.lead.1.len() + self.rest.iter().map(|(_, buf)| buf.len()).sum::<usize>()
     }
 }
 
@@ -129,8 +149,7 @@ where
     let shards = shards.clamp(1, due.len().max(1));
     pools.ensure(shards);
     if shards == 1 {
-        // dgc-analysis: allow(hot-path-panic): pools.ensure(shards) sized the vec one line up
-        let (scratch, buf) = &mut pools.shards[0];
+        let (scratch, buf) = &mut pools.lead;
         for e in due.iter_mut() {
             tick(e, scratch, buf);
         }
@@ -138,7 +157,7 @@ where
     }
     let chunk = due.len().div_ceil(shards);
     std::thread::scope(|s| {
-        for (slot, es) in pools.shards.iter_mut().zip(due.chunks_mut(chunk)) {
+        for (slot, es) in pools.shards_mut().zip(due.chunks_mut(chunk)) {
             let tick = &tick;
             s.spawn(move || {
                 let (scratch, buf) = slot;

@@ -1,14 +1,16 @@
 //! A network node: one address space of the DGC, listening on a real
 //! TCP socket and hosting many activities.
 //!
-//! Mirrors the structure proven by `dgc-rt-thread` — a single event
-//! loop owns every hosted [`DgcState`] and wall-clock tick — but the
-//! mailbox is fed by sockets instead of in-process channels:
+//! Like `dgc-rt-thread`'s node thread it is a host of the one
+//! [`NodeKernel`] — the hosted-activity table, the TTB timers and the
+//! DGC dispatch live there, under every runtime — driven by a single
+//! event loop that supplies the wall clock; here the mailbox is fed by
+//! sockets instead of in-process channels:
 //!
 //! ```text
 //!            ┌────────────── NetNode (handle) ───────────────┐
-//!  control → │ event loop (one thread): endpoints, ticks,    │
-//!   (waker)  │ egress plane, membership, routing             │
+//!  control → │ event loop (one thread): node kernel, egress   │
+//!   (waker)  │ plane, membership, routing                    │
 //!            │   └─ reactor: listener, dialed links (msgs    │
 //!  sockets ⇄ │      out, replies in), accepted connections   │
 //!            │      (msgs in, replies out), join probes      │
@@ -35,7 +37,7 @@
 //! The link layer (`reactor.rs`) just writes what the outbox flushes:
 //! one flush, one frame.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -47,11 +49,12 @@ use std::time::{Duration, Instant};
 
 use dgc_core::egress::{EgressObs, Flush, FlushReason, Outbox};
 use dgc_core::id::AoId;
-use dgc_core::message::{Action, TerminateReason};
-use dgc_core::protocol::DgcState;
-use dgc_core::sweep::{sweep_sharded, SweepPools, SweepUnit};
+use dgc_core::kernel::NodeKernel;
+pub use dgc_core::kernel::Terminated;
+use dgc_core::message::Action;
+use dgc_core::sweep::SweepPools;
 use dgc_core::telemetry::DgcObs;
-use dgc_core::units::Time;
+use dgc_core::units::{Dur, Time};
 use dgc_membership::{Digest, Membership, MembershipEvent, MembershipObs, NodeRecord, Transition};
 use dgc_obs::{Registry, TimeSource, TraceLevel, Tracer};
 use dgc_plane::{
@@ -133,15 +136,6 @@ impl AcceptBackoff {
         self.consecutive = self.consecutive.saturating_add(1);
         wait
     }
-}
-
-/// A recorded termination, visible to drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Terminated {
-    /// Which activity ended.
-    pub ao: AoId,
-    /// Why.
-    pub reason: TerminateReason,
 }
 
 /// One application unit delivered to this node, in arrival order —
@@ -320,12 +314,6 @@ pub enum Event {
     Shutdown,
 }
 
-struct Endpoint {
-    state: DgcState,
-    idle: bool,
-    next_tick: Instant,
-}
-
 /// A running DGC node bound to a TCP listener.
 pub struct NetNode {
     node_id: u32,
@@ -403,8 +391,8 @@ impl NetNode {
             engine
         });
         let member_snapshot = Arc::new(Mutex::new(membership.as_ref().map(|m| m.records())));
-        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-        let next_member_tick = membership.as_ref().map(|_| Instant::now());
+        // Already due: the first gossip round goes out on the first turn.
+        let next_member_tick = membership.as_ref().map(|_| Time::ZERO);
         let mut outbox = Outbox::new(config.egress);
         outbox.set_obs(EgressObs::new(&obs));
         let ledger = TenantLedger::new(&obs);
@@ -413,13 +401,11 @@ impl NetNode {
             config,
             rx,
             loopback: tx.clone(),
-            endpoints: BTreeMap::new(),
+            kernel: NodeKernel::new(config.sweep_shards),
             peer_addrs: HashMap::new(),
             reactor,
             join: None,
             outbox,
-            sweep_pools: SweepPools::new(),
-            msg_units: Vec::new(),
             pipeline: Pipeline::new(),
             tenants: TenantMap::default(),
             ledger,
@@ -810,7 +796,7 @@ pub(crate) fn fresh_nonce() -> [u8; dgc_plane::NONCE_LEN] {
 }
 
 /// How often a joining node re-probes its seeds.
-const JOIN_RETRY: Duration = Duration::from_millis(250);
+const JOIN_RETRY: Dur = Dur::from_millis(250);
 /// Probe rounds before a joining node gives up on its seeds.
 const JOIN_ATTEMPTS: u32 = 40;
 
@@ -818,23 +804,7 @@ const JOIN_ATTEMPTS: u32 = 40;
 struct JoinProbes {
     seeds: Vec<SocketAddr>,
     attempts_left: u32,
-    next_at: Instant,
-}
-
-/// When a TTB tick that was scheduled for `scheduled` and ran at `now`
-/// fires next. Re-arming from the *scheduled* instant keeps the period
-/// exact — re-arming from `now` would add every wake-up's lateness to
-/// it, forever, and the §4.2 bound is stated over a heartbeat that
-/// leaves every TTB. A loop that is a whole period or more behind (a
-/// pause, a stall) restarts the cadence from `now` instead, so it never
-/// fires a burst of ticks to catch up.
-fn rearm(scheduled: Instant, now: Instant, ttb: Duration) -> Instant {
-    let next = scheduled + ttb;
-    if next > now {
-        next
-    } else {
-        now + ttb
-    }
+    next_at: Time,
 }
 
 struct Worker {
@@ -842,7 +812,11 @@ struct Worker {
     config: NetConfig,
     rx: mpsc::Receiver<Event>,
     loopback: LoopSender,
-    endpoints: BTreeMap<u32, Endpoint>,
+    /// Everything this node hosts: the activity table, the TTB timers
+    /// (swept over `config.sweep_shards` workers) and the DGC dispatch,
+    /// with the pooled buffers that keep the loop's steady state from
+    /// allocating per activity or per unit.
+    kernel: NodeKernel,
     peer_addrs: HashMap<u32, SocketAddr>,
     /// The link layer: every socket of this node.
     reactor: Reactor,
@@ -852,12 +826,6 @@ struct Worker {
     /// The egress plane: every outgoing unit queues here; the flush
     /// policy decides when a destination's queue becomes a frame.
     outbox: Outbox<Item>,
-    /// Per-shard scratch and unit buffers the TTB sweep reuses tick
-    /// after tick (`config.sweep_shards` controls the fan-out), plus
-    /// the one-message buffer `handle_item` drains per DGC unit — the
-    /// event loop's steady state allocates nothing per activity.
-    sweep_pools: SweepPools,
-    msg_units: Vec<SweepUnit>,
     /// The envelope middleware pipeline every app payload traverses —
     /// outgoing before the egress plane, incoming before delivery.
     /// Empty by default (pass-through); [`Event::SetPipeline`] installs
@@ -874,7 +842,7 @@ struct Worker {
     obs: Registry,
     epoch: Instant,
     membership: Option<Membership>,
-    next_member_tick: Option<Instant>,
+    next_member_tick: Option<Time>,
     member_events: Arc<Mutex<Vec<MembershipEvent>>>,
     member_snapshot: Arc<Mutex<Option<Vec<NodeRecord>>>>,
     stats: Arc<NetStats>,
@@ -888,6 +856,11 @@ struct Worker {
 impl Worker {
     fn now(&self) -> Time {
         Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    /// The node clock's reading at wall instant `at`.
+    fn time_at(&self, at: Instant) -> Time {
+        Time::from_nanos(at.saturating_duration_since(self.epoch).as_nanos() as u64)
     }
 
     /// Records a trace event; the detail closure only runs when the
@@ -1172,20 +1145,24 @@ impl Worker {
                 // peer's egress queue is reclaimed here too, not just
                 // its link.
                 self.reclaim_egress(node);
-                for ep in self.endpoints.values_mut() {
-                    ep.state.on_node_dead(node);
-                }
+                self.kernel.on_node_dead(node);
             }
         }
     }
 
-    fn apply_actions(&mut self, who: AoId, actions: Vec<Action>) {
-        for action in actions {
-            self.apply_action(who, action);
+    /// Routes every unit a sweep or a message left in the kernel's
+    /// pools — all of them queue before any link flushes — and hands
+    /// the pools back.
+    fn emit_all(&mut self, mut out: SweepPools) {
+        for unit in out.drain_units() {
+            self.emit(unit.from, unit.action);
         }
+        self.kernel.recycle(out);
     }
 
-    fn apply_action(&mut self, who: AoId, action: Action) {
+    /// Turns what the kernel emitted for `who` into a routed item, or
+    /// a line of the termination log.
+    fn emit(&mut self, who: AoId, action: Action) {
         match action {
             Action::SendMessage { to, message } => self.route(Item::Dgc {
                 from: who,
@@ -1198,7 +1175,6 @@ impl Worker {
                 response,
             }),
             Action::Terminate { reason } => {
-                self.endpoints.remove(&who.index);
                 self.trace(TraceLevel::Info, "terminate", || {
                     format!("ao {who} ({reason:?})")
                 });
@@ -1209,11 +1185,10 @@ impl Worker {
     }
 
     fn handle_item(&mut self, item: Item) {
-        // A unit addressed to a different node must never be applied
-        // here: endpoints are keyed by index, so a misrouted item from
-        // a buggy or hostile peer would otherwise mutate an unrelated
-        // local activity. Answer misaddressed messages with a send
-        // failure (the protocol's self-healing path) and drop the rest.
+        // A unit addressed to a different node is a buggy or hostile
+        // peer's misroute: count it, answer misaddressed messages with
+        // a send failure (the protocol's self-healing path) and drop
+        // the rest.
         // The one legitimate exception is an *anycast* gossip digest: a
         // join probe dialed our address before knowing our node id.
         let anycast_probe = matches!(item, Item::Gossip { to, .. } if to == GOSSIP_ANYCAST);
@@ -1229,35 +1204,20 @@ impl Worker {
         }
         let now = self.now();
         match item {
-            Item::Dgc { from, to, message } => match self.endpoints.get_mut(&to.index) {
-                Some(ep) => {
-                    let mut units = std::mem::take(&mut self.msg_units);
-                    ep.state.on_message_into(now, &message, &mut units);
-                    for unit in units.drain(..) {
-                        self.apply_action(unit.from, unit.action);
-                    }
-                    self.msg_units = units;
-                }
-                None => {
-                    // Target is gone: tell the sending node.
-                    self.route(Item::SendFailure {
-                        holder: from,
-                        target: to,
-                    });
-                }
+            Item::Dgc { from, to, message } => match self.kernel.on_message(now, to, &message) {
+                Some(out) => self.emit_all(out),
+                // Target is gone: tell the sending node.
+                None => self.route(Item::SendFailure {
+                    holder: from,
+                    target: to,
+                }),
             },
             Item::Resp { from, to, response } => {
-                if let Some(ep) = self.endpoints.get_mut(&to.index) {
-                    let idle = ep.idle;
-                    let actions = ep.state.on_response(now, from, &response, idle);
-                    self.apply_actions(to, actions);
+                for action in self.kernel.on_response(now, from, to, &response) {
+                    self.emit(to, action);
                 }
             }
-            Item::SendFailure { holder, target } => {
-                if let Some(ep) = self.endpoints.get_mut(&holder.index) {
-                    ep.state.on_send_failure(target);
-                }
-            }
+            Item::SendFailure { holder, target } => self.kernel.on_send_failure(holder, target),
             Item::Gossip { from, digest, .. } => self.handle_gossip(from, digest),
             Item::App {
                 from,
@@ -1343,22 +1303,16 @@ impl Worker {
 
     /// Runs the engine's periodic driver when due (failure detection +
     /// anti-entropy), at half the gossip interval.
-    fn membership_due(&mut self) {
-        let Some(next) = self.next_member_tick else {
-            return;
-        };
-        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-        if Instant::now() < next {
+    fn membership_due(&mut self, now: Time) {
+        if self.next_member_tick.is_none_or(|next| now < next) {
             return;
         }
-        let now = self.now();
         let (outs, interval) = match (&mut self.membership, self.config.membership) {
             (Some(engine), Some(m)) => (engine.on_tick(now), m.gossip_interval),
             _ => return,
         };
-        let half = Duration::from_nanos((interval.as_nanos() / 2).max(1_000_000));
-        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-        self.next_member_tick = Some(Instant::now() + half);
+        let half = Dur::from_nanos((interval.as_nanos() / 2).max(1_000_000));
+        self.next_member_tick = Some(now + half);
         self.flush_gossip(outs);
     }
 
@@ -1418,9 +1372,7 @@ impl Worker {
                 // hosted collector treats the node's activities as
                 // departed, and its links are torn down (a rejoin
                 // re-announces a fresh address).
-                for ep in self.endpoints.values_mut() {
-                    ep.state.on_node_dead(ev.node);
-                }
+                self.kernel.on_node_dead(ev.node);
                 self.reactor.drop_peer(ev.node);
                 // And its egress queue goes with it: items, bytes and
                 // the flush deadline — queued app units surface as
@@ -1481,7 +1433,7 @@ impl Worker {
                     seeds,
                     attempts_left: JOIN_ATTEMPTS,
                     // Already past: the first round goes out this turn.
-                    next_at: self.epoch,
+                    next_at: Time::ZERO,
                 });
             }
             Event::Pause { until } => {
@@ -1527,30 +1479,12 @@ impl Worker {
                 self.peer_addrs.insert(node, addr);
             }
             Event::AddActivity { id } => {
-                let now = self.now();
                 self.trace(TraceLevel::Debug, "spawn", || format!("ao {id}"));
-                let mut state = DgcState::new(id, now, self.config.dgc);
-                state.set_obs(DgcObs::new(&self.obs));
-                self.endpoints.insert(
-                    id.index,
-                    Endpoint {
-                        state,
-                        idle: false,
-                        // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-                        next_tick: Instant::now()
-                            + Duration::from_nanos(self.config.dgc.ttb.as_nanos()),
-                    },
-                );
+                let obs = DgcObs::new(&self.obs);
+                self.kernel
+                    .spawn(id, self.now(), self.config.dgc, Some(obs));
             }
-            Event::SetIdle { ao, idle } => {
-                let now = self.now();
-                if let Some(ep) = self.endpoints.get_mut(&ao.index) {
-                    if idle && !ep.idle {
-                        ep.state.on_became_idle(now);
-                    }
-                    ep.idle = idle;
-                }
-            }
+            Event::SetIdle { ao, idle } => self.kernel.set_idle(self.now(), ao, idle),
             Event::AddRef { from, to } => {
                 // Tenant isolation extends to the DGC graph itself: a
                 // reference edge crossing tenants is refused before any
@@ -1562,67 +1496,24 @@ impl Worker {
                     self.trace(TraceLevel::Info, "ref-reject", || {
                         format!("cross-tenant ref {from} -> {to}")
                     });
-                } else if let Some(ep) = self.endpoints.get_mut(&from.index) {
-                    ep.state.on_stub_deserialized(to);
+                } else {
+                    self.kernel.add_ref(from, to);
                 }
             }
-            Event::DropRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
-                    ep.state.on_stubs_collected(to);
-                }
-            }
+            Event::DropRef { from, to } => self.kernel.drop_ref(from, to),
         }
         true
-    }
-
-    /// Runs every endpoint whose TTB tick is due, as **one batched
-    /// sweep**: due endpoints are collected in ascending activity-id
-    /// order, ticked through `on_tick_into` (fanning out across
-    /// `config.sweep_shards` threads when configured), and every
-    /// emitted unit drains into routing afterwards — in exactly the
-    /// order a sequential sweep would have produced. All messages
-    /// emitted in one sweep are queued before any link flushes, which
-    /// is what lets the per-peer writers coalesce a whole sweep into
-    /// one frame; the reused scratch buffers are what keep the sweep
-    /// allocation-free however many activities are hosted.
-    fn tick_due(&mut self, now_i: Instant) {
-        let now = self.now();
-        let mut due: Vec<(u32, &mut Endpoint)> = self
-            .endpoints
-            .iter_mut()
-            .filter(|(_, ep)| ep.next_tick <= now_i)
-            .map(|(idx, ep)| (*idx, ep))
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        let mut pools = std::mem::take(&mut self.sweep_pools);
-        sweep_sharded(
-            &mut due,
-            self.config.sweep_shards,
-            &mut pools,
-            |(_, ep), scratch, units| {
-                ep.state.on_tick_into(now, ep.idle, scratch, units);
-                let ttb = Duration::from_nanos(ep.state.current_ttb().as_nanos());
-                ep.next_tick = rearm(ep.next_tick, now_i, ttb);
-            },
-        );
-        drop(due);
-        for unit in pools.drain_units() {
-            self.apply_action(unit.from, unit.action);
-        }
-        self.sweep_pools = pools;
     }
 
     /// Seed bootstrap: while the directory still shows only this node,
     /// dials one join probe per seed every [`JOIN_RETRY`], up to
     /// [`JOIN_ATTEMPTS`] rounds. A probe that dies is not retried as
     /// such — the next round dials afresh.
-    fn join_due(&mut self, now_i: Instant) {
+    fn join_due(&mut self, now: Time) {
         let (Some(join), Some(engine)) = (&mut self.join, &self.membership) else {
             return;
         };
-        if now_i < join.next_at {
+        if now < join.next_at {
             return;
         }
         if engine.directory().len() > 1 || join.attempts_left == 0 {
@@ -1630,7 +1521,7 @@ impl Worker {
             return;
         }
         join.attempts_left -= 1;
-        join.next_at = now_i + JOIN_RETRY;
+        join.next_at = now + JOIN_RETRY;
         let me = NodeRecord::alive(
             self.node_id,
             engine.incarnation(),
@@ -1658,27 +1549,19 @@ impl Worker {
     }
 
     /// The earliest instant the worker's own timers need it awake: TTB
-    /// ticks, membership gossip, join probes, egress flush deadlines.
-    fn next_wake(&self) -> Instant {
-        let mut next_wake = self
-            .endpoints
-            .values()
-            .map(|e| e.next_tick)
-            .min()
-            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-            .unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
-        if let Some(t) = self.next_member_tick {
-            next_wake = next_wake.min(t);
-        }
-        if let Some(join) = &self.join {
-            next_wake = next_wake.min(join.next_at);
-        }
-        if let Some(deadline) = self.outbox.next_deadline() {
-            // Egress deadlines live on the scenario clock; convert
-            // back to the wall clock the loop sleeps on.
-            next_wake = next_wake.min(self.epoch + Duration::from_nanos(deadline.as_nanos()));
-        }
-        next_wake
+    /// ticks, membership gossip, join probes, egress flush deadlines —
+    /// all on the node clock; the loop converts once to the wall clock
+    /// it sleeps on.
+    fn next_wake(&self, now: Time) -> Time {
+        let next_tick = self.kernel.next_tick();
+        [
+            self.next_member_tick,
+            self.join.as_ref().map(|join| join.next_at),
+            self.outbox.next_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(next_tick.unwrap_or(now + Dur::from_millis(50)), Time::min)
     }
 
     /// The loop: park in [`Reactor::poll`] — socket readiness, link
@@ -1688,12 +1571,14 @@ impl Worker {
     fn run(mut self) {
         let mut notices: Vec<Notice> = Vec::new();
         loop {
-            let mut next_wake = self.next_wake();
+            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
+            let now_i = Instant::now();
+            let wake = self.next_wake(self.time_at(now_i));
+            let mut next_wake = self.epoch + Duration::from_nanos(wake.as_nanos());
             if let Some(d) = self.reactor.next_deadline() {
                 next_wake = next_wake.min(d);
             }
-            // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-            let timeout = next_wake.saturating_duration_since(Instant::now());
+            let timeout = next_wake.saturating_duration_since(now_i);
             self.reactor.poll(timeout, &mut notices);
             for notice in notices.drain(..) {
                 match notice {
@@ -1732,11 +1617,13 @@ impl Worker {
                     }
                 }
             }
+            // One clock reading per turn, handed to every timer.
             // dgc-analysis: allow(wall-clock): the socket runtime paces real I/O in wall time
-            let now_i = Instant::now();
-            self.tick_due(now_i);
-            self.membership_due();
-            self.join_due(now_i);
+            let now = self.time_at(Instant::now());
+            let out = self.kernel.tick_due(now);
+            self.emit_all(out);
+            self.membership_due(now);
+            self.join_due(now);
             self.flush_due();
         }
     }
@@ -1748,23 +1635,6 @@ mod tests {
     use crate::frame::{encode_frame, PROTOCOL_VERSION};
     use std::io::Write;
     use std::net::TcpStream;
-
-    #[test]
-    fn rearm_keeps_the_scheduled_cadence() {
-        let scheduled = Instant::now();
-        let ttb = Duration::from_millis(100);
-        // On time.
-        assert_eq!(rearm(scheduled, scheduled, ttb), scheduled + ttb);
-        // Late by less than a period: the lateness must not leak into
-        // the period (`now + ttb` here is the drift this replaces).
-        let late = scheduled + Duration::from_millis(3);
-        assert_eq!(rearm(scheduled, late, ttb), scheduled + ttb);
-        // A whole period or more behind: restart from now, no burst.
-        let stalled = scheduled + ttb;
-        assert_eq!(rearm(scheduled, stalled, ttb), stalled + ttb);
-        let paused = scheduled + Duration::from_millis(750);
-        assert_eq!(rearm(scheduled, paused, ttb), paused + ttb);
-    }
 
     /// Transient `accept` errors (the EMFILE / ECONNABORTED family)
     /// must not deafen the node: three injected failures each land on

@@ -1,11 +1,13 @@
 //! # dgc-rt-thread — real-thread runtime for the DGC core
 //!
 //! The simulator (`dgc-activeobj`) proves the protocol at grid scale in
-//! virtual time; this crate proves the same sans-io `dgc_core::DgcState`
-//! works under **real concurrency**: every node (address space) is an OS
-//! thread with a crossbeam channel for its mailbox, timers come from the
-//! wall clock, and DGC messages/responses travel between threads exactly
-//! as the protocol emits them.
+//! virtual time; this crate proves the same sans-io core works under
+//! **real concurrency**: every node (address space) is an OS thread
+//! hosting a [`dgc_core::kernel::NodeKernel`] — the activity table, TTB
+//! timers and DGC dispatch `dgc-rt-net` drives too — with a crossbeam
+//! channel for its mailbox; time comes from the wall clock, and DGC
+//! messages/responses travel between threads exactly as the kernel
+//! emits them.
 //!
 //! The API mirrors the test surface of the simulator: create activities,
 //! flip their idleness, wire reference edges, and watch terminations
@@ -15,7 +17,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,19 +26,11 @@ use parking_lot::Mutex;
 
 use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
-use dgc_core::message::{Action, DgcMessage, DgcResponse, TerminateReason};
-use dgc_core::protocol::DgcState;
-use dgc_core::sweep::{sweep_sharded, SweepPools};
-use dgc_core::units::Time;
-
-/// A recorded termination, visible to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Terminated {
-    /// Which activity ended.
-    pub ao: AoId,
-    /// Why.
-    pub reason: TerminateReason,
-}
+use dgc_core::kernel::NodeKernel;
+pub use dgc_core::kernel::Terminated;
+use dgc_core::message::{Action, DgcMessage, DgcResponse};
+use dgc_core::sweep::SweepPools;
+use dgc_core::units::{Dur, Time};
 
 enum NodeMsg {
     Dgc {
@@ -72,22 +65,14 @@ enum NodeMsg {
     Shutdown,
 }
 
-struct Endpoint {
-    state: DgcState,
-    idle: bool,
-    next_tick: Instant,
-}
-
 struct NodeWorker {
     rx: Receiver<NodeMsg>,
     peers: Vec<Sender<NodeMsg>>,
-    endpoints: BTreeMap<u32, Endpoint>,
+    /// Everything this node hosts; its sweeps fan out over
+    /// `DGC_SWEEP_SHARDS` workers (default 1).
+    kernel: NodeKernel,
     epoch: Instant,
     config: DgcConfig,
-    /// TTB sweep fan-out (`DGC_SWEEP_SHARDS`, default 1) plus the
-    /// per-shard scratch/unit buffers reused every sweep.
-    sweep_shards: usize,
-    sweep_pools: SweepPools,
     terminated: Arc<Mutex<Vec<Terminated>>>,
 }
 
@@ -96,18 +81,33 @@ impl NodeWorker {
         Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn route(&self, to: AoId, msg: NodeMsg) {
-        // A dropped peer channel means global shutdown: ignore errors.
-        let _ = self.peers[to.node as usize].send(msg);
-    }
-
-    fn apply_actions(&mut self, who: AoId, actions: Vec<Action>) {
-        for action in actions {
-            self.apply_action(who, action);
+    fn route(&mut self, to: AoId, msg: NodeMsg) {
+        match self.peers.get(to.node as usize) {
+            // A dropped peer channel means global shutdown: ignore errors.
+            Some(peer) => {
+                let _ = peer.send(msg);
+            }
+            // No such node, and there never will be: the send failed.
+            // A heartbeat's referencer drops the edge; nobody waits on
+            // anything else.
+            None => {
+                if let NodeMsg::Dgc { from, to, .. } = msg {
+                    self.kernel.on_send_failure(from, to);
+                }
+            }
         }
     }
 
-    fn apply_action(&mut self, who: AoId, action: Action) {
+    fn emit_all(&mut self, mut out: SweepPools) {
+        for unit in out.drain_units() {
+            self.emit(unit.from, unit.action);
+        }
+        self.kernel.recycle(out);
+    }
+
+    /// Turns what the kernel emitted for `who` into a peer's mailbox
+    /// entry, or a line of the termination log.
+    fn emit(&mut self, who: AoId, action: Action) {
         match action {
             Action::SendMessage { to, message } => {
                 self.route(
@@ -130,7 +130,6 @@ impl NodeWorker {
                 );
             }
             Action::Terminate { reason } => {
-                self.endpoints.remove(&who.index);
                 self.terminated.lock().push(Terminated { ao: who, reason });
             }
             _ => {}
@@ -141,116 +140,41 @@ impl NodeWorker {
         let now = self.now();
         match msg {
             NodeMsg::Shutdown => return false,
-            NodeMsg::AddActivity { id } => {
-                self.endpoints.insert(
-                    id.index,
-                    Endpoint {
-                        state: DgcState::new(id, now, self.config),
-                        idle: false,
-                        // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
-                        next_tick: Instant::now()
-                            + Duration::from_nanos(self.config.ttb.as_nanos()),
-                    },
-                );
-            }
-            NodeMsg::SetIdle { ao, idle } => {
-                if let Some(ep) = self.endpoints.get_mut(&ao.index) {
-                    if idle && !ep.idle {
-                        ep.state.on_became_idle(now);
-                    }
-                    ep.idle = idle;
-                }
-            }
-            NodeMsg::AddRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
-                    ep.state.on_stub_deserialized(to);
-                }
-            }
-            NodeMsg::DropRef { from, to } => {
-                if let Some(ep) = self.endpoints.get_mut(&from.index) {
-                    ep.state.on_stubs_collected(to);
-                }
-            }
+            NodeMsg::AddActivity { id } => self.kernel.spawn(id, now, self.config, None),
+            NodeMsg::SetIdle { ao, idle } => self.kernel.set_idle(now, ao, idle),
+            NodeMsg::AddRef { from, to } => self.kernel.add_ref(from, to),
+            NodeMsg::DropRef { from, to } => self.kernel.drop_ref(from, to),
             NodeMsg::Dgc { from, to, message } => {
-                match self.endpoints.get_mut(&to.index) {
-                    Some(ep) => {
-                        let actions = ep.state.on_message(now, &message);
-                        self.apply_actions(to, actions);
-                    }
-                    None => {
-                        // Target is gone: tell the sender's node.
-                        self.route(
-                            from,
-                            NodeMsg::SendFailure {
-                                holder: from,
-                                target: to,
-                            },
-                        );
-                    }
+                match self.kernel.on_message(now, to, &message) {
+                    Some(out) => self.emit_all(out),
+                    // Target is gone: tell the sender's node.
+                    None => self.route(
+                        from,
+                        NodeMsg::SendFailure {
+                            holder: from,
+                            target: to,
+                        },
+                    ),
                 }
             }
             NodeMsg::Resp { from, to, response } => {
-                if let Some(ep) = self.endpoints.get_mut(&to.index) {
-                    let idle = ep.idle;
-                    let actions = ep.state.on_response(now, from, &response, idle);
-                    self.apply_actions(to, actions);
+                for action in self.kernel.on_response(now, from, to, &response) {
+                    self.emit(to, action);
                 }
             }
-            NodeMsg::SendFailure { holder, target } => {
-                if let Some(ep) = self.endpoints.get_mut(&holder.index) {
-                    ep.state.on_send_failure(target);
-                }
-            }
+            NodeMsg::SendFailure { holder, target } => self.kernel.on_send_failure(holder, target),
         }
         true
     }
 
-    /// One batched TTB sweep over every due endpoint: collected in
-    /// ascending activity-id order, ticked through `on_tick_into`
-    /// (across `sweep_shards` threads when configured) with reused
-    /// scratch buffers, emitted units routed afterwards in exactly the
-    /// sequential order.
-    fn tick_due(&mut self) {
-        // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
-        let now_i = Instant::now();
-        let now = self.now();
-        let mut due: Vec<(u32, &mut Endpoint)> = self
-            .endpoints
-            .iter_mut()
-            .filter(|(_, ep)| ep.next_tick <= now_i)
-            .map(|(idx, ep)| (*idx, ep))
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        let mut pools = std::mem::take(&mut self.sweep_pools);
-        sweep_sharded(
-            &mut due,
-            self.sweep_shards,
-            &mut pools,
-            |(_, ep), scratch, units| {
-                ep.state.on_tick_into(now, ep.idle, scratch, units);
-                ep.next_tick = now_i + Duration::from_nanos(ep.state.current_ttb().as_nanos());
-            },
-        );
-        drop(due);
-        for unit in pools.drain_units() {
-            self.apply_action(unit.from, unit.action);
-        }
-        self.sweep_pools = pools;
-    }
-
     fn run(mut self) {
         loop {
+            let now = self.now();
             let next_tick = self
-                .endpoints
-                .values()
-                .map(|e| e.next_tick)
-                .min()
-                // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
-                .unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
-            // dgc-analysis: allow(wall-clock): the in-process runtime times real thread wake-ups
-            let timeout = next_tick.saturating_duration_since(Instant::now());
+                .kernel
+                .next_tick()
+                .unwrap_or(now + Dur::from_millis(50));
+            let timeout = Duration::from_nanos((next_tick - now).as_nanos());
             match self.rx.recv_timeout(timeout) {
                 Ok(msg) => {
                     if !self.handle(msg) {
@@ -260,7 +184,8 @@ impl NodeWorker {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
-            self.tick_due();
+            let out = self.kernel.tick_due(self.now());
+            self.emit_all(out);
         }
     }
 }
@@ -293,15 +218,15 @@ impl ThreadGrid {
             let worker = NodeWorker {
                 rx,
                 peers: senders.clone(),
-                endpoints: BTreeMap::new(),
+                kernel: NodeKernel::new(
+                    std::env::var("DGC_SWEEP_SHARDS")
+                        .ok()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or(1),
+                ),
                 epoch,
                 config,
-                sweep_shards: std::env::var("DGC_SWEEP_SHARDS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(1),
-                sweep_pools: SweepPools::new(),
                 terminated: Arc::clone(&terminated),
             };
             handles.push(
@@ -391,7 +316,7 @@ impl ThreadGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgc_core::units::Dur;
+    use dgc_core::message::TerminateReason;
 
     fn cfg() -> DgcConfig {
         DgcConfig::builder()
@@ -464,6 +389,25 @@ mod tests {
         assert!(grid.terminated().is_empty());
         grid.set_idle(b, true);
         assert!(grid.wait_until(Duration::from_secs(10), |t| t.len() == 2));
+        grid.shutdown();
+    }
+
+    /// A reference naming a node the grid does not have is a failed
+    /// send — the referencer drops the edge — not an out-of-bounds
+    /// index that kills the node thread and silences everything else
+    /// it hosts.
+    #[test]
+    fn reference_to_an_unknown_node_fails_the_send_not_the_thread() {
+        let grid = ThreadGrid::new(2, cfg());
+        let a = grid.add_activity(0);
+        let b = grid.add_activity(0);
+        grid.add_ref(a, AoId::new(9, 0));
+        grid.set_idle(b, true);
+        assert!(
+            grid.wait_until(Duration::from_secs(2), |t| t.iter().any(|x| x.ao == b)),
+            "node 0 still sweeps after a's heartbeat to node 9 failed"
+        );
+        assert!(!grid.is_terminated(a), "a is busy");
         grid.shutdown();
     }
 
