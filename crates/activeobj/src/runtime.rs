@@ -1037,7 +1037,11 @@ impl Grid {
             for r in refs {
                 act.stubs.deserialize(*r);
                 match &mut act.collector {
-                    Collector::Complete(s) => s.on_stub_deserialized(*r),
+                    // The first beat waits for the activity's scheduled
+                    // tick: the grid keeps its own tick events.
+                    Collector::Complete(s) => {
+                        s.on_stub_deserialized(*r);
+                    }
                     Collector::Rmi(e) => {
                         rmi_actions.extend(e.on_stub_deserialized(proto_time(now), *r));
                     }

@@ -99,7 +99,7 @@ impl Harness {
 
     /// Creates the reference edge `from → to` (stub deserialization).
     pub fn add_ref(&mut self, from: AoId, to: AoId) {
-        self.kernel.add_ref(from, to);
+        self.kernel.add_ref(self.now, from, to);
     }
 
     /// Removes the reference edge `from → to` (all stubs collected).
@@ -289,6 +289,38 @@ mod tests {
         // c stays busy.
         h.run_for(Dur::from_secs(1000));
         assert!(h.alive(a) && h.alive(b) && h.alive(c));
+    }
+
+    /// A ring whose members are idle from the moment they are wired:
+    /// each new edge beats on the turn that created it, so the last
+    /// member goes exactly this long after creation — one TTB sooner
+    /// than if the first beats waited out a whole TTB.
+    #[test]
+    fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
+        let config = DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(200))
+            .build();
+        for (n, lifetime_ms) in [(2, 900), (4, 1_600)] {
+            let mut h = Harness::new(Dur::from_millis(1));
+            let created = h.now();
+            let ids = h.add_many(n, config);
+            for w in 0..n {
+                h.add_ref(ids[w], ids[(w + 1) % n]);
+            }
+            for id in &ids {
+                h.set_idle(*id, true);
+            }
+            h.run_for(Dur::from_secs(10));
+            assert_eq!(h.alive_count(), 0, "{n}-ring");
+            let last = h.terminations().iter().map(|t| t.at).max();
+            assert_eq!(
+                last.map(|at| at.since(created)),
+                Some(Dur::from_millis(lifetime_ms)),
+                "{n}-ring"
+            );
+        }
     }
 
     #[test]

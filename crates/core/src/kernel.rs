@@ -23,8 +23,19 @@
 //! so `tick_due` is where endpoints leave the table: by the time the
 //! host sees an [`Action::Terminate`] the endpoint and its timer are
 //! gone, and a later message to it is "no such target".
+//!
+//! The timers are one due-time index of `(next_tick, id)`, one entry per
+//! hosted endpoint: [`NodeKernel::next_tick`] reads its first entry and
+//! [`NodeKernel::tick_due`] pops only the due ones, so a loop turn with
+//! nothing due touches no endpoint. An activity beats one TTB after it
+//! is spawned and every TTB after that — except that a **new reference
+//! edge beats now**: [`NodeKernel::add_ref`] makes the referencer due at
+//! once, so the edge's first heartbeat leaves on the turn that created
+//! it instead of up to one TTB later, and the cadence restarts from
+//! there. Running Algorithm 2 early is safe: its every check compares
+//! elapsed time with TTA or TTB, and an early beat only shortens a gap.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::DgcConfig;
 use crate::id::AoId;
@@ -66,14 +77,90 @@ fn rearm(scheduled: Time, now: Time, ttb: Dur) -> Time {
     }
 }
 
+/// The hosted endpoints, densely packed in no particular order, and
+/// where each activity's endpoint sits. An endpoint stays in its slot
+/// while it lives — ticks mutate it in place — and moves only when a
+/// termination swaps the last endpoint into the freed slot.
+#[derive(Default)]
+struct Table {
+    slots: Vec<Endpoint>,
+    slot_of: BTreeMap<AoId, usize>,
+}
+
+impl Table {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn contains(&self, id: AoId) -> bool {
+        self.slot_of.contains_key(&id)
+    }
+
+    fn get_mut(&mut self, id: AoId) -> Option<&mut Endpoint> {
+        let slot = *self.slot_of.get(&id)?;
+        self.slots.get_mut(slot)
+    }
+
+    /// Hosts `ep` as `id`, returning the endpoint it replaced.
+    fn insert(&mut self, id: AoId, ep: Endpoint) -> Option<Endpoint> {
+        if let Some(old) = self.get_mut(id) {
+            return Some(std::mem::replace(old, ep));
+        }
+        self.slot_of.insert(id, self.slots.len());
+        self.slots.push(ep);
+        None
+    }
+
+    fn remove(&mut self, id: AoId) {
+        let Some(slot) = self.slot_of.remove(&id) else {
+            return;
+        };
+        if slot < self.slots.len() {
+            self.slots.swap_remove(slot);
+            if let Some(moved) = self.slots.get(slot) {
+                self.slot_of.insert(moved.state.id(), slot);
+            }
+        }
+    }
+
+    /// The endpoints in `slots` (ascending, distinct), borrowed at once
+    /// and ordered by activity id.
+    fn many_mut(&mut self, slots: &[usize]) -> Vec<&mut Endpoint> {
+        let mut out = Vec::with_capacity(slots.len());
+        let mut rest = self.slots.as_mut_slice();
+        let mut skipped = 0;
+        for &slot in slots {
+            let Some((_, tail)) = std::mem::take(&mut rest).split_at_mut_checked(slot - skipped)
+            else {
+                break;
+            };
+            let Some((ep, tail)) = tail.split_first_mut() else {
+                break;
+            };
+            out.push(ep);
+            rest = tail;
+            skipped = slot + 1;
+        }
+        out.sort_unstable_by_key(|ep| ep.state.id());
+        out
+    }
+}
+
 /// Everything one node hosts, and when each of them beats next.
 pub struct NodeKernel {
-    endpoints: BTreeMap<AoId, Endpoint>,
+    table: Table,
+    /// The due-time index: exactly one `(next_tick, id)` per hosted
+    /// endpoint, so the earliest beat is the first entry.
+    timers: BTreeSet<(Time, AoId)>,
     /// TTB sweep fan-out (`DGC_SWEEP_SHARDS` / `NetConfig::sweep_shards`).
     shards: usize,
     /// Per-shard scratch and unit buffers, reused sweep after sweep and
     /// message after message.
     pools: SweepPools,
+    /// `tick_due`'s reused lists: the due endpoints' slots, then the
+    /// ids of those that terminated.
+    due: Vec<usize>,
+    dead: Vec<AoId>,
 }
 
 impl NodeKernel {
@@ -81,43 +168,51 @@ impl NodeKernel {
     /// (`1`: inline, no thread).
     pub fn new(shards: usize) -> Self {
         NodeKernel {
-            endpoints: BTreeMap::new(),
+            table: Table::default(),
+            timers: BTreeSet::new(),
             shards,
             pools: SweepPools::new(),
+            due: Vec::new(),
+            dead: Vec::new(),
         }
     }
 
-    /// Hosts a new activity, initially busy; its first beat is one TTB
-    /// from `now`. `obs` attaches the hosting node's telemetry handles.
+    /// Hosts a new activity, initially busy. Its first beat is one TTB
+    /// from `now` — or sooner, on the turn it gains its first reference
+    /// edge ([`add_ref`](Self::add_ref)) — and every TTB after that.
+    /// `obs` attaches the hosting node's telemetry handles. Spawning a
+    /// hosted id replaces its endpoint and its timer.
     pub fn spawn(&mut self, id: AoId, now: Time, config: DgcConfig, obs: Option<DgcObs>) {
         let mut state = DgcState::new(id, now, config);
         if let Some(obs) = obs {
             state.set_obs(obs);
         }
-        self.endpoints.insert(
-            id,
-            Endpoint {
-                state,
-                idle: false,
-                next_tick: now + config.ttb,
-            },
-        );
+        let next_tick = now + config.ttb;
+        let ep = Endpoint {
+            state,
+            idle: false,
+            next_tick,
+        };
+        if let Some(old) = self.table.insert(id, ep) {
+            self.timers.remove(&(old.next_tick, id));
+        }
+        self.timers.insert((next_tick, id));
     }
 
     /// True while `id` is hosted here (spawned and not yet terminated).
     pub fn hosts(&self, id: AoId) -> bool {
-        self.endpoints.contains_key(&id)
+        self.table.contains(id)
     }
 
     /// How many activities are hosted.
     pub fn hosted(&self) -> usize {
-        self.endpoints.len()
+        self.table.len()
     }
 
     /// Declares `id` idle or busy; a busy→idle transition bumps the
     /// activity clock exactly as the middleware would.
     pub fn set_idle(&mut self, now: Time, id: AoId, idle: bool) {
-        if let Some(ep) = self.endpoints.get_mut(&id) {
+        if let Some(ep) = self.table.get_mut(id) {
             if idle && !ep.idle {
                 ep.state.on_became_idle(now);
             }
@@ -126,15 +221,24 @@ impl NodeKernel {
     }
 
     /// Creates the reference edge `from → to` (stub deserialization).
-    pub fn add_ref(&mut self, from: AoId, to: AoId) {
-        if let Some(ep) = self.endpoints.get_mut(&from) {
-            ep.state.on_stub_deserialized(to);
+    /// A new edge beats now: `from` becomes due at `now`, so the next
+    /// [`tick_due`](Self::tick_due) sends the edge's first heartbeat,
+    /// and the TTB cadence continues from that beat. Re-deserializing
+    /// an edge `from` already has leaves its timer alone.
+    pub fn add_ref(&mut self, now: Time, from: AoId, to: AoId) {
+        let Some(ep) = self.table.get_mut(from) else {
+            return;
+        };
+        if ep.state.on_stub_deserialized(to) && ep.next_tick > now {
+            self.timers.remove(&(ep.next_tick, from));
+            ep.next_tick = now;
+            self.timers.insert((now, from));
         }
     }
 
     /// Removes the reference edge `from → to` (all stubs collected).
     pub fn drop_ref(&mut self, from: AoId, to: AoId) {
-        if let Some(ep) = self.endpoints.get_mut(&from) {
+        if let Some(ep) = self.table.get_mut(from) {
             ep.state.on_stubs_collected(to);
         }
     }
@@ -144,7 +248,7 @@ impl NodeKernel {
     /// sender a send failure; otherwise the response is in the returned
     /// pools (drain, then [`recycle`](Self::recycle)).
     pub fn on_message(&mut self, now: Time, to: AoId, message: &DgcMessage) -> Option<SweepPools> {
-        let ep = self.endpoints.get_mut(&to)?;
+        let ep = self.table.get_mut(to)?;
         let mut out = std::mem::take(&mut self.pools);
         ep.state.on_message_into(now, message, out.unit_buf());
         Some(out)
@@ -159,7 +263,7 @@ impl NodeKernel {
         to: AoId,
         response: &DgcResponse,
     ) -> Vec<Action> {
-        match self.endpoints.get_mut(&to) {
+        match self.table.get_mut(to) {
             Some(ep) => ep.state.on_response(now, from, response, ep.idle),
             None => Vec::new(),
         }
@@ -168,7 +272,7 @@ impl NodeKernel {
     /// A message from `holder` to `target` could not be delivered:
     /// `holder` drops the edge.
     pub fn on_send_failure(&mut self, holder: AoId, target: AoId) {
-        if let Some(ep) = self.endpoints.get_mut(&holder) {
+        if let Some(ep) = self.table.get_mut(holder) {
             ep.state.on_send_failure(target);
         }
     }
@@ -176,41 +280,51 @@ impl NodeKernel {
     /// The whole node `node` departed: every hosted activity forgets
     /// the referencers and referenced activities it had there.
     pub fn on_node_dead(&mut self, node: u32) {
-        for ep in self.endpoints.values_mut() {
+        for ep in &mut self.table.slots {
             ep.state.on_node_dead(node);
         }
     }
 
     /// Runs every endpoint whose TTB tick is due at `now`, as **one
-    /// batched sweep**: due endpoints in ascending activity-id order,
-    /// ticked through `on_tick_into` (across the configured shards),
-    /// each re-armed by [`rearm`], the terminated ones removed. The
-    /// returned pools hold every emitted unit in exactly the order a
-    /// sequential sweep would have produced — all of a sweep's units
-    /// reach the host before it routes any, which is what lets its
-    /// egress coalesce a whole sweep into one frame. Drain them, then
-    /// [`recycle`](Self::recycle).
+    /// batched sweep**: the due entries leave the index, their
+    /// endpoints are ticked in place through `on_tick_into` in ascending
+    /// activity-id order (across the configured shards), each survivor
+    /// is re-armed by [`rearm`] and re-indexed, the terminated ones are
+    /// removed. The returned pools hold every emitted unit in exactly
+    /// the order a sequential sweep would have produced — all of a
+    /// sweep's units reach the host before it routes any, which is what
+    /// lets its egress coalesce a whole sweep into one frame. Drain
+    /// them, then [`recycle`](Self::recycle).
     pub fn tick_due(&mut self, now: Time) -> SweepPools {
         let mut out = std::mem::take(&mut self.pools);
-        let mut due: Vec<&mut Endpoint> = self
-            .endpoints
-            .values_mut()
-            .filter(|ep| ep.next_tick <= now)
-            .collect();
-        if due.is_empty() {
+        self.due.clear();
+        while let Some(&(at, id)) = self.timers.first() {
+            if at > now {
+                break;
+            }
+            self.timers.pop_first();
+            self.due.extend(self.table.slot_of.get(&id));
+        }
+        if self.due.is_empty() {
             return out;
         }
+        self.due.sort_unstable();
+        self.due.dedup();
+        let mut due = self.table.many_mut(&self.due);
         sweep_sharded(&mut due, self.shards, &mut out, |ep, scratch, units| {
             ep.state.on_tick_into(now, ep.idle, scratch, units);
             ep.next_tick = rearm(ep.next_tick, now, ep.state.current_ttb());
         });
-        let dead: Vec<AoId> = due
-            .iter()
-            .filter(|ep| ep.state.is_dead())
-            .map(|ep| ep.state.id())
-            .collect();
-        for id in dead {
-            self.endpoints.remove(&id);
+        for ep in due {
+            let id = ep.state.id();
+            if ep.state.is_dead() {
+                self.dead.push(id);
+            } else {
+                self.timers.insert((ep.next_tick, id));
+            }
+        }
+        for id in self.dead.drain(..) {
+            self.table.remove(id);
         }
         out
     }
@@ -224,7 +338,7 @@ impl NodeKernel {
     /// The earliest instant a hosted activity is due to beat; `None`
     /// when nothing is hosted.
     pub fn next_tick(&self) -> Option<Time> {
-        self.endpoints.values().map(|ep| ep.next_tick).min()
+        self.timers.first().map(|&(at, _)| at)
     }
 }
 
@@ -296,7 +410,7 @@ mod tests {
     fn message_to_an_absent_id_is_no_such_target() {
         let mut k = NodeKernel::new(1);
         k.spawn(ao(0), Time::ZERO, cfg(), None);
-        k.add_ref(ao(0), AoId::new(1, 0));
+        k.add_ref(Time::ZERO, ao(0), AoId::new(1, 0));
         let now = Time::ZERO + TTB;
         let beat = tick(&mut k, now);
         let Some(Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
@@ -317,7 +431,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         k.spawn(ao(0), Time::ZERO, cfg(), None);
         k.spawn(ao(1), Time::ZERO, cfg(), None);
-        k.add_ref(ao(1), ao(0));
+        k.add_ref(Time::ZERO, ao(1), ao(0));
         let beat = tick(&mut k, Time::ZERO + TTB);
         let Some(Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
             panic!("ao 1 beats toward ao 0: {beat:?}");
@@ -344,8 +458,8 @@ mod tests {
         let mut k = NodeKernel::new(1);
         for i in 0..5 {
             k.spawn(ao(i), Time::ZERO, cfg(), None);
-            k.add_ref(ao(i), AoId::new(9, i));
-            k.add_ref(ao(i), AoId::new(2, i));
+            k.add_ref(Time::ZERO, ao(i), AoId::new(9, i));
+            k.add_ref(Time::ZERO, ao(i), AoId::new(2, i));
         }
         let units = tick(&mut k, Time::ZERO + TTB);
         assert_eq!((heartbeats_to(&units, 9), heartbeats_to(&units, 2)), (5, 5));
@@ -362,7 +476,7 @@ mod tests {
             for i in [5, 2, 7, 0, 3, 6, 1, 4] {
                 k.spawn(ao(i), Time::ZERO, cfg(), None);
                 for t in 0..=i % 3 {
-                    k.add_ref(ao(i), AoId::new(1, t));
+                    k.add_ref(Time::ZERO, ao(i), AoId::new(1, t));
                 }
             }
             k.set_idle(Time::ZERO, ao(4), true);
@@ -389,11 +503,296 @@ mod tests {
         let mut k = NodeKernel::new(1);
         for i in 0..3 {
             k.spawn(ao(i), Time::ZERO, cfg(), None);
-            k.add_ref(ao(i), AoId::new(1, 0));
+            k.add_ref(Time::ZERO, ao(i), AoId::new(1, 0));
         }
         let resumed = Time::ZERO + TTB.saturating_mul(5) + Dur::from_millis(40);
         assert_eq!(heartbeats_to(&tick(&mut k, resumed), 1), 3);
         assert!(tick(&mut k, resumed).is_empty(), "no catch-up ticks");
         assert_eq!(k.next_tick(), Some(resumed + TTB));
+    }
+
+    #[test]
+    fn a_new_edge_makes_its_referencer_due_now() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        let now = Time::ZERO + Dur::from_millis(30);
+        k.add_ref(now, ao(0), AoId::new(1, 0));
+        assert_eq!(k.next_tick(), Some(now));
+        assert_eq!(heartbeats_to(&tick(&mut k, now), 1), 1);
+        // Then the TTB cadence, counted from the early beat.
+        assert_eq!(k.next_tick(), Some(now + TTB));
+    }
+
+    #[test]
+    fn a_thousand_new_edges_in_one_turn_give_one_tick() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        let now = Time::ZERO + Dur::from_millis(30);
+        for i in 0..1_000 {
+            k.add_ref(now, ao(0), AoId::new(1, i));
+        }
+        assert_eq!(k.timers.len(), 1, "one index entry per endpoint");
+        // One beat to each target: a second tick would double it.
+        assert_eq!(heartbeats_to(&tick(&mut k, now), 1), 1_000);
+        assert!(tick(&mut k, now).is_empty());
+        assert_eq!(k.next_tick(), Some(now + TTB));
+    }
+
+    #[test]
+    fn re_deserializing_an_edge_does_not_move_its_timer() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        let edge_at = Time::ZERO + Dur::from_millis(30);
+        k.add_ref(edge_at, ao(0), AoId::new(1, 0));
+        // Still owed its first message: not new.
+        k.add_ref(edge_at + Dur::from_millis(5), ao(0), AoId::new(1, 0));
+        assert_eq!(k.next_tick(), Some(edge_at));
+        tick(&mut k, edge_at + Dur::from_millis(5));
+        // Held and beaten: not new either.
+        k.add_ref(edge_at + Dur::from_millis(50), ao(0), AoId::new(1, 0));
+        assert_eq!(k.next_tick(), Some(edge_at + TTB));
+    }
+
+    /// Delivers `units` inside the kernel at `now`, with everything the
+    /// deliveries emit in turn, until nothing is in flight.
+    fn deliver(k: &mut NodeKernel, now: Time, units: Vec<SweepUnit>) {
+        let mut in_flight: std::collections::VecDeque<SweepUnit> = units.into();
+        while let Some(SweepUnit { from, action }) = in_flight.pop_front() {
+            match action {
+                Action::SendMessage { to, message } => match k.on_message(now, to, &message) {
+                    Some(mut out) => {
+                        in_flight.extend(out.drain_units());
+                        k.recycle(out);
+                    }
+                    None => k.on_send_failure(from, to),
+                },
+                Action::SendResponse { to, response } => {
+                    for action in k.on_response(now, from, to, &response) {
+                        in_flight.push_back(SweepUnit { from: to, action });
+                    }
+                }
+                Action::Terminate { .. } => {}
+            }
+        }
+    }
+
+    #[test]
+    fn add_ref_on_an_absent_or_inactive_endpoint_changes_nothing() {
+        let mut k = NodeKernel::new(1);
+        let (a, b) = (ao(0), ao(1));
+        for id in [a, b] {
+            k.spawn(id, Time::ZERO, cfg(), None);
+            k.set_idle(Time::ZERO, id, true);
+        }
+        k.add_ref(Time::ZERO, a, b);
+        k.add_ref(Time::ZERO, b, a);
+        let is_dying = |k: &mut NodeKernel, id| {
+            matches!(
+                k.table.get_mut(id).map(|ep| ep.state.phase()),
+                Some(crate::protocol::Phase::Dying { .. })
+            )
+        };
+        let mut now = Time::ZERO;
+        while !is_dying(&mut k, a) && !is_dying(&mut k, b) {
+            now = k.next_tick().expect("the 2-cycle is still hosted");
+            assert!(
+                now < Time::from_secs(10),
+                "the idle 2-cycle reaches consensus"
+            );
+            let units = tick(&mut k, now);
+            deliver(&mut k, now, units);
+        }
+        let dying = if is_dying(&mut k, a) { a } else { b };
+        let before = (k.timers.clone(), k.hosted());
+        k.add_ref(now, dying, AoId::new(1, 0));
+        k.add_ref(now, ao(7), a);
+        assert_eq!((k.timers.clone(), k.hosted()), before);
+        let referenced = k.table.get_mut(dying).map(|ep| ep.state.referenced_count());
+        assert_eq!(referenced, Some(1), "no edge was added");
+    }
+
+    #[test]
+    fn spawning_an_id_twice_leaves_one_index_entry() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        assert_eq!((k.timers.len(), k.hosted()), (1, 1));
+        let later = Time::ZERO + Dur::from_millis(50);
+        k.spawn(ao(0), later, cfg(), None);
+        assert_eq!((k.timers.len(), k.hosted()), (1, 1));
+        assert_eq!(k.next_tick(), Some(later + TTB));
+    }
+
+    /// §7.1 adaptive timing with a busy referencer that gains a new edge
+    /// on each of several consecutive turns: every early beat is one more
+    /// adaptation step (busy backs off by a quarter), yet every gap
+    /// between beats stays within the TTB the previous beat announced,
+    /// and the TTB never passes `max_ttb`.
+    #[test]
+    fn early_beats_keep_adaptive_gaps_within_the_announced_ttb() {
+        let max_ttb = Dur::from_millis(200);
+        let config = DgcConfig::builder()
+            .ttb(TTB)
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(20))
+            .timing(crate::config::TimingMode::Adaptive {
+                min_ttb: Dur::from_millis(20),
+                max_ttb,
+            })
+            .build();
+        config.validate().expect("safe");
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, config, None);
+        let turn = Dur::from_millis(30);
+        let mut beats: Vec<(Time, Dur)> = Vec::new();
+        let mut record = |now: Time, units: Vec<SweepUnit>| {
+            let announced = units.iter().find_map(|u| match u.action {
+                Action::SendMessage { message, .. } => Some(message.sender_ttb),
+                _ => None,
+            });
+            if let Some(ttb) = announced {
+                beats.push((now, ttb));
+            }
+        };
+        for i in 0..8u32 {
+            let now = Time::ZERO + TTB + turn.saturating_mul(i as u64);
+            while let Some(due) = k.next_tick().filter(|&t| t < now) {
+                record(due, tick(&mut k, due));
+            }
+            k.add_ref(now, ao(0), AoId::new(1, i));
+            record(now, tick(&mut k, now));
+        }
+        for _ in 0..10 {
+            let due = k.next_tick().expect("a busy activity is hosted");
+            record(due, tick(&mut k, due));
+        }
+        assert!(beats.len() >= 18, "{beats:?}");
+        let mut expected = TTB;
+        for (i, &(_, ttb)) in beats.iter().enumerate() {
+            // One step per tick, early or scheduled.
+            expected = max_ttb.min(expected.saturating_add(expected.div(4)));
+            assert_eq!(ttb, expected, "beat {i}");
+            assert!(ttb <= max_ttb);
+        }
+        for pair in beats.windows(2) {
+            let ((prev, announced), (next, _)) = (pair[0], pair[1]);
+            assert!(next.since(prev) <= announced, "{pair:?}");
+        }
+    }
+
+    /// The old linear-scan kernel, kept as the index's reference model:
+    /// every tick filters all endpoints and the next tick is a `min`.
+    #[derive(Default)]
+    struct ScanModel {
+        endpoints: BTreeMap<AoId, Endpoint>,
+        scratch: crate::sweep::SweepScratch,
+    }
+
+    impl ScanModel {
+        fn spawn(&mut self, id: AoId, now: Time, config: DgcConfig) {
+            let ep = Endpoint {
+                state: DgcState::new(id, now, config),
+                idle: false,
+                next_tick: now + config.ttb,
+            };
+            self.endpoints.insert(id, ep);
+        }
+
+        fn add_ref(&mut self, now: Time, from: AoId, to: AoId) {
+            if let Some(ep) = self.endpoints.get_mut(&from) {
+                if ep.state.on_stub_deserialized(to) {
+                    ep.next_tick = ep.next_tick.min(now);
+                }
+            }
+        }
+
+        fn drop_ref(&mut self, from: AoId, to: AoId) {
+            if let Some(ep) = self.endpoints.get_mut(&from) {
+                ep.state.on_stubs_collected(to);
+            }
+        }
+
+        fn set_idle(&mut self, now: Time, id: AoId, idle: bool) {
+            if let Some(ep) = self.endpoints.get_mut(&id) {
+                if idle && !ep.idle {
+                    ep.state.on_became_idle(now);
+                }
+                ep.idle = idle;
+            }
+        }
+
+        fn tick_due(&mut self, now: Time) -> Vec<SweepUnit> {
+            let mut units = Vec::new();
+            for ep in self.endpoints.values_mut() {
+                if ep.next_tick <= now {
+                    ep.state
+                        .on_tick_into(now, ep.idle, &mut self.scratch, &mut units);
+                    ep.next_tick = rearm(ep.next_tick, now, ep.state.current_ttb());
+                }
+            }
+            self.endpoints.retain(|_, ep| !ep.state.is_dead());
+            units
+        }
+
+        fn next_tick(&self) -> Option<Time> {
+            self.endpoints.values().map(|ep| ep.next_tick).min()
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// One scripted step: `(op, activity, other, advance ms)`.
+        type Step = (u8, u32, u32, u64);
+
+        /// Runs `script` on a kernel with `shards` and on the model,
+        /// comparing everything observable after every step.
+        fn replay(script: &[Step], shards: usize) -> Result<(), TestCaseError> {
+            let mut k = NodeKernel::new(shards);
+            let mut model = ScanModel::default();
+            let mut now = Time::ZERO;
+            for (i, &(op, a, b, advance)) in script.iter().enumerate() {
+                // Ids 0..6 live here; 6.. name activities on node 1.
+                let target = if b < 6 { ao(b) } else { AoId::new(1, b) };
+                match op {
+                    0 => {
+                        k.spawn(ao(a), now, cfg(), None);
+                        model.spawn(ao(a), now, cfg());
+                    }
+                    1 | 2 => {
+                        k.add_ref(now, ao(a), target);
+                        model.add_ref(now, ao(a), target);
+                    }
+                    3 => {
+                        k.drop_ref(ao(a), target);
+                        model.drop_ref(ao(a), target);
+                    }
+                    4 => {
+                        k.set_idle(now, ao(a), b % 2 == 0);
+                        model.set_idle(now, ao(a), b % 2 == 0);
+                    }
+                    _ => {
+                        now = now + Dur::from_millis(advance);
+                        prop_assert_eq!(tick(&mut k, now), model.tick_due(now), "step {}", i);
+                    }
+                }
+                prop_assert_eq!(k.next_tick(), model.next_tick(), "step {}", i);
+                prop_assert_eq!(k.hosted(), model.endpoints.len(), "step {}", i);
+                prop_assert_eq!(k.timers.len(), k.hosted(), "step {}: one entry each", i);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn the_index_matches_a_linear_scan(
+                script in proptest::collection::vec((0u8..8, 0u32..6, 0u32..9, 0u64..300), 1..80),
+            ) {
+                replay(&script, 1)?;
+                replay(&script, 4)?;
+            }
+        }
     }
 }

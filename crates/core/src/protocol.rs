@@ -111,11 +111,14 @@ impl DgcState {
 
     /// A stub for `target` was deserialized by this activity: add the
     /// edge and guarantee one DGC message at the next broadcast (§3.1).
-    pub fn on_stub_deserialized(&mut self, target: AoId) {
+    /// Returns `true` when the edge is new — one this activity did not
+    /// already hold or still owe a message — and `false` otherwise,
+    /// including when the endpoint is no longer active.
+    pub fn on_stub_deserialized(&mut self, target: AoId) -> bool {
         if self.phase != Phase::Active {
-            return;
+            return false;
         }
-        self.referenced.on_stub_deserialized(target);
+        self.referenced.on_stub_deserialized(target)
     }
 
     /// The local collector reports that all stubs for `target` (the

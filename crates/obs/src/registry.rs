@@ -66,20 +66,17 @@ impl Registry {
     /// The counter named `name`, created zeroed on first use. Cache
     /// the returned handle; lookups lock.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut t = self.inner.tables.lock();
-        t.counters.entry(name.to_string()).or_default().clone()
+        handle(&mut self.inner.tables.lock().counters, name)
     }
 
     /// The gauge named `name`, created zeroed on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut t = self.inner.tables.lock();
-        t.gauges.entry(name.to_string()).or_default().clone()
+        handle(&mut self.inner.tables.lock().gauges, name)
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut t = self.inner.tables.lock();
-        t.histograms.entry(name.to_string()).or_default().clone()
+        handle(&mut self.inner.tables.lock().histograms, name)
     }
 
     /// This node's tracer.
@@ -137,6 +134,15 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// The handle named `name` in `table`, created on first use; the key
+/// is allocated only then, so a repeated lookup costs no `String`.
+fn handle<T: Clone + Default>(table: &mut BTreeMap<String, T>, name: &str) -> T {
+    if let Some(found) = table.get(name) {
+        return found.clone();
+    }
+    table.entry(name.to_owned()).or_default().clone()
 }
 
 /// An immutable copy of a registry's metrics, mergeable across nodes.
@@ -255,6 +261,25 @@ mod tests {
         a.add(2);
         b.incr();
         assert_eq!(r.snapshot().counter("net.frames_sent"), 3);
+    }
+
+    /// A lookup of an existing name hands back the registered handle
+    /// (what one records, the other reads) and adds no second key.
+    #[test]
+    fn repeated_lookups_share_one_handle_and_one_key() {
+        let r = Registry::default();
+        for _ in 0..3 {
+            r.counter("dgc.collected.acyclic").incr();
+            r.gauge("egress.pending").add(2);
+            r.histogram("dgc.ttb_round_ns").record(7);
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.counter("dgc.collected.acyclic"), 3);
+        assert_eq!(snap.gauge("egress.pending"), 6);
+        assert_eq!(snap.histogram("dgc.ttb_round_ns").count, 3);
     }
 
     #[test]

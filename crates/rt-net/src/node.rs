@@ -409,6 +409,7 @@ impl NetNode {
             pipeline: Pipeline::new(),
             tenants: TenantMap::default(),
             ledger,
+            dgc_obs: DgcObs::new(&obs),
             obs: obs.clone(),
             epoch,
             membership,
@@ -840,6 +841,9 @@ struct Worker {
     ledger: TenantLedger,
     /// The node's telemetry plane (shared with the handle).
     obs: Registry,
+    /// The DGC handles every hosted activity records into, resolved
+    /// against `obs` once.
+    dgc_obs: DgcObs,
     epoch: Instant,
     membership: Option<Membership>,
     next_member_tick: Option<Time>,
@@ -1480,9 +1484,8 @@ impl Worker {
             }
             Event::AddActivity { id } => {
                 self.trace(TraceLevel::Debug, "spawn", || format!("ao {id}"));
-                let obs = DgcObs::new(&self.obs);
                 self.kernel
-                    .spawn(id, self.now(), self.config.dgc, Some(obs));
+                    .spawn(id, self.now(), self.config.dgc, Some(self.dgc_obs.clone()));
             }
             Event::SetIdle { ao, idle } => self.kernel.set_idle(self.now(), ao, idle),
             Event::AddRef { from, to } => {
@@ -1497,7 +1500,7 @@ impl Worker {
                         format!("cross-tenant ref {from} -> {to}")
                     });
                 } else {
-                    self.kernel.add_ref(from, to);
+                    self.kernel.add_ref(self.now(), from, to);
                 }
             }
             Event::DropRef { from, to } => self.kernel.drop_ref(from, to),

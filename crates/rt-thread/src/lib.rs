@@ -142,7 +142,7 @@ impl NodeWorker {
             NodeMsg::Shutdown => return false,
             NodeMsg::AddActivity { id } => self.kernel.spawn(id, now, self.config, None),
             NodeMsg::SetIdle { ao, idle } => self.kernel.set_idle(now, ao, idle),
-            NodeMsg::AddRef { from, to } => self.kernel.add_ref(from, to),
+            NodeMsg::AddRef { from, to } => self.kernel.add_ref(now, from, to),
             NodeMsg::DropRef { from, to } => self.kernel.drop_ref(from, to),
             NodeMsg::Dgc { from, to, message } => {
                 match self.kernel.on_message(now, to, &message) {
