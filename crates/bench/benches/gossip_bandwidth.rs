@@ -18,7 +18,7 @@
 use dgc_core::egress::{EgressClass, FlushPolicy, Outbox};
 use dgc_core::units::{Dur, Time};
 use dgc_membership::{wire as membership_wire, GossipOut, Membership, MembershipConfig};
-use dgc_rt_net::frame::FRAME_OVERHEAD;
+use dgc_rt_net::frame::encode_batch_frame;
 
 fn ms(v: u64) -> Time {
     Time::from_nanos(v * 1_000_000)
@@ -103,16 +103,18 @@ fn steady_state_table() -> (f64, f64, f64) {
 }
 
 /// Frame accounting for the piggyback: a digest flushed standalone pays
-/// frame overhead; a digest riding an app-send flush pays none. Uses
-/// the same `Outbox` both runtimes drive, with the socket frame
-/// overhead model `frame_props::batching_saves_exact_framing_overhead`
-/// pins.
+/// a frame header; a digest riding an app-send flush pays none. Uses
+/// the same `Outbox` both runtimes drive, with the socket frame header
+/// `frame_props::batching_saves_exact_framing_overhead` pins.
 /// Returns `(standalone frame-overhead bytes, digests that rode)` for
 /// the recorded report.
 fn piggyback_accounting() -> (u64, u64) {
     const DIGEST_BYTES: u64 = 19; // steady-state heartbeat digest
     const ROUNDS: u64 = 1000;
     let policy = FlushPolicy::default();
+    // What a one-digest frame adds to the digest: `len`, the batch tag
+    // and a one-byte item count, the header of any frame under 128 items.
+    let frame_header = encode_batch_frame(&[]).len() as u64;
 
     // Standalone: gossip with no app traffic to ride — every digest
     // flushes alone at max-delay and pays a frame of its own.
@@ -139,13 +141,11 @@ fn piggyback_accounting() -> (u64, u64) {
 
     // Frames the *gossip* pays for: all of them standalone; none when
     // piggybacked (the app frames were being sent anyway).
-    let standalone_overhead = st.flushes * FRAME_OVERHEAD;
+    let standalone_overhead = st.flushes * frame_header;
     let piggy_gossip_frames = pg.flushes - ROUNDS; // app frames excluded
-    let piggy_overhead = piggy_gossip_frames * FRAME_OVERHEAD;
+    let piggy_overhead = piggy_gossip_frames * frame_header;
     println!();
-    println!(
-        "piggyback accounting over {ROUNDS} gossip rounds (frame overhead {FRAME_OVERHEAD} B):"
-    );
+    println!("piggyback accounting over {ROUNDS} gossip rounds (frame header {frame_header} B):");
     println!(
         "  standalone:  {:>5} gossip frames, {:>6} B frame overhead",
         st.flushes, standalone_overhead

@@ -292,9 +292,11 @@ mod tests {
     }
 
     /// A ring whose members are idle from the moment they are wired:
-    /// each new edge beats on the turn that created it, so the last
-    /// member goes exactly this long after creation — one TTB sooner
-    /// than if the first beats waited out a whole TTB.
+    /// each new edge beats on the turn that created it, and the last
+    /// member learns the consensus from a response 2 ms after a tick (a
+    /// 1 ms hop each way) and goes exactly TTA after that response — not
+    /// on the first cadence tick after it — so it goes exactly this long
+    /// after creation.
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()
@@ -302,7 +304,7 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2, 900), (4, 1_600)] {
+        for (n, lifetime_ms) in [(2, 802), (4, 1_502)] {
             let mut h = Harness::new(Dur::from_millis(1));
             let created = h.now();
             let ids = h.add_many(n, config);

@@ -18,11 +18,11 @@
 //! (By value, because the host's router needs the whole host mutably
 //! while it drains.)
 //!
-//! Only a tick terminates an activity (Algorithm 2 — a propagated
-//! consensus makes it *dying*, and the TTA wait ends on a later tick),
-//! so `tick_due` is where endpoints leave the table: by the time the
-//! host sees an [`Action::Terminate`] the endpoint and its timer are
-//! gone, and a later message to it is "no such target".
+//! Only a tick terminates an activity (Algorithm 2 — a consensus makes
+//! it *dying*, and the TTA wait ends on a later tick), so `tick_due` is
+//! where endpoints leave the table: by the time the host sees an
+//! [`Action::Terminate`] the endpoint and its timer are gone, and a
+//! later message to it is "no such target".
 //!
 //! The timers are one due-time index of `(next_tick, id)`, one entry per
 //! hosted endpoint: [`NodeKernel::next_tick`] reads its first entry and
@@ -34,6 +34,15 @@
 //! it instead of up to one TTB later, and the cadence restarts from
 //! there. Running Algorithm 2 early is safe: its every check compares
 //! elapsed time with TTA or TTB, and an early beat only shortens a gap.
+//!
+//! **A dying endpoint's timer is its TTA deadline.** It sends nothing
+//! while it waits, so instead of ticking every TTB its one index entry
+//! moves to `since + TTA` ([`DgcState::dying_deadline`]) — on the tick
+//! that detects the consensus, and in [`NodeKernel::on_response`] when a
+//! propagated consensus arrives between ticks — and the tick at that
+//! instant terminates it. A member that learns the consensus from a
+//! response therefore goes exactly TTA later, not on the first cadence
+//! tick after that, up to one TTB late.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -75,6 +84,21 @@ fn rearm(scheduled: Time, now: Time, ttb: Dur) -> Time {
     } else {
         now + ttb
     }
+}
+
+/// When an endpoint that has just been ticked at `now` is due next: its
+/// TTA deadline while dying, the TTB cadence ([`rearm`]) otherwise.
+fn next_due(ep: &Endpoint, now: Time) -> Time {
+    ep.state
+        .dying_deadline()
+        .unwrap_or_else(|| rearm(ep.next_tick, now, ep.state.current_ttb()))
+}
+
+/// Moves `id`'s one index entry from `ep.next_tick` to `at`.
+fn reschedule(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint, at: Time) {
+    timers.remove(&(ep.next_tick, id));
+    ep.next_tick = at;
+    timers.insert((at, id));
 }
 
 /// The hosted endpoints, densely packed in no particular order, and
@@ -230,9 +254,7 @@ impl NodeKernel {
             return;
         };
         if ep.state.on_stub_deserialized(to) && ep.next_tick > now {
-            self.timers.remove(&(ep.next_tick, from));
-            ep.next_tick = now;
-            self.timers.insert((now, from));
+            reschedule(&mut self.timers, from, ep, now);
         }
     }
 
@@ -255,7 +277,9 @@ impl NodeKernel {
     }
 
     /// Delivers the DGC response `from` sent to `to`; returns what `to`
-    /// wants done (nothing if it is not hosted).
+    /// wants done (nothing if it is not hosted). A response that
+    /// propagates a consensus makes `to` dying, and its timer moves to
+    /// the end of its TTA wait.
     pub fn on_response(
         &mut self,
         now: Time,
@@ -263,10 +287,14 @@ impl NodeKernel {
         to: AoId,
         response: &DgcResponse,
     ) -> Vec<Action> {
-        match self.table.get_mut(to) {
-            Some(ep) => ep.state.on_response(now, from, response, ep.idle),
-            None => Vec::new(),
+        let Some(ep) = self.table.get_mut(to) else {
+            return Vec::new();
+        };
+        let actions = ep.state.on_response(now, from, response, ep.idle);
+        if let Some(deadline) = ep.state.dying_deadline() {
+            reschedule(&mut self.timers, to, ep, deadline);
         }
+        actions
     }
 
     /// A message from `holder` to `target` could not be delivered:
@@ -289,8 +317,9 @@ impl NodeKernel {
     /// batched sweep**: the due entries leave the index, their
     /// endpoints are ticked in place through `on_tick_into` in ascending
     /// activity-id order (across the configured shards), each survivor
-    /// is re-armed by [`rearm`] and re-indexed, the terminated ones are
-    /// removed. The returned pools hold every emitted unit in exactly
+    /// is re-armed — by [`rearm`], or at its TTA deadline if it is
+    /// dying — and re-indexed, the terminated ones are removed. The
+    /// returned pools hold every emitted unit in exactly
     /// the order a sequential sweep would have produced — all of a
     /// sweep's units reach the host before it routes any, which is what
     /// lets its egress coalesce a whole sweep into one frame. Drain
@@ -313,7 +342,7 @@ impl NodeKernel {
         let mut due = self.table.many_mut(&self.due);
         sweep_sharded(&mut due, self.shards, &mut out, |ep, scratch, units| {
             ep.state.on_tick_into(now, ep.idle, scratch, units);
-            ep.next_tick = rearm(ep.next_tick, now, ep.state.current_ttb());
+            ep.next_tick = next_due(ep, now);
         });
         for ep in due {
             let id = ep.state.id();
@@ -611,6 +640,70 @@ mod tests {
         assert_eq!(referenced, Some(1), "no edge was added");
     }
 
+    /// §4.3 with the wait counted from the response: a member that learns
+    /// the consensus from a response between ticks is due exactly TTA
+    /// later — its one index entry moves there — and terminates on that
+    /// tick, not on the first cadence tick after it.
+    #[test]
+    fn a_propagated_dying_endpoint_terminates_at_its_deadline() {
+        let tta = cfg().tta;
+        let mut k = NodeKernel::new(1);
+        let (a, b) = (ao(0), ao(1));
+        for id in [a, b] {
+            k.spawn(id, Time::ZERO, cfg(), None);
+            k.set_idle(Time::ZERO, id, true);
+        }
+        k.add_ref(Time::ZERO, a, b);
+        k.add_ref(Time::ZERO, b, a);
+        let propagated_since =
+            |k: &mut NodeKernel, id| match k.table.get_mut(id).map(|ep| ep.state.phase()) {
+                Some(crate::protocol::Phase::Dying {
+                    since,
+                    reason: TerminateReason::CyclicPropagated,
+                }) => Some(since),
+                _ => None,
+            };
+        let (member, since) = loop {
+            if let Some(found) = [a, b]
+                .into_iter()
+                .find_map(|id| propagated_since(&mut k, id).map(|since| (id, since)))
+            {
+                break found;
+            }
+            let due = k.next_tick().expect("the 2-cycle is still hosted");
+            assert!(
+                due < Time::from_secs(10),
+                "the idle 2-cycle reaches consensus"
+            );
+            let units = tick(&mut k, due);
+            // The responses arrive 2 ms after the sweep, as over a link.
+            deliver(&mut k, due + Dur::from_millis(2), units);
+        };
+        let deadline = since + tta;
+        let entries: Vec<Time> = k
+            .timers
+            .iter()
+            .filter(|&&(_, id)| id == member)
+            .map(|&(at, _)| at)
+            .collect();
+        assert_eq!(entries, vec![deadline], "one index entry, at the deadline");
+        // Whatever else is due first, the member is not ticked before.
+        while let Some(due) = k.next_tick().filter(|&at| at < deadline) {
+            let units = tick(&mut k, due);
+            assert!(units.iter().all(|u| u.from != member), "{units:?}");
+        }
+        assert!(k.hosts(member));
+        let units = tick(&mut k, deadline);
+        assert!(units.iter().any(|u| u.from == member
+            && matches!(
+                u.action,
+                Action::Terminate {
+                    reason: TerminateReason::CyclicPropagated
+                }
+            )));
+        assert!(!k.hosts(member));
+    }
+
     #[test]
     fn spawning_an_id_twice_leaves_one_index_entry() {
         let mut k = NodeKernel::new(1);
@@ -727,11 +820,48 @@ mod tests {
                 if ep.next_tick <= now {
                     ep.state
                         .on_tick_into(now, ep.idle, &mut self.scratch, &mut units);
-                    ep.next_tick = rearm(ep.next_tick, now, ep.state.current_ttb());
+                    ep.next_tick = match ep.state.dying_deadline() {
+                        Some(deadline) => deadline,
+                        None => rearm(ep.next_tick, now, ep.state.current_ttb()),
+                    };
                 }
             }
             self.endpoints.retain(|_, ep| !ep.state.is_dead());
             units
+        }
+
+        /// [`deliver`] over the model: a dying endpoint's next tick is
+        /// its deadline from the moment a response makes it dying.
+        fn deliver(&mut self, now: Time, units: Vec<SweepUnit>) {
+            let mut in_flight: std::collections::VecDeque<SweepUnit> = units.into();
+            while let Some(SweepUnit { from, action }) = in_flight.pop_front() {
+                match action {
+                    Action::SendMessage { to, message } => match self.endpoints.get_mut(&to) {
+                        Some(ep) => {
+                            let from = ep.state.id();
+                            for action in ep.state.on_message(now, &message) {
+                                in_flight.push_back(SweepUnit { from, action });
+                            }
+                        }
+                        None => {
+                            if let Some(ep) = self.endpoints.get_mut(&from) {
+                                ep.state.on_send_failure(to);
+                            }
+                        }
+                    },
+                    Action::SendResponse { to, response } => {
+                        if let Some(ep) = self.endpoints.get_mut(&to) {
+                            for action in ep.state.on_response(now, from, &response, ep.idle) {
+                                in_flight.push_back(SweepUnit { from: to, action });
+                            }
+                            if let Some(deadline) = ep.state.dying_deadline() {
+                                ep.next_tick = deadline;
+                            }
+                        }
+                    }
+                    Action::Terminate { .. } => {}
+                }
+            }
         }
 
         fn next_tick(&self) -> Option<Time> {
@@ -774,22 +904,55 @@ mod tests {
                         model.set_idle(now, ao(a), b % 2 == 0);
                     }
                     _ => {
-                        now = now + Dur::from_millis(advance);
-                        prop_assert_eq!(tick(&mut k, now), model.tick_due(now), "step {}", i);
+                        // 5..8 advance by the step's amount; 8.. wake
+                        // exactly when the next endpoint is due, as a
+                        // host does.
+                        now = match k.next_tick() {
+                            Some(due) if op >= 8 => due.max(now),
+                            _ => now + Dur::from_millis(advance),
+                        };
+                        let units = tick(&mut k, now);
+                        prop_assert_eq!(&units, &model.tick_due(now), "step {}", i);
+                        if op != 5 {
+                            // Delivered a moment after the sweep, as
+                            // over a link.
+                            now = now + Dur::from_millis(2);
+                            deliver(&mut k, now, units.clone());
+                            model.deliver(now, units);
+                        }
                     }
                 }
                 prop_assert_eq!(k.next_tick(), model.next_tick(), "step {}", i);
                 prop_assert_eq!(k.hosted(), model.endpoints.len(), "step {}", i);
                 prop_assert_eq!(k.timers.len(), k.hosted(), "step {}: one entry each", i);
+                for ep in &k.table.slots {
+                    let id = ep.state.id();
+                    prop_assert!(k.timers.contains(&(ep.next_tick, id)), "step {}", i);
+                    if let Some(deadline) = ep.state.dying_deadline() {
+                        prop_assert_eq!(ep.next_tick, deadline, "step {}: {:?} dying", i, id);
+                    }
+                }
             }
             Ok(())
         }
 
         proptest! {
+            /// Each script starts from an idle local ring of `ring`
+            /// members (none below two) and `settle` host wake-ups, so
+            /// consensus, propagation and the TTA wait happen among the
+            /// random steps that follow.
             #[test]
             fn the_index_matches_a_linear_scan(
-                script in proptest::collection::vec((0u8..8, 0u32..6, 0u32..9, 0u64..300), 1..80),
+                ring in 0u32..6,
+                settle in 0usize..12,
+                script in proptest::collection::vec((0u8..11, 0u32..6, 0u32..9, 0u64..300), 1..80),
             ) {
+                let members = if ring < 2 { 0 } else { ring };
+                let wire = (0..members).flat_map(|m| {
+                    [(0, m, 0, 0), (1, m, (m + 1) % members, 0), (4, m, 0, 0)]
+                });
+                let wake = std::iter::repeat_n((8, 0, 0, 0), settle);
+                let script: Vec<Step> = wire.chain(wake).chain(script).collect();
                 replay(&script, 1)?;
                 replay(&script, 4)?;
             }

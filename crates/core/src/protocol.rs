@@ -678,6 +678,16 @@ impl DgcState {
         self.phase == Phase::Dead
     }
 
+    /// When a dying endpoint's §4.3 TTA wait ends: the first tick at or
+    /// after this instant terminates it, and no earlier tick does
+    /// anything. `None` unless dying.
+    pub fn dying_deadline(&self) -> Option<Time> {
+        match self.phase {
+            Phase::Dying { since, .. } => Some(since + self.config.tta),
+            Phase::Active | Phase::Dead => None,
+        }
+    }
+
     /// The heartbeat period the runtime should use for the next tick
     /// (constant unless the adaptive mode is on).
     pub fn current_ttb(&self) -> Dur {

@@ -10,14 +10,15 @@
 //! payloads) shares a single frame, its overhead, and its *context*: a
 //! field the frame has already stated is not stated again.
 //!
-//! Layout, length-prefixed for TCP. `len`, `count` and the handshake
-//! frames are fixed-width big-endian; everything inside an item is an
-//! LEB128 varint (`v(..)`, [`dgc_core::wire::put_varint`]):
+//! Layout, length-prefixed for TCP. `len` and the handshake frames are
+//! fixed-width big-endian; the batch `count` and everything inside an
+//! item is an LEB128 varint (`v(..)`, [`dgc_core::wire::put_varint`]):
 //!
 //! ```text
 //! frame    := len(4) payload            len = payload size in bytes
 //! payload  := 0xF0 version(1) node(4)                      -- Hello
-//!           | 0xF1 count(4) item*                          -- Batch
+//!           | 0xF1 v(count) item*                          -- Batch
+//!           | 0xF5 v(count) item*                          -- Batch, with depth
 //!           | 0xF2 nonce(16)                               -- AuthInit
 //!           | 0xF3 nonce(16) mac(32)                       -- AuthChallenge
 //!           | 0xF4 mac(32)                                 -- AuthProof
@@ -25,12 +26,14 @@
 //!
 //! kind (bits 0-2)   body, `[x]` = absent when its flag is set
 //!   1 Dgc           [from] [to] [clock] [ttb]
-//!   2 Resp          [from] [to] [clock] depth
+//!   2 Resp          [from] [to] [clock] {depth}
 //!   3 SendFailure   [target] [holder]       target as `from`, holder as `to`
 //!   4 Gossip        v(from) v(to) digest
 //!   5 App           [from] [to] v(tenant) v(len) bytes
 //!   6 Dgc           [from] [to] sender [clock] [ttb]       sender != from
-//!   7 Resp          [from] [to] responder [clock] depth    responder != from
+//!   7 Resp          [from] [to] responder [clock] {depth}  responder != from
+//!
+//! {depth}           present in every Resp of a 0xF5 batch, absent in 0xF1
 //!
 //! flags (bits 3-7)  3 SAME_FROM   4 SAME_TO       (kinds 1 2 3 5 6 7)
 //!                   5 SAME_CLOCK                  (Dgc, Resp)
@@ -68,9 +71,23 @@
 //! layer salvages and re-sends after a reconnect, so each must decode on
 //! its own;
 //! a "same as previous" flag with no previous item in the frame is
-//! [`DecodeError::NoContext`]. `len` and `count` stay fixed-width so
-//! [`FRAME_OVERHEAD`] is a constant and [`FrameDecoder`] finds frame
-//! boundaries without decoding.
+//! [`DecodeError::NoContext`]. `len` stays fixed-width so
+//! [`FrameDecoder`] finds frame boundaries without decoding.
+//!
+//! **A response's depth travels only when someone sent one.** The
+//! spanning-tree depth is set only under `ParentPolicy::MinDepth`; under
+//! the default policy every response's depth is `None`. The encoder
+//! picks the tag per frame: `0xF5` when some `Resp` in the batch has a
+//! depth, and then every `Resp` in it carries the field (`v(0)` for
+//! none), otherwise `0xF1` and no `Resp` does. Decoding an `0xF1` batch
+//! yields `depth: None` for every response.
+//!
+//! **The count stays, as a varint.** Without it a payload cut at an item
+//! boundary — a corrupted length prefix — would decode as a valid,
+//! shorter batch and drop the units behind the cut silently; with it,
+//! the cut is [`DecodeError::Truncated`]. A count past `u32` is
+//! [`DecodeError::Overflow`], one past [`MAX_BATCH_ITEMS`] is refused
+//! before anything is allocated for it.
 //!
 //! The `Auth*` frames carry the `dgc-plane` pre-shared-key handshake
 //! (HMAC-SHA256 challenge/response) that follows `Hello` on links with
@@ -96,9 +113,11 @@ use dgc_membership::Digest;
 
 /// Protocol version carried by [`Frame::Hello`]; bumped on any layout
 /// change so mismatched nodes fail the handshake instead of
-/// misinterpreting frames. Version 4: context-compressed batch items
-/// (varints, intra-item elision, previous-item delta).
-pub const PROTOCOL_VERSION: u8 = 4;
+/// misinterpreting frames. Version 5: context-compressed batch items
+/// (varints, intra-item elision, previous-item delta) behind a varint
+/// item count, with a response's depth carried only in batches tagged
+/// `0xF5` — those that hold a response with a depth.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Frame tag bytes (disjoint from `dgc_core::wire`'s unit tags).
 const TAG_HELLO: u8 = 0xF0;
@@ -106,6 +125,8 @@ const TAG_BATCH: u8 = 0xF1;
 const TAG_AUTH_INIT: u8 = 0xF2;
 const TAG_AUTH_CHALLENGE: u8 = 0xF3;
 const TAG_AUTH_PROOF: u8 = 0xF4;
+/// A batch whose every `Resp` carries its depth.
+const TAG_BATCH_DEPTH: u8 = 0xF5;
 
 /// Length of an auth handshake nonce (`dgc_plane::auth::NONCE_LEN`).
 pub const AUTH_NONCE_LEN: usize = 16;
@@ -241,14 +262,16 @@ impl Item {
     }
 
     /// Bytes this item adds to a frame when nothing can be elided from
-    /// its predecessor — its exact size as the first item of a frame,
-    /// and an upper bound anywhere else. This is what the egress plane
-    /// charges against its byte bound and what [`split_len`] sums, so
-    /// no frame can outgrow [`MAX_BYTES_PER_FRAME`]; what a link really
-    /// wrote is `NetStats::bytes_sent`.
+    /// its predecessor and a `Resp` carries its depth field — its exact
+    /// size as the first item of a frame (one byte less for a `Resp`
+    /// without a depth, which is framed without the field), and an
+    /// upper bound anywhere else. This is what the egress plane charges
+    /// against its byte bound and what [`split_len`] sums, so no frame
+    /// can outgrow [`MAX_BYTES_PER_FRAME`]; what a link really wrote is
+    /// `NetStats::bytes_sent`.
     pub fn wire_size(&self) -> u64 {
         let mut size = ByteCount(0);
-        put_item(&mut size, &mut Prev::default(), self);
+        put_item(&mut size, &mut Prev::new(true), self);
         size.0
     }
 }
@@ -298,13 +321,24 @@ pub enum Frame {
 }
 
 /// The context one frame builds up: the value of each delta-coded field
-/// in the most recent item that carried it. Starts empty at every frame.
+/// in the most recent item that carried it, and whether the frame's
+/// responses carry a depth (its tag). Starts empty at every frame.
 #[derive(Default)]
 struct Prev {
     from: Option<AoId>,
     to: Option<AoId>,
     clock: Option<NamedClock>,
     ttb: Option<Dur>,
+    depth: bool,
+}
+
+impl Prev {
+    fn new(depth: bool) -> Self {
+        Prev {
+            depth,
+            ..Prev::default()
+        }
+    }
 }
 
 /// `flag` if `on`, for assembling a head byte.
@@ -414,7 +448,9 @@ fn put_item(buf: &mut impl BufMut, prev: &mut Prev, item: &Item) {
                 response.responder,
                 response.clock,
             );
-            put_varint(buf, response.depth.map_or(0, |d| u64::from(d) + 1));
+            if prev.depth {
+                put_varint(buf, response.depth.map_or(0, |d| u64::from(d) + 1));
+            }
         }
         Item::SendFailure { holder, target } => put_head(buf, prev, ITEM_FAIL, *target, *holder),
         Item::Gossip { from, to, digest } => {
@@ -525,11 +561,15 @@ fn get_item(buf: &mut Bytes, prev: &mut Prev) -> Result<Item, DecodeError> {
         }
         ITEM_RESP | ITEM_RESP_DETACHED => {
             let (responder, clock) = get_unit(buf, prev, head, kind == ITEM_RESP_DETACHED, from)?;
-            let depth = get_varint(buf)?
-                .checked_sub(1)
-                .map(u32::try_from)
-                .transpose()
-                .map_err(|_| DecodeError::Overflow)?;
+            let depth = if prev.depth {
+                get_varint(buf)?
+                    .checked_sub(1)
+                    .map(u32::try_from)
+                    .transpose()
+                    .map_err(|_| DecodeError::Overflow)?
+            } else {
+                None
+            };
             let response = DgcResponse {
                 responder,
                 clock,
@@ -572,9 +612,12 @@ fn put_batch(buf: &mut impl BufMut, items: &[Item]) {
         "batch of {} items exceeds MAX_BATCH_ITEMS",
         items.len()
     );
-    buf.put_u8(TAG_BATCH);
-    buf.put_u32(items.len() as u32);
-    let mut prev = Prev::default();
+    let depth = items
+        .iter()
+        .any(|item| matches!(item, Item::Resp { response, .. } if response.depth.is_some()));
+    buf.put_u8(if depth { TAG_BATCH_DEPTH } else { TAG_BATCH });
+    put_varint(buf, items.len() as u64);
+    let mut prev = Prev::new(depth);
     for item in items {
         put_item(buf, &mut prev, item);
     }
@@ -637,13 +680,10 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
             let node = buf.get_u32();
             Frame::Hello { node, version }
         }
-        TAG_BATCH => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = buf.get_u32();
+        tag @ (TAG_BATCH | TAG_BATCH_DEPTH) => {
+            let count = get_varint_u32(&mut buf)?;
             if count > MAX_BATCH_ITEMS {
-                return Err(DecodeError::BadTag(TAG_BATCH));
+                return Err(DecodeError::BadTag(tag));
             }
             // Every item is at least its head byte: a count the payload
             // cannot hold is refused before anything is allocated for it.
@@ -651,7 +691,7 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
                 return Err(DecodeError::Truncated);
             }
             let mut items = Vec::with_capacity((count as usize).min(MAX_ITEMS_PER_FRAME));
-            let mut prev = Prev::default();
+            let mut prev = Prev::new(tag == TAG_BATCH_DEPTH);
             for _ in 0..count {
                 items.push(get_item(&mut buf, &mut prev)?);
             }
@@ -706,11 +746,13 @@ pub fn encode_batch_frame(items: &[Item]) -> Vec<u8> {
     seal(out)
 }
 
-/// Length-prefix framing overhead plus batch header, in bytes: what one
-/// extra frame costs over adding an item to an existing batch, before
-/// counting the context the new frame has to restate — the floor of
-/// fig. 8-style batching savings (`frame_props` pins it exactly).
-pub const FRAME_OVERHEAD: u64 = 4 + 1 + 4;
+/// The largest length prefix plus batch header, in bytes: `len`, the
+/// tag and a count of up to [`MAX_BATCH_ITEMS`] items (a three-byte
+/// varint). A frame of `n` items spends exactly `5 + varint_len(n)`
+/// — six bytes below 128 items, the fig. 8-style batching saving per
+/// frame that `frame_props` pins exactly; this constant is the bound
+/// writers reserve and split against.
+pub const FRAME_OVERHEAD: u64 = 4 + 1 + 3;
 
 /// Items per written frame, kept orders of magnitude under both
 /// [`MAX_BATCH_ITEMS`] and [`MAX_FRAME_LEN`]. Oversized flushes are
@@ -912,40 +954,74 @@ mod tests {
         ])
     }
 
-    /// The v4 layout, pinned: an accidental change to the codec must
-    /// fail here (and then bump [`PROTOCOL_VERSION`]), not on a peer.
+    /// `items` with every response's depth cleared: the shape the default
+    /// `FirstResponder` policy sends.
+    fn without_depth(items: &[Item]) -> Vec<Item> {
+        let mut items = items.to_vec();
+        for item in &mut items {
+            if let Item::Resp { response, .. } = item {
+                response.depth = None;
+            }
+        }
+        items
+    }
+
+    /// The exact length prefix and batch header of an `n`-item frame.
+    fn header(n: usize) -> usize {
+        let mut count = ByteCount(0);
+        put_varint(&mut count, n as u64);
+        5 + count.0 as usize
+    }
+
+    /// The v5 layout, pinned for both batch tags: an accidental change
+    /// to the codec must fail here (and then bump [`PROTOCOL_VERSION`]),
+    /// not on a peer.
     #[test]
     fn sample_batch_encoding_is_pinned() {
-        let mut golden = vec![0xF1, 0, 0, 0, 6];
-        // Dgc: head, from (0,1), to (1,0), clock 9 owned by the sender,
-        // ttb 25 ms in nanoseconds.
-        golden.extend([0x01, 0x04, 0x00, 0x02, 0x01, 0x09, 0x00]);
-        golden.extend([0xC0, 0xF0, 0xF5, 0x0B]);
-        // Resp: head (has_parent), from (1,0), to (0,1), clock 0 owned
-        // by the responder, depth 2.
-        golden.extend([0x42, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00, 0x03]);
-        // SendFailure: head (SAME_TO: the holder is the Resp's `to`),
-        // target index 9 on the previous `from`'s node.
-        golden.extend([0x13, 0x13]);
-        // Gossip: head, from 0, to 1, digest verbatim.
-        golden.extend([0x04, 0x00, 0x01]);
-        golden.extend([0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 2]);
-        golden.extend([
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 127, 0, 0, 1, 0x9C, 0xA4,
-        ]);
-        golden.extend([0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0]);
-        // App request: head, from (0,1), to (1,0), tenant 4, 48 bytes.
-        golden.extend([0x05, 0x04, 0x00, 0x02, 0x01, 0x04, 0x30]);
-        golden.extend([0xAB; 48]);
-        // App reply: head (reply), from (1,0), to (0,1), tenant 0, empty.
-        golden.extend([0x25, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00]);
-        assert_eq!(encode_payload(&sample_batch()).as_slice(), &golden[..]);
+        let golden = |tag: u8, depth: &[u8]| {
+            // Tag, then the count: six items.
+            let mut golden = vec![tag, 6];
+            // Dgc: head, from (0,1), to (1,0), clock 9 owned by the
+            // sender, ttb 25 ms in nanoseconds.
+            golden.extend([0x01, 0x04, 0x00, 0x02, 0x01, 0x09, 0x00]);
+            golden.extend([0xC0, 0xF0, 0xF5, 0x0B]);
+            // Resp: head (has_parent), from (1,0), to (0,1), clock 0
+            // owned by the responder, then the depth if the tag has it.
+            golden.extend([0x42, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00]);
+            golden.extend(depth);
+            // SendFailure: head (SAME_TO: the holder is the Resp's `to`),
+            // target index 9 on the previous `from`'s node.
+            golden.extend([0x13, 0x13]);
+            // Gossip: head, from 0, to 1, digest verbatim.
+            golden.extend([0x04, 0x00, 0x01]);
+            golden.extend([0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 2]);
+            golden.extend([
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 4, 127, 0, 0, 1, 0x9C, 0xA4,
+            ]);
+            golden.extend([0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0]);
+            // App request: head, from (0,1), to (1,0), tenant 4, 48 bytes.
+            golden.extend([0x05, 0x04, 0x00, 0x02, 0x01, 0x04, 0x30]);
+            golden.extend([0xAB; 48]);
+            // App reply: head (reply), from (1,0), to (0,1), tenant 0,
+            // empty.
+            golden.extend([0x25, 0x02, 0x01, 0x04, 0x00, 0x00, 0x00]);
+            golden
+        };
+        let Frame::Batch(items) = sample_batch() else {
+            unreachable!()
+        };
+        // The response has depth 2: every response carries the field.
+        let with_depth = encode_payload(&Frame::Batch(items.clone()));
+        assert_eq!(with_depth.as_slice(), &golden(0xF5, &[0x03])[..]);
+        // No response has a depth: none carries the field.
+        let depthless = encode_payload(&Frame::Batch(without_depth(&items)));
+        assert_eq!(depthless.as_slice(), &golden(0xF1, &[])[..]);
     }
 
     /// The shape a TTB sweep emits and the reason for the delta coding:
     /// after a sender's first heartbeat, each further one costs its head
     /// byte and the target's index; each response to them, its head, the
-    /// responder's index, its clock and its depth.
+    /// responder's index and its clock.
     #[test]
     fn fan_out_after_the_first_item_costs_head_and_target_index() {
         let sender = AoId::new(0, 200);
@@ -964,7 +1040,7 @@ mod tests {
         assert_eq!(first, 1 + (2 + 1) + (2 + 1) + (1 + 1) + 4);
         assert_eq!(
             encode_batch_frame(&fan_out).len(),
-            FRAME_OVERHEAD as usize + first + 7 * (1 + 2)
+            header(8) + first + 7 * (1 + 2)
         );
         let responses: Vec<Item> = (0..8)
             .map(|k| Item::Resp {
@@ -973,15 +1049,17 @@ mod tests {
                 response: DgcResponse {
                     responder: AoId::new(1, 100 + k),
                     clock: NamedClock::initial(AoId::new(1, 100 + k)),
+                    depth: None,
                     ..resp(1)
                 },
             })
             .collect();
-        let first = responses[0].wire_size() as usize;
-        assert_eq!(first, 1 + (2 + 1) + (2 + 1) + (1 + 1) + 1);
+        // The bound counts a depth byte the depth-free frame leaves out.
+        let first = responses[0].wire_size() as usize - 1;
+        assert_eq!(first, 1 + (2 + 1) + (2 + 1) + (1 + 1));
         assert_eq!(
             encode_batch_frame(&responses).len(),
-            FRAME_OVERHEAD as usize + first + 7 * (1 + 2 + (1 + 1) + 1)
+            header(8) + first + 7 * (1 + 2 + (1 + 1))
         );
         for frame in [fan_out, responses].map(Frame::Batch) {
             assert_eq!(decode_payload(encode_payload(&frame)).unwrap(), frame);
@@ -1052,11 +1130,16 @@ mod tests {
         );
     }
 
-    fn batch_of(count: u32, items: &[u8]) -> Result<Frame, DecodeError> {
-        let mut raw = vec![TAG_BATCH];
-        raw.extend(count.to_be_bytes());
+    /// Decodes a hand-built batch: `tag`, the varint `count`, `items`.
+    fn tagged_batch(tag: u8, count: u32, items: &[u8]) -> Result<Frame, DecodeError> {
+        let mut raw = vec![tag];
+        put_varint(&mut raw, u64::from(count));
         raw.extend(items);
         decode_payload(Bytes::from(raw))
+    }
+
+    fn batch_of(count: u32, items: &[u8]) -> Result<Frame, DecodeError> {
+        tagged_batch(TAG_BATCH, count, items)
     }
 
     #[test]
@@ -1110,31 +1193,47 @@ mod tests {
     #[test]
     fn out_of_range_fields_are_overflows() {
         let too_wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
-        let cases: [Vec<u8>; 6] = [
+        let cases: [(u8, Vec<u8>); 6] = [
             // id: index past u32 (code = (2^32 << 1 | 1) + 1).
-            [
-                &[ITEM_FAIL, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00][..],
-                &[0x02, 0x01],
-            ]
-            .concat(),
+            (
+                TAG_BATCH,
+                [
+                    &[ITEM_FAIL, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00][..],
+                    &[0x02, 0x01],
+                ]
+                .concat(),
+            ),
             // id: node past u32.
-            [&[ITEM_FAIL, 0x02][..], &too_wide, &[0x02, 0x01]].concat(),
+            (
+                TAG_BATCH,
+                [&[ITEM_FAIL, 0x02][..], &too_wide, &[0x02, 0x01]].concat(),
+            ),
             // gossip: node id past u32.
-            [&[ITEM_GOSSIP][..], &too_wide].concat(),
+            (TAG_BATCH, [&[ITEM_GOSSIP][..], &too_wide].concat()),
             // app: tenant past u32.
-            [&[ITEM_APP, 0x04, 0x00, 0x02, 0x01][..], &too_wide, &[0x00]].concat(),
-            // resp: depth past u32 (depth + 1 = 2^32 + 1).
-            [
-                &[ITEM_RESP, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00][..],
-                &[0x81, 0x80, 0x80, 0x80, 0x10],
-            ]
-            .concat(),
+            (
+                TAG_BATCH,
+                [&[ITEM_APP, 0x04, 0x00, 0x02, 0x01][..], &too_wide, &[0x00]].concat(),
+            ),
+            // resp in a batch with depths: depth past u32 (depth + 1 =
+            // 2^32 + 1).
+            (
+                TAG_BATCH_DEPTH,
+                [
+                    &[ITEM_RESP, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00][..],
+                    &[0x81, 0x80, 0x80, 0x80, 0x10],
+                ]
+                .concat(),
+            ),
             // dgc: an eleven-byte varint where the clock value goes.
-            [&[ITEM_DGC, 0x04, 0x00, 0x02, 0x01][..], &[0x80; 11]].concat(),
+            (
+                TAG_BATCH,
+                [&[ITEM_DGC, 0x04, 0x00, 0x02, 0x01][..], &[0x80; 11]].concat(),
+            ),
         ];
-        for case in cases {
+        for (tag, case) in cases {
             assert_eq!(
-                batch_of(1, &case),
+                tagged_batch(tag, 1, &case),
                 Err(DecodeError::Overflow),
                 "{case:02X?}"
             );
@@ -1158,6 +1257,75 @@ mod tests {
             Err(DecodeError::Truncated)
         );
         assert_eq!(batch_of(1, &[]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn over_long_counts_are_overflows() {
+        // 2^32 items, and a varint that never ends.
+        for count in [&[0x80, 0x80, 0x80, 0x80, 0x10][..], &[0x80; 11]] {
+            for tag in [TAG_BATCH, TAG_BATCH_DEPTH] {
+                let raw = [&[tag][..], count, &[ITEM_FAIL, 0x02, 0x01]].concat();
+                assert_eq!(
+                    decode_payload(Bytes::from(raw)),
+                    Err(DecodeError::Overflow),
+                    "{tag:02X} {count:02X?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_tag_after_the_batch_tags_is_a_bad_tag() {
+        let raw = vec![0xF6, 0x01, ITEM_FAIL, 0x02, 0x01, 0x04, 0x00];
+        assert_eq!(
+            decode_payload(Bytes::from(raw)),
+            Err(DecodeError::BadTag(0xF6))
+        );
+    }
+
+    /// The largest header is what writers reserve: a count of
+    /// `MAX_BATCH_ITEMS` is a three-byte varint.
+    #[test]
+    fn frame_overhead_is_the_largest_header() {
+        assert_eq!(header(MAX_BATCH_ITEMS as usize), FRAME_OVERHEAD as usize);
+        assert_eq!(
+            header(MAX_BATCH_ITEMS as usize + 1),
+            FRAME_OVERHEAD as usize
+        );
+        assert_eq!(header(127), 6);
+        assert_eq!(header(128), 7);
+    }
+
+    /// Under `MinDepth`, one response with a depth puts the field in
+    /// every response of its frame; those without one still decode as
+    /// `None`, not as depth 0.
+    #[test]
+    fn a_mixed_min_depth_batch_round_trips_with_none_preserved() {
+        let items: Vec<Item> = [Some(0), Some(3), None]
+            .into_iter()
+            .enumerate()
+            .map(|(k, depth)| Item::Resp {
+                from: AoId::new(1, k as u32),
+                to: AoId::new(0, 7),
+                response: DgcResponse {
+                    responder: AoId::new(1, k as u32),
+                    clock: NamedClock::initial(AoId::new(1, k as u32)),
+                    depth,
+                    ..resp(1)
+                },
+            })
+            .collect();
+        let frame = Frame::Batch(items.clone());
+        let payload = encode_payload(&frame);
+        assert_eq!(payload.as_slice().first(), Some(&TAG_BATCH_DEPTH));
+        assert_eq!(decode_payload(payload.clone()).unwrap(), frame);
+        // Each response pays exactly its one depth byte for the tag.
+        let depthless = encode_payload(&Frame::Batch(without_depth(&items)));
+        assert_eq!(depthless.as_slice().first(), Some(&TAG_BATCH));
+        assert_eq!(depthless.len() + 3, payload.len());
+        // The bound still holds for the mixed frame.
+        let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
+        assert!(encode_batch_frame(&items).len() as u64 <= bound);
     }
 
     #[test]
@@ -1274,16 +1442,22 @@ mod tests {
         let Frame::Batch(items) = sample_batch() else {
             unreachable!()
         };
-        // Exact for an item framed alone, an upper bound inside a batch.
-        for item in &items {
-            assert_eq!(
-                encode_batch_frame(std::slice::from_ref(item)).len() as u64,
-                FRAME_OVERHEAD + item.wire_size(),
-                "size model drifted for {item:?}"
-            );
+        for items in [items.clone(), without_depth(&items)] {
+            // Exact for an item framed alone — less the depth byte a
+            // depth-free response is framed without — and an upper bound
+            // inside a batch.
+            for item in &items {
+                let depthless =
+                    matches!(item, Item::Resp { response, .. } if response.depth.is_none());
+                assert_eq!(
+                    encode_batch_frame(std::slice::from_ref(item)).len(),
+                    header(1) + item.wire_size() as usize - usize::from(depthless),
+                    "size model drifted for {item:?}"
+                );
+            }
+            let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
+            assert!((encode_batch_frame(&items).len() as u64) < bound);
         }
-        let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
-        assert!((encode_batch_frame(&items).len() as u64) < bound);
     }
 
     #[test]
@@ -1327,9 +1501,9 @@ mod tests {
             .iter()
             .map(|i| encode_batch_frame(std::slice::from_ref(i)).len())
             .sum();
-        // Sharing a frame saves the 15 framing overheads and whatever
-        // the 15 later items no longer restate.
-        assert!(unbatched - batched > 15 * FRAME_OVERHEAD as usize);
+        // Sharing a frame saves 15 headers and whatever the 15 later
+        // items no longer restate.
+        assert!(unbatched - batched > 16 * header(1) - header(16));
     }
 
     #[test]

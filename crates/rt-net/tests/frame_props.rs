@@ -9,6 +9,7 @@ use dgc_core::clock::NamedClock;
 use dgc_core::id::AoId;
 use dgc_core::message::{DgcMessage, DgcResponse};
 use dgc_core::units::Dur;
+use dgc_core::wire::put_varint;
 use dgc_rt_net::frame::{
     decode_payload, encode_batch_frame, encode_frame, encode_payload, FrameDecoder, FRAME_OVERHEAD,
 };
@@ -149,6 +150,22 @@ fn arb_item() -> impl Strategy<Value = Item> {
         )
 }
 
+/// A response's depth, `None` for any other item.
+fn depth_of(item: &Item) -> Option<Option<u32>> {
+    match item {
+        Item::Resp { response, .. } => Some(response.depth),
+        _ => None,
+    }
+}
+
+/// The exact length prefix and batch header of an `n`-item frame: `len`,
+/// the tag and the varint count.
+fn header(n: usize) -> usize {
+    let mut count = Vec::new();
+    put_varint(&mut count, n as u64);
+    5 + count.len()
+}
+
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (
         0u8..4,
@@ -251,10 +268,13 @@ proptest! {
 
     /// The batching invariant the transport relies on: a coalesced batch
     /// costs fewer bytes than the same items framed singly, by at least
-    /// (n-1) framing overheads (more whenever a later item leans on an
-    /// earlier one). `wire_size` is exact for an item alone in its frame
-    /// and an upper bound inside a batch, so writers can reserve and
-    /// split on it without encoding anything.
+    /// the headers it no longer repeats (more whenever a later item leans
+    /// on an earlier one), less one depth byte per depth-free response
+    /// when another response puts the depth field into the whole frame.
+    /// `wire_size` is exact for an item alone in its frame (one byte
+    /// over for a depth-free response, framed without the field) and an
+    /// upper bound inside a batch, so writers can reserve and split on
+    /// it without encoding anything.
     #[test]
     fn batching_saves_exact_framing_overhead(
         items in proptest::collection::vec(arb_item(), 1..32)
@@ -266,10 +286,49 @@ proptest! {
         let mut singles = 0;
         for item in &items {
             let alone = encode_batch_frame(std::slice::from_ref(item)).len();
-            prop_assert_eq!(alone as u64, FRAME_OVERHEAD + item.wire_size());
+            let depthless = usize::from(depth_of(item) == Some(None));
+            prop_assert_eq!(alone, header(1) + item.wire_size() as usize - depthless);
             singles += alone;
         }
-        prop_assert!(singles - encoded.len() >= (items.len() - 1) * FRAME_OVERHEAD as usize);
+        let with_depth = items.iter().any(|item| matches!(depth_of(item), Some(Some(_))));
+        let promoted = if with_depth {
+            items.iter().filter(|item| depth_of(item) == Some(None)).count()
+        } else {
+            0
+        };
+        prop_assert!(
+            singles + promoted - encoded.len() >= items.len() * header(1) - header(items.len())
+        );
+    }
+
+    /// The depth field is all or nothing per frame: giving one response
+    /// of a depth-free batch depth 0 costs exactly one byte per response
+    /// in the frame, and nothing else.
+    #[test]
+    fn one_depth_puts_a_depth_byte_in_every_response(
+        items in proptest::collection::vec(arb_item(), 1..32),
+        pick in any::<usize>(),
+    ) {
+        let mut items = items;
+        for item in &mut items {
+            if let Item::Resp { response, .. } = item {
+                response.depth = None;
+            }
+        }
+        let before = encode_batch_frame(&items).len();
+        let responses: Vec<usize> =
+            (0..items.len()).filter(|&i| depth_of(&items[i]).is_some()).collect();
+        if responses.is_empty() {
+            return Ok(());
+        }
+        if let Item::Resp { response, .. } = &mut items[responses[pick % responses.len()]] {
+            response.depth = Some(0);
+        }
+        let after = encode_batch_frame(&items);
+        prop_assert_eq!(after.len(), before + responses.len());
+        let mut dec = FrameDecoder::new();
+        dec.push(&after);
+        prop_assert_eq!(dec.next_frame().unwrap(), Some(Frame::Batch(items)));
     }
 
     /// Frame independence: the delta context resets at every frame, so

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
 use dgc_core::units::Dur;
+use dgc_core::wire::put_varint;
 use dgc_plane::{AuthKey, AuthMsg, Authenticator, Step};
 use dgc_rt_net::frame::{
     encode_batch_frame, encode_frame, Frame, FrameDecoder, Item, PROTOCOL_VERSION,
@@ -278,16 +279,15 @@ fn previous_protocol_version_is_refused() {
             version: PROTOCOL_VERSION - 1,
         }))
         .unwrap();
-    // One v3 `App` item: tag, from(8), to(8), flags, tenant(4),
-    // len(4), bytes — fixed-width, as that version wrote it.
-    let mut v3 = vec![0xF1, 0, 0, 0, 1, 0x05];
-    v3.extend([0, 0, 0, 7, 0, 0, 0, 0]);
-    v3.extend(target.node.to_be_bytes());
-    v3.extend(target.index.to_be_bytes());
-    v3.extend([0, 0, 0, 0, 0, 0, 0, 0, 5]);
-    v3.extend(b"stale");
-    stale.write_all(&(v3.len() as u32).to_be_bytes()).unwrap();
-    stale.write_all(&v3).unwrap();
+    // One v4 `App` item behind the fixed-width 4-byte count that version
+    // wrote: head, from (7,0), `to` (index, node), tenant 0, len 5, bytes.
+    let mut v4 = vec![0xF1, 0, 0, 0, 1, 0x05, 0x02, 0x07];
+    put_varint(&mut v4, ((u64::from(target.index) << 1) | 1) + 1);
+    put_varint(&mut v4, u64::from(target.node));
+    v4.extend([0x00, 0x05]);
+    v4.extend(b"stale");
+    stale.write_all(&(v4.len() as u32).to_be_bytes()).unwrap();
+    stale.write_all(&v4).unwrap();
     stale.flush().unwrap();
     assert!(
         poll_until(Duration::from_secs(5), || node.stats().decode_errors >= 1),
