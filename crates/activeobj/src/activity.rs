@@ -23,8 +23,8 @@ use dgc_simnet::time::{SimDuration, SimTime};
 use dgc_simnet::topology::ProcId;
 
 use dgc_core::id::AoId;
+use dgc_rmi::endpoint::RmiEndpoint;
 
-use crate::collector::Collector;
 use crate::localgc::StubTable;
 use crate::request::{FutureId, Reply, Request};
 
@@ -281,8 +281,9 @@ pub struct Activity {
     pub stored_replies: BTreeMap<u64, Reply>,
     /// Held stubs (the local reference graph out-edges).
     pub stubs: StubTable,
-    /// The distributed-collector endpoint attached to this activity.
-    pub collector: Collector,
+    /// The RMI baseline's endpoint, when that is the collector (the
+    /// complete DGC's endpoint lives in the process's node kernel).
+    pub rmi: Option<Box<RmiEndpoint>>,
     /// Roots are never idle: registered objects and dummy referencers
     /// (§4.1).
     pub is_root: bool,
@@ -309,7 +310,7 @@ impl Activity {
             waiting: BTreeSet::new(),
             stored_replies: BTreeMap::new(),
             stubs: StubTable::new(),
-            collector: Collector::None,
+            rmi: None,
             is_root,
             pinned_busy: false,
             // Start "busy": the runtime refreshes idleness right after

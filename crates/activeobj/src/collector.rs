@@ -1,12 +1,15 @@
-//! Uniform wrapper over the collectors a grid can run: the paper's
-//! complete DGC, the RMI-style baseline, or none (the control runs of
-//! the evaluation tables).
+//! The collectors a grid can run: the paper's complete DGC, the
+//! RMI-style baseline, or none (the control runs of the evaluation
+//! tables).
+//!
+//! The complete DGC runs in one [`dgc_core::kernel::NodeKernel`] per
+//! simulated process — the kernel every other host runs. The RMI
+//! baseline, a different protocol, keeps a per-activity
+//! [`dgc_rmi::endpoint::RmiEndpoint`].
 
 use dgc_core::config::DgcConfig;
-use dgc_core::id::AoId;
-use dgc_core::protocol::DgcState;
 use dgc_core::units::{Dur, Time};
-use dgc_rmi::endpoint::{RmiConfig, RmiEndpoint};
+use dgc_rmi::endpoint::RmiConfig;
 
 use dgc_simnet::time::{SimDuration, SimTime};
 
@@ -22,14 +25,18 @@ pub enum CollectorKind {
     Rmi(RmiConfig),
 }
 
-/// Per-activity collector endpoint.
-pub enum Collector {
-    /// No collector: the activity lives until explicitly destroyed.
-    None,
-    /// Complete DGC endpoint.
-    Complete(Box<DgcState>),
-    /// RMI baseline endpoint.
-    Rmi(Box<RmiEndpoint>),
+impl CollectorKind {
+    /// The period of an activity's collector timer, within which its
+    /// first tick's phase is drawn: TTB for the complete DGC, a quarter
+    /// lease for RMI (renewals are due at lease/2, so ticking at lease/4
+    /// bounds the renewal lag at lease/4); `None` without a collector.
+    pub(crate) fn tick_period(&self) -> Option<SimDuration> {
+        match self {
+            CollectorKind::None => None,
+            CollectorKind::Complete(cfg) => Some(sim_dur(cfg.ttb)),
+            CollectorKind::Rmi(cfg) => Some(sim_dur(cfg.lease.div(4))),
+        }
+    }
 }
 
 /// Converts simulator time to protocol time (both are nanoseconds).
@@ -42,97 +49,30 @@ pub fn sim_dur(d: Dur) -> SimDuration {
     SimDuration::from_nanos(d.as_nanos())
 }
 
-impl Collector {
-    /// Creates the endpoint for `id` according to `kind`.
-    pub fn new(kind: &CollectorKind, id: AoId, now: SimTime) -> Self {
-        match kind {
-            CollectorKind::None => Collector::None,
-            CollectorKind::Complete(cfg) => {
-                Collector::Complete(Box::new(DgcState::new(id, proto_time(now), *cfg)))
-            }
-            CollectorKind::Rmi(cfg) => {
-                Collector::Rmi(Box::new(RmiEndpoint::new(id, proto_time(now), *cfg)))
-            }
-        }
-    }
-
-    /// Heartbeat period for tick scheduling (`None` when no collector).
-    pub fn tick_period(&self) -> Option<SimDuration> {
-        match self {
-            Collector::None => None,
-            Collector::Complete(s) => Some(sim_dur(s.current_ttb())),
-            // Renewals are due at lease/2; ticking at lease/4 bounds the
-            // renewal lag at lease/4, keeping leases safe.
-            Collector::Rmi(e) => Some(sim_dur(e.config().lease.div(4))),
-        }
-    }
-
-    /// Access the complete-DGC endpoint, if that is what runs.
-    pub fn as_complete(&self) -> Option<&DgcState> {
-        match self {
-            Collector::Complete(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the complete-DGC endpoint.
-    pub fn as_complete_mut(&mut self) -> Option<&mut DgcState> {
-        match self {
-            Collector::Complete(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Access the RMI endpoint, if that is what runs.
-    pub fn as_rmi(&self) -> Option<&RmiEndpoint> {
-        match self {
-            Collector::Rmi(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the RMI endpoint.
-    pub fn as_rmi_mut(&mut self) -> Option<&mut RmiEndpoint> {
-        match self {
-            Collector::Rmi(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn none_has_no_tick() {
-        let c = Collector::new(&CollectorKind::None, AoId::new(0, 0), SimTime::ZERO);
-        assert!(c.tick_period().is_none());
-        assert!(c.as_complete().is_none());
-        assert!(c.as_rmi().is_none());
+        assert!(CollectorKind::None.tick_period().is_none());
     }
 
     #[test]
     fn complete_ticks_at_ttb() {
         let cfg = DgcConfig::builder().ttb(Dur::from_secs(30)).build();
-        let c = Collector::new(
-            &CollectorKind::Complete(cfg),
-            AoId::new(0, 0),
-            SimTime::ZERO,
+        assert_eq!(
+            CollectorKind::Complete(cfg).tick_period(),
+            Some(SimDuration::from_secs(30))
         );
-        assert_eq!(c.tick_period(), Some(SimDuration::from_secs(30)));
-        assert!(c.as_complete().is_some());
     }
 
     #[test]
     fn rmi_ticks_at_quarter_lease() {
-        let c = Collector::new(
-            &CollectorKind::Rmi(RmiConfig::default()),
-            AoId::new(0, 0),
-            SimTime::ZERO,
+        assert_eq!(
+            CollectorKind::Rmi(RmiConfig::default()).tick_period(),
+            Some(SimDuration::from_secs(15))
         );
-        assert_eq!(c.tick_period(), Some(SimDuration::from_secs(15)));
-        assert!(c.as_rmi().is_some());
     }
 
     #[test]

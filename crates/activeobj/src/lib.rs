@@ -5,14 +5,15 @@
 //! stub-based remote references obeying the **no-sharing** property, a
 //! simulated local collector detecting dead stub tags, a registry, and a
 //! deterministic grid runtime that drives the pluggable distributed
-//! collectors (`dgc-core`'s complete DGC, `dgc-rmi`'s lease baseline, or
+//! collectors (`dgc-core`'s complete DGC — in the same node kernel the
+//! socket and thread runtimes run — `dgc-rmi`'s lease baseline, or
 //! none).
 //!
 //! * [`activity`] — [`activity::Behavior`] (application logic),
 //!   [`activity::AoCtx`] (effects), idleness rules;
 //! * [`request`] — asynchronous requests, replies, futures;
 //! * [`localgc`] — per-activity stub tables and sweeps (§2.2 tags);
-//! * [`collector`] — the pluggable collector endpoint;
+//! * [`collector`] — which collector a grid runs;
 //! * [`runtime`] — [`runtime::Grid`]: the deterministic driver;
 //! * [`oracle`] — ground-truth liveness (equation (1)) for safety and
 //!   liveness assertions;
@@ -56,7 +57,7 @@ pub mod request;
 pub mod runtime;
 
 pub use activity::{Activity, AoCtx, Behavior, Inert, SpawnAlloc};
-pub use collector::{Collector, CollectorKind};
+pub use collector::CollectorKind;
 pub use dgc_plane::{AuthKey, Pipeline, TenantCounters, TenantId};
 pub use oracle::{garbage_set, live_set, InflightMessage, SafetyViolation, Snapshot};
 pub use request::{FutureId, Reply, Request};

@@ -70,7 +70,7 @@ impl StubTable {
 
     /// The simulated local-GC run: returns (and forgets) every target
     /// whose last stub died since the previous sweep. The caller feeds
-    /// these to `DgcState::on_stubs_collected`.
+    /// these to its collector (the node kernel's `drop_ref`).
     pub fn sweep(&mut self) -> Vec<AoId> {
         let out: Vec<AoId> = self.zeroed.iter().copied().collect();
         self.zeroed.clear();

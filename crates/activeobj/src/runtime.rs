@@ -7,6 +7,15 @@
 //! GC sweep detects dead stub tags, and every cross-process byte is
 //! metered. All scheduling flows through one deterministic event queue,
 //! so a `(seed, workload)` pair always replays identically.
+//!
+//! The complete DGC runs in one [`NodeKernel`] per process — the kernel
+//! the socket runtime, the thread runtime and the in-memory harness
+//! run — so the simulator keeps their timer rules: a new reference edge
+//! beats at once, ticks re-arm from the scheduled instant, and a dying
+//! endpoint wakes at its TTA deadline. Each process has at most one
+//! wake-up in the queue, at the earlier of its kernel's next beat and
+//! its outbox's next flush deadline — never an event per activity; only
+//! the RMI baseline keeps per-activity ticks.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +24,7 @@ use std::sync::Arc;
 use dgc_core::faults::FaultProfile;
 use dgc_simnet::fault::FaultPlan;
 use dgc_simnet::network::{Delivery, Network};
-use dgc_simnet::queue::EventQueue;
+use dgc_simnet::queue::{EventId, EventQueue};
 use dgc_simnet::rng::SimRng;
 use dgc_simnet::time::{SimDuration, SimTime};
 use dgc_simnet::topology::{ProcId, Topology};
@@ -23,10 +32,12 @@ use dgc_simnet::traffic::{TrafficClass, TrafficMeter};
 
 use dgc_core::egress::{EgressClass, EgressObs, Flush, FlushPolicy, Outbox};
 use dgc_core::id::AoId;
+use dgc_core::kernel::NodeKernel;
 use dgc_core::message::{Action, DgcMessage, DgcResponse, TerminateReason};
 use dgc_core::stats::DgcStats;
-use dgc_core::sweep::{SweepScratch, SweepUnit};
+use dgc_core::sweep::SweepPools;
 use dgc_core::telemetry::DgcObs;
+use dgc_core::units::Dur;
 use dgc_core::wire as dgc_wire;
 use dgc_membership::wire as membership_wire;
 use dgc_membership::{
@@ -38,11 +49,11 @@ use dgc_plane::{
     AuthKey, Envelope, MiddlewareCtx, Pipeline, TenantCounters, TenantId, TenantLedger, TenantMap,
     Verdict,
 };
-use dgc_rmi::endpoint::{RmiAction, RmiMessage};
+use dgc_rmi::endpoint::{RmiAction, RmiEndpoint, RmiMessage};
 use dgc_rmi::wire as rmi_wire;
 
 use crate::activity::{Activity, AoCtx, Behavior, Effect, SpawnAlloc};
-use crate::collector::{proto_time, Collector, CollectorKind};
+use crate::collector::{proto_time, sim_dur, CollectorKind};
 use crate::oracle::{garbage_set, live_set, InflightMessage, SafetyViolation, Snapshot};
 use crate::request::{FutureId, Reply, Request};
 
@@ -58,7 +69,9 @@ pub struct GridConfig {
     pub topology: Topology,
     /// Root random seed; everything derives from it.
     pub seed: u64,
-    /// Which distributed collector to run.
+    /// Which distributed collector to run. The complete DGC runs in one
+    /// [`NodeKernel`] per process; the RMI baseline in one endpoint per
+    /// activity.
     pub collector: CollectorKind,
     /// Period of the simulated local-GC sweep per process.
     pub local_gc_period: SimDuration,
@@ -72,7 +85,11 @@ pub struct GridConfig {
     /// Trace verbosity.
     pub trace_level: TraceLevel,
     /// Randomize the phase of each activity's first collector tick, as
-    /// unsynchronized broadcasts do in the real system.
+    /// unsynchronized broadcasts do in the real system: the tick comes
+    /// one period (TTB; a quarter lease for the RMI baseline) plus a
+    /// draw from `[0, period)` after creation. Under the complete DGC a
+    /// new reference edge still beats at once, whatever the phase. Off,
+    /// every first tick comes exactly one period after creation.
     pub tick_jitter: bool,
     /// Deployment payload charged once per process when its first
     /// activity is created (models middleware bootstrap: class loading,
@@ -85,7 +102,7 @@ pub struct GridConfig {
     /// simulated gossip delivery: nodes discover each other from the
     /// `membership_seeds`, suspect and bury silent peers, and each
     /// **dead** verdict feeds the hosted collectors' send-failure path
-    /// ([`dgc_core::protocol::DgcState::on_node_dead`]).
+    /// ([`NodeKernel::on_node_dead`]).
     pub membership: Option<MembershipConfig>,
     /// The processes every engine is seeded with (assumed-alive
     /// contacts); the usual deployment knows only process 0.
@@ -268,8 +285,15 @@ enum Event {
         to: AoId,
         message: RmiMessage,
     },
+    /// An RMI baseline endpoint's lease tick.
     Tick {
         ao: AoId,
+    },
+    /// `proc`'s one wake-up: run its kernel's due beats, then flush its
+    /// outbox's due destinations. (A paused process defers this like all
+    /// its work — a stalled node beats and sends nothing, faithfully.)
+    Wake {
+        proc: ProcId,
     },
     ServeDone {
         ao: AoId,
@@ -299,12 +323,6 @@ enum Event {
         reply: bool,
         tenant: TenantId,
         payload: Vec<u8>,
-    },
-    /// `proc`'s egress outbox reached a max-delay deadline: flush the
-    /// due destinations. (A paused process defers this like all its
-    /// work — a stalled node sends nothing, faithfully.)
-    EgressFlush {
-        proc: ProcId,
     },
     /// `proc` crashes: every hosted activity dies, its membership
     /// engine stops. Scheduled from the fault plan's `NodeCrash`es.
@@ -399,7 +417,9 @@ pub struct Grid {
     app_sends_to_dead: u64,
     inflight_app: BTreeMap<u64, InflightMessage>,
     next_inflight_key: u64,
-    dgc_stats_collected: DgcStats,
+    /// Per-process node kernels: every complete-DGC endpoint a process
+    /// hosts (empty under the other collectors).
+    kernels: Vec<NodeKernel>,
     /// Per-process membership engines (`None` while a process is down,
     /// or for every process when the layer is disabled).
     members: Vec<Option<Membership>>,
@@ -407,9 +427,10 @@ pub struct Grid {
     member_events: Vec<Vec<MembershipEvent>>,
     /// Per-process egress outboxes (cross-process units only).
     outboxes: Vec<Outbox<OutUnit>>,
-    /// The earliest scheduled [`Event::EgressFlush`] per process, to
-    /// avoid flooding the queue with duplicate wake-ups.
-    egress_wake: Vec<Option<SimTime>>,
+    /// Each process's one live `Event::Wake`, if any: when it fires and
+    /// its handle, so an earlier deadline replaces it instead of adding
+    /// a second.
+    wake: Vec<Option<(SimTime, EventId)>>,
     /// Driver-level app units delivered and not yet drained.
     app_inbox: Vec<AppDelivered>,
     /// Driver-level app units the network accepted but could not
@@ -434,11 +455,6 @@ pub struct Grid {
     /// Each process's link key; initialized from [`GridConfig::auth`],
     /// overridden per proc by [`Grid::set_proc_key`] to model rogues.
     proc_keys: Vec<Option<AuthKey>>,
-    /// Scratch and unit buffers every collector tick reuses
-    /// ([`DgcState::on_tick_into`]): million-activity grids stop
-    /// paying a `Vec<Action>` allocation per activity per TTB.
-    dgc_scratch: SweepScratch,
-    dgc_units: Vec<SweepUnit>,
 }
 
 impl Grid {
@@ -544,11 +560,11 @@ impl Grid {
             app_sends_to_dead: 0,
             inflight_app: BTreeMap::new(),
             next_inflight_key: 0,
-            dgc_stats_collected: DgcStats::default(),
+            kernels: (0..procs_n).map(|_| NodeKernel::new(1)).collect(),
             members,
             member_events: (0..procs_n).map(|_| Vec::new()).collect(),
             outboxes,
-            egress_wake: vec![None; procs_n as usize],
+            wake: vec![None; procs_n as usize],
             app_inbox: Vec::new(),
             app_failures: Vec::new(),
             obs_clock,
@@ -557,8 +573,6 @@ impl Grid {
             tenants: TenantMap::new(),
             ledger,
             proc_keys,
-            dgc_scratch: SweepScratch::new(),
-            dgc_units: Vec::new(),
         }
     }
 
@@ -803,7 +817,11 @@ impl Grid {
             // events are deferred to the end of the pause.
             if let Some(proc) = event_proc(&event) {
                 if let Some(end) = self.config.fault_plan.pause_end(at, proc) {
-                    self.events.schedule(end, event);
+                    let wake = matches!(event, Event::Wake { .. });
+                    let id = self.events.schedule(end, event);
+                    if wake {
+                        self.wake[proc.0 as usize] = Some((end, id));
+                    }
                     continue;
                 }
             }
@@ -846,7 +864,8 @@ impl Grid {
             Event::DgcMsg { from, to, message } => self.deliver_dgc_msg(from, to, message),
             Event::DgcResp { from, to, response } => self.deliver_dgc_resp(from, to, response),
             Event::Rmi { from, to, message } => self.deliver_rmi(from, to, message),
-            Event::Tick { ao } => self.handle_tick(ao),
+            Event::Tick { ao } => self.handle_rmi_tick(ao),
+            Event::Wake { proc } => self.handle_wake(proc),
             Event::ServeDone { ao } => self.handle_serve_done(ao),
             Event::LocalGc { proc } => self.handle_local_gc(proc),
             Event::AppTimer { ao, token } => self.handle_app_timer(ao, token),
@@ -901,7 +920,6 @@ impl Grid {
                     payload: env.payload,
                 });
             }
-            Event::EgressFlush { proc } => self.handle_egress_flush(proc),
             Event::NodeCrash { proc } => self.handle_crash(proc),
             Event::NodeRejoin { proc, incarnation } => self.handle_rejoin(proc, incarnation),
             Event::Sample => {
@@ -939,18 +957,26 @@ impl Grid {
         }
         let rng = self.rng.fork(hash_id(id));
         let mut act = Activity::new(id, behavior, is_root, rng);
-        act.collector = Collector::new(&self.config.collector, id, self.now);
-        if let Collector::Complete(state) = &mut act.collector {
-            state.set_obs(DgcObs::new(&self.obs[id.node as usize]));
-        }
-        if let Some(period) = act.collector.tick_period() {
-            let phase = if self.config.tick_jitter {
-                self.rng.jitter(period)
-            } else {
-                SimDuration::ZERO
-            };
-            self.events
-                .schedule(self.now + period + phase, Event::Tick { ao: id });
+        let period = self.config.collector.tick_period().unwrap_or_default();
+        let phase = if self.config.tick_jitter {
+            self.rng.jitter(period)
+        } else {
+            SimDuration::ZERO
+        };
+        let now = proto_time(self.now);
+        match self.config.collector {
+            CollectorKind::None => {}
+            CollectorKind::Complete(cfg) => {
+                let obs = DgcObs::new(&self.obs[id.node as usize]);
+                let phase = Dur::from_nanos(phase.as_nanos());
+                self.kernels[id.node as usize].spawn(id, now, phase, cfg, Some(obs));
+                self.schedule_wake(ProcId(id.node));
+            }
+            CollectorKind::Rmi(cfg) => {
+                act.rmi = Some(Box::new(RmiEndpoint::new(id, now, cfg)));
+                self.events
+                    .schedule(self.now + period + phase, Event::Tick { ao: id });
+            }
         }
         self.procs[id.node as usize].insert(id.index, act);
         self.alive_count += 1;
@@ -981,21 +1007,17 @@ impl Grid {
         if act.was_idle {
             self.idle_count -= 1;
         }
+        // The kernel has already let go of an endpoint it terminated;
+        // one the environment killed goes here.
+        self.kernels[ao.node as usize].remove(ao);
         // RMI sends clean calls for still-held references on local
         // collection; the paper's DGC goes silent and lets TTA expire.
-        match act.collector {
-            Collector::Rmi(mut e) => {
-                let held: Vec<AoId> = act.stubs.held_targets().collect();
-                let mut actions = Vec::new();
-                for t in held {
-                    actions.extend(e.on_stubs_collected(t));
-                }
-                self.apply_rmi_actions(ao, actions);
+        if let Some(mut e) = act.rmi {
+            let mut actions = Vec::new();
+            for t in act.stubs.held_targets() {
+                actions.extend(e.on_stubs_collected(t));
             }
-            Collector::Complete(s) => {
-                self.dgc_stats_collected.merge(s.stats());
-            }
-            Collector::None => {}
+            self.apply_rmi_actions(ao, actions);
         }
         self.collected.push(CollectedRecord {
             ao,
@@ -1008,7 +1030,7 @@ impl Grid {
     }
 
     fn refresh_idle(&mut self, ao: AoId) {
-        let now = self.now;
+        let now = proto_time(self.now);
         let Some(act) = get_act(&mut self.procs, ao) else {
             return;
         };
@@ -1017,11 +1039,9 @@ impl Grid {
             return;
         }
         act.was_idle = idle;
+        self.kernels[ao.node as usize].set_idle(now, ao, idle);
         if idle {
             self.idle_count += 1;
-            if let Collector::Complete(s) = &mut act.collector {
-                s.on_became_idle(proto_time(now));
-            }
             self.trace_event(TraceLevel::Debug, "idle", || format!("{ao}"));
         } else {
             self.idle_count -= 1;
@@ -1031,25 +1051,20 @@ impl Grid {
 
     /// §2.2 deserialization hook: `ao` received stubs for `refs`.
     fn register_deserialized(&mut self, ao: AoId, refs: &[AoId]) {
-        let now = self.now;
+        let now = proto_time(self.now);
         let mut rmi_actions: Vec<RmiAction> = Vec::new();
         if let Some(act) = get_act(&mut self.procs, ao) {
             for r in refs {
                 act.stubs.deserialize(*r);
-                match &mut act.collector {
-                    // The first beat waits for the activity's scheduled
-                    // tick: the grid keeps its own tick events.
-                    Collector::Complete(s) => {
-                        s.on_stub_deserialized(*r);
-                    }
-                    Collector::Rmi(e) => {
-                        rmi_actions.extend(e.on_stub_deserialized(proto_time(now), *r));
-                    }
-                    Collector::None => {}
+                // A new edge beats now (the kernel makes `ao` due).
+                self.kernels[ao.node as usize].add_ref(now, ao, *r);
+                if let Some(e) = &mut act.rmi {
+                    rmi_actions.extend(e.on_stub_deserialized(now, *r));
                 }
             }
         }
         self.apply_rmi_actions(ao, rmi_actions);
+        self.schedule_wake(ProcId(ao.node));
     }
 
     // ------------------------------------------------------------------
@@ -1318,37 +1333,52 @@ impl Grid {
         unit: OutUnit,
     ) {
         debug_assert_ne!(from, dest, "same-process traffic bypasses egress");
-        let now = crate::collector::proto_time(self.now);
+        let now = proto_time(self.now);
         match self.outboxes[from.0 as usize].enqueue(now, dest.0, class, size, unit) {
             Some(flush) => self.realize_flush(from, flush),
-            None => self.schedule_egress_wake(from),
+            None => self.schedule_wake(from),
         }
     }
 
-    /// Schedules the [`Event::EgressFlush`] wake-up for `proc`'s next
-    /// outbox deadline, unless an earlier one is already queued.
-    fn schedule_egress_wake(&mut self, proc: ProcId) {
-        let Some(deadline) = self.outboxes[proc.0 as usize].next_deadline() else {
+    /// Keeps `proc`'s one `Event::Wake` at the earlier of its kernel's
+    /// next beat and its outbox's next flush deadline — the shape of the
+    /// socket runtime's loop wake-up. An earlier instant replaces the
+    /// queued wake; a later one leaves it, to fire early and re-arm.
+    fn schedule_wake(&mut self, proc: ProcId) {
+        let p = proc.0 as usize;
+        let next_tick = self.kernels[p].next_tick();
+        let Some(due) = next_tick
+            .into_iter()
+            .chain(self.outboxes[p].next_deadline())
+            .min()
+        else {
             return;
         };
-        let at = SimTime::from_nanos(deadline.as_nanos());
-        match self.egress_wake[proc.0 as usize] {
-            Some(t) if t <= at => {}
-            _ => {
-                self.egress_wake[proc.0 as usize] = Some(at);
-                self.events.schedule(at, Event::EgressFlush { proc });
+        let at = SimTime::from_nanos(due.as_nanos()).max(self.now);
+        match self.wake[p] {
+            Some((queued, _)) if queued <= at => {}
+            queued => {
+                if let Some((_, id)) = queued {
+                    self.events.cancel(id);
+                }
+                let id = self.events.schedule(at, Event::Wake { proc });
+                self.wake[p] = Some((at, id));
             }
         }
     }
 
-    fn handle_egress_flush(&mut self, proc: ProcId) {
-        self.egress_wake[proc.0 as usize] = None;
-        let now = crate::collector::proto_time(self.now);
-        let flushes = self.outboxes[proc.0 as usize].poll(now);
-        for flush in flushes {
+    /// `proc`'s wake-up: one sweep over its due kernel endpoints, then
+    /// the outbox flushes that are due, then the next wake.
+    fn handle_wake(&mut self, proc: ProcId) {
+        let p = proc.0 as usize;
+        self.wake[p] = None;
+        let now = proto_time(self.now);
+        let out = self.kernels[p].tick_due(now);
+        self.emit_all(p, out);
+        for flush in self.outboxes[p].poll(now) {
             self.realize_flush(proc, flush);
         }
-        self.schedule_egress_wake(proc);
+        self.schedule_wake(proc);
     }
 
     /// Turns one egress flush into a single network frame: each unit is
@@ -1477,10 +1507,12 @@ impl Grid {
             OutUnit::Reply { to, reply } => {
                 // Lost future update. §4.1 tolerates these for a
                 // collected caller; a *live* caller must not wait
-                // forever on an update that can no longer arrive.
+                // forever on an update that can no longer arrive — nor
+                // leave the requests queued behind the wait unserved.
                 if let Some(act) = get_act(&mut self.procs, to) {
                     act.waiting.remove(&reply.future.seq);
                 }
+                self.try_serve(to);
                 self.refresh_idle(to);
             }
             OutUnit::AppBytes {
@@ -1516,67 +1548,18 @@ impl Grid {
     // Collector plumbing
     // ------------------------------------------------------------------
 
-    fn handle_tick(&mut self, ao: AoId) {
-        enum Ticked {
-            Dgc(SimDuration),
-            Rmi(Vec<RmiAction>, SimDuration),
-            None,
+    /// Routes every unit a kernel call emitted, then hands the pools
+    /// back to `proc`'s kernel.
+    fn emit_all(&mut self, proc: usize, mut out: SweepPools) {
+        for unit in out.drain_units() {
+            self.emit(unit.from, unit.action);
         }
-        let now = self.now;
-        let ticked = {
-            let Some(act) = get_act(&mut self.procs, ao) else {
-                return;
-            };
-            let idle = act.is_idle();
-            match &mut act.collector {
-                Collector::None => Ticked::None,
-                Collector::Complete(s) => {
-                    // The grid-held scratch/unit buffers make the tick
-                    // allocation-free; the units drain right below.
-                    s.on_tick_into(
-                        proto_time(now),
-                        idle,
-                        &mut self.dgc_scratch,
-                        &mut self.dgc_units,
-                    );
-                    let period = crate::collector::sim_dur(s.current_ttb());
-                    Ticked::Dgc(period)
-                }
-                Collector::Rmi(e) => {
-                    let actions = e.on_tick(proto_time(now), idle);
-                    let period = crate::collector::sim_dur(e.config().lease.div(4));
-                    Ticked::Rmi(actions, period)
-                }
-            }
-        };
-        match ticked {
-            Ticked::None => {}
-            Ticked::Dgc(period) => {
-                let mut units = std::mem::take(&mut self.dgc_units);
-                for unit in units.drain(..) {
-                    self.apply_dgc_action(unit.from, unit.action);
-                }
-                self.dgc_units = units;
-                if self.is_alive(ao) {
-                    self.events.schedule(now + period, Event::Tick { ao });
-                }
-            }
-            Ticked::Rmi(actions, period) => {
-                self.apply_rmi_actions(ao, actions);
-                if self.is_alive(ao) {
-                    self.events.schedule(now + period, Event::Tick { ao });
-                }
-            }
-        }
+        self.kernels[proc].recycle(out);
     }
 
-    fn apply_dgc_actions(&mut self, ao: AoId, actions: Vec<Action>) {
-        for action in actions {
-            self.apply_dgc_action(ao, action);
-        }
-    }
-
-    fn apply_dgc_action(&mut self, ao: AoId, action: Action) {
+    /// Turns what a kernel emitted for `ao` into a unit on the egress
+    /// plane, a same-process delivery, or a termination.
+    fn emit(&mut self, ao: AoId, action: Action) {
         match action {
             // Cross-process DGC traffic queues on the egress plane
             // (and is subject to loss there: a dropped heartbeat is
@@ -1628,47 +1611,36 @@ impl Grid {
     }
 
     fn deliver_dgc_msg(&mut self, from: AoId, to: AoId, message: DgcMessage) {
-        let now = self.now;
-        let actions = {
-            match get_act(&mut self.procs, to) {
-                Some(act) => match &mut act.collector {
-                    Collector::Complete(s) => Some(s.on_message(proto_time(now), &message)),
-                    _ => None,
-                },
-                None => None,
-            }
-        };
-        match actions {
-            Some(actions) => self.apply_dgc_actions(to, actions),
-            None => {
-                // Target gone: the sender's connection fails.
-                if let Some(sender) = get_act(&mut self.procs, from) {
-                    if let Collector::Complete(s) = &mut sender.collector {
-                        s.on_send_failure(to);
-                    }
-                }
-            }
+        let p = to.node as usize;
+        match self.kernels[p].on_message(proto_time(self.now), to, &message) {
+            Some(out) => self.emit_all(p, out),
+            // Target gone: the sender's connection fails.
+            None => self.kernels[from.node as usize].on_send_failure(from, to),
         }
     }
 
     fn deliver_dgc_resp(&mut self, from: AoId, to: AoId, response: DgcResponse) {
-        let now = self.now;
-        let actions = {
-            match get_act(&mut self.procs, to) {
-                Some(act) => {
-                    let idle = act.is_idle();
-                    match &mut act.collector {
-                        Collector::Complete(s) => {
-                            Some(s.on_response(proto_time(now), from, &response, idle))
-                        }
-                        _ => None,
-                    }
-                }
-                None => None,
-            }
+        let now = proto_time(self.now);
+        // A propagated consensus moves `to`'s timer to its TTA deadline,
+        // never before the process's queued wake: no re-arm needed.
+        for action in self.kernels[to.node as usize].on_response(now, from, to, &response) {
+            self.emit(to, action);
+        }
+    }
+
+    fn handle_rmi_tick(&mut self, ao: AoId) {
+        let Some(act) = get_act(&mut self.procs, ao) else {
+            return;
         };
-        if let Some(actions) = actions {
-            self.apply_dgc_actions(to, actions);
+        let idle = act.is_idle();
+        let Some(e) = &mut act.rmi else {
+            return;
+        };
+        let actions = e.on_tick(proto_time(self.now), idle);
+        let period = sim_dur(e.config().lease.div(4));
+        self.apply_rmi_actions(ao, actions);
+        if self.is_alive(ao) {
+            self.events.schedule(self.now + period, Event::Tick { ao });
         }
     }
 
@@ -1702,20 +1674,11 @@ impl Grid {
     }
 
     fn deliver_rmi(&mut self, from: AoId, to: AoId, message: RmiMessage) {
-        let now = self.now;
-        let delivered = match get_act(&mut self.procs, to) {
-            Some(act) => match &mut act.collector {
-                Collector::Rmi(e) => {
-                    e.on_message(proto_time(now), &message);
-                    true
-                }
-                _ => false,
-            },
-            None => false,
-        };
-        if !delivered {
-            if let Some(sender) = get_act(&mut self.procs, from) {
-                if let Collector::Rmi(e) = &mut sender.collector {
+        let now = proto_time(self.now);
+        match get_act(&mut self.procs, to).and_then(|act| act.rmi.as_mut()) {
+            Some(e) => e.on_message(now, &message),
+            None => {
+                if let Some(e) = get_act(&mut self.procs, from).and_then(|act| act.rmi.as_mut()) {
                     e.on_send_failure(to);
                 }
             }
@@ -1801,11 +1764,7 @@ impl Grid {
     /// hosts treats that node's referencers and referenced activities
     /// as departed (§4.1's send-failure path, in bulk).
     fn apply_node_dead(&mut self, observer: ProcId, dead: u32) {
-        for act in self.procs[observer.0 as usize].values_mut() {
-            if let Collector::Complete(s) = &mut act.collector {
-                s.on_node_dead(dead);
-            }
-        }
+        self.kernels[observer.0 as usize].on_node_dead(dead);
         self.trace_event(TraceLevel::Info, "node-dead", || {
             format!("proc {} buried node {}", observer.0, dead)
         });
@@ -1822,8 +1781,8 @@ impl Grid {
         }
         self.members[proc.0 as usize] = None;
         // Whatever the crashed process had queued on its egress plane
-        // dies with it (stale EgressFlush wake-ups find it empty) —
-        // but the tenant ledger must still balance, so queued app
+        // dies with it (its queued wake-up finds it empty) — but the
+        // tenant ledger must still balance, so queued app
         // units are returned, not leaked into pending forever.
         let mut dead_outbox = std::mem::replace(
             &mut self.outboxes[proc.0 as usize],
@@ -1836,7 +1795,6 @@ impl Grid {
                 }
             }
         }
-        self.egress_wake[proc.0 as usize] = None;
         self.trace_event(TraceLevel::Info, "crash", || {
             format!("proc {} went down", proc.0)
         });
@@ -1852,7 +1810,7 @@ impl Grid {
     /// verdict for collection purposes — the leaver's referencers are
     /// gone — but without the suspicion delay.
     pub fn leave_proc(&mut self, proc: ProcId) {
-        let now = crate::collector::proto_time(self.now);
+        let now = proto_time(self.now);
         let outs = match &mut self.members[proc.0 as usize] {
             Some(engine) => engine.leave(now),
             None => Vec::new(),
@@ -1862,7 +1820,6 @@ impl Grid {
         for flush in flushes {
             self.realize_flush(proc, flush);
         }
-        self.egress_wake[proc.0 as usize] = None;
         let indices: Vec<u32> = self.procs[proc.0 as usize].keys().copied().collect();
         for idx in indices {
             self.terminate_activity(AoId::new(proc.0, idx), None);
@@ -1923,31 +1880,16 @@ impl Grid {
         let indices: Vec<u32> = self.procs[proc.0 as usize].keys().copied().collect();
         for idx in indices {
             let ao = AoId::new(proc.0, idx);
-            let rmi_actions = {
-                let Some(act) = get_act(&mut self.procs, ao) else {
-                    continue;
-                };
-                let zeroed = act.stubs.sweep();
-                if zeroed.is_empty() {
-                    continue;
-                }
-                match &mut act.collector {
-                    Collector::None => Vec::new(),
-                    Collector::Complete(s) => {
-                        for z in &zeroed {
-                            s.on_stubs_collected(*z);
-                        }
-                        Vec::new()
-                    }
-                    Collector::Rmi(e) => {
-                        let mut actions = Vec::new();
-                        for z in &zeroed {
-                            actions.extend(e.on_stubs_collected(*z));
-                        }
-                        actions
-                    }
-                }
+            let Some(act) = get_act(&mut self.procs, ao) else {
+                continue;
             };
+            let mut rmi_actions = Vec::new();
+            for z in act.stubs.sweep() {
+                self.kernels[proc.0 as usize].drop_ref(ao, z);
+                if let Some(e) = &mut act.rmi {
+                    rmi_actions.extend(e.on_stubs_collected(z));
+                }
+            }
             self.apply_rmi_actions(ao, rmi_actions);
         }
         self.events.schedule(
@@ -2051,13 +1993,9 @@ impl Grid {
 
     /// Aggregated protocol counters: collected endpoints plus alive ones.
     pub fn dgc_stats(&self) -> DgcStats {
-        let mut total = self.dgc_stats_collected;
-        for proc in &self.procs {
-            for act in proc.values() {
-                if let Collector::Complete(s) = &act.collector {
-                    total.merge(s.stats());
-                }
-            }
+        let mut total = DgcStats::default();
+        for kernel in &self.kernels {
+            total.merge(&kernel.stats());
         }
         total
     }
@@ -2145,9 +2083,9 @@ fn event_proc(event: &Event) -> Option<ProcId> {
         // the §4.2 hazard, faithfully): these defer like its other work.
         Event::MembershipTick { proc } => Some(*proc),
         Event::Gossip { to, .. } => Some(*to),
-        // A paused process flushes late too: a stalled node sends
-        // nothing until the world resumes.
-        Event::EgressFlush { proc } => Some(*proc),
+        // A paused process beats and flushes late too: a stalled node
+        // sends nothing until the world resumes.
+        Event::Wake { proc } => Some(*proc),
         // Crash and restart are the *environment's* doing: they happen
         // on schedule even to a paused process.
         Event::NodeCrash { .. } | Event::NodeRejoin { .. } => None,
@@ -2379,6 +2317,161 @@ mod tests {
             act.is_idle(),
             "a dropped reply must not leave the caller waiting"
         );
+    }
+
+    #[test]
+    fn dropped_reply_serves_the_requests_queued_behind_the_wait() {
+        // A awaits B, C's request queues at A behind that wait, and B's
+        // reply crosses a drop window. Releasing the wait must also
+        // serve C's request: left in the queue, it would keep A busy —
+        // and uncollectable — forever.
+        let profile = dgc_core::faults::FaultProfile::none().drop_frames(
+            Some(0),
+            Some(1),
+            dgc_core::faults::Window::from_millis(0, 100),
+            1000,
+        );
+        let topo = Topology::single_site(2, SimDuration::from_millis(1));
+        let mut g = Grid::new(
+            GridConfig::new(topo)
+                .collector(CollectorKind::None)
+                .seed(7)
+                .fault_profile(&profile),
+        );
+        let b = g.spawn_root(ProcId(0), Box::new(Echo));
+        let a = g.spawn(
+            ProcId(1),
+            Box::new(CallOnce {
+                target: b,
+                got_reply: false,
+            }),
+        );
+        let c = g.spawn_root(ProcId(1), Box::new(Inert));
+        g.make_ref(a, b);
+        g.make_ref(c, a);
+        g.events.schedule(
+            g.now + SimDuration::from_millis(1),
+            Event::AppTimer { ao: a, token: 0 },
+        );
+        // A awaits from 1 ms on; C's same-process request lands at once,
+        // and B's reply leaves — into the drop window — at 2 ms.
+        g.run_until(SimTime::from_millis(1));
+        g.send_from(c, a, PING, 8, vec![]);
+        g.run_until(SimTime::from_millis(1));
+        assert_eq!(g.activity(a).map(|act| act.queue.len()), Some(1));
+        g.run_for(SimDuration::from_secs(1));
+        assert!(g.dropped_messages() >= 1, "the reply must be lost");
+        let act = g.activity(a).expect("alive");
+        assert!(act.queue.is_empty(), "C's request was never served");
+        assert!(act.is_idle());
+    }
+
+    /// The grid twin of the harness's
+    /// `rings_idled_at_creation_end_on_the_early_beat_schedule`: one
+    /// member per process over 1 ms links, no phase jitter, members
+    /// pinned busy while the ring closes and released at once. Each new
+    /// edge beats at creation, and the last member to learn the
+    /// consensus from a response goes exactly TTA after it — so each
+    /// ring ends at the instant the harness pins.
+    #[test]
+    fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
+        let config = DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(200))
+            .build();
+        for (n, lifetime_ms) in [(2u32, 802), (4, 1_502)] {
+            let topo = Topology::single_site(n, SimDuration::from_millis(1));
+            let mut grid_config = GridConfig::new(topo)
+                .collector(CollectorKind::Complete(config))
+                .seed(7);
+            grid_config.tick_jitter = false;
+            let mut g = Grid::new(grid_config);
+            let created = g.now();
+            let ids: Vec<AoId> = (0..n)
+                .map(|p| g.spawn(ProcId(p), Box::new(Inert)))
+                .collect();
+            for id in &ids {
+                g.set_busy(*id, true);
+            }
+            for (w, id) in ids.iter().enumerate() {
+                g.make_ref(*id, ids[(w + 1) % ids.len()]);
+            }
+            for id in &ids {
+                g.set_busy(*id, false);
+            }
+            g.run_for(SimDuration::from_secs(10));
+            assert_eq!(g.alive_count(), 0, "{n}-ring");
+            assert!(g.violations().is_empty(), "{n}-ring");
+            let last = g.collected().iter().map(|c| c.at).max();
+            assert_eq!(
+                last.map(|at| at - created),
+                Some(SimDuration::from_millis(lifetime_ms)),
+                "{n}-ring"
+            );
+        }
+    }
+
+    /// However many activities a process hosts, the queue holds one
+    /// wake-up for its kernel — not an event per activity.
+    #[test]
+    fn a_process_has_one_wake_not_an_event_per_activity() {
+        let mut g = grid(CollectorKind::Complete(dgc_cfg()));
+        let root = g.spawn_root(ProcId(0), Box::new(Inert));
+        for _ in 0..100 {
+            let leaf = g.spawn(ProcId(1), Box::new(Inert));
+            g.make_ref(root, leaf);
+        }
+        // Mid-period instants, when no heartbeat is in flight.
+        for secs in [10, 100, 1_000] {
+            g.run_until(SimTime::from_secs(secs));
+            assert_eq!(g.alive_count(), 101);
+            // A local-GC sweep per process, a wake per hosting process.
+            assert_eq!(g.events.len(), 4 + 2, "at {secs} s");
+        }
+    }
+
+    /// `kill`, a crash and a graceful leave each take the activity's
+    /// kernel endpoint with it: every kernel hosts exactly its process's
+    /// live activities, the grid's counters keep the departed
+    /// endpoints' (they never go backwards), and the next heartbeat to
+    /// a departed activity fails its sender's send.
+    #[test]
+    fn environment_kills_leave_no_endpoint_behind() {
+        let mut g = grid(CollectorKind::Complete(dgc_cfg()));
+        let root = g.spawn_root(ProcId(0), Box::new(Inert));
+        let victims: Vec<AoId> = (1..4)
+            .map(|p| {
+                let victim = g.spawn(ProcId(p), Box::new(Inert));
+                g.make_ref(root, victim);
+                victim
+            })
+            .collect();
+        g.run_for(SimDuration::from_secs(100));
+        type EnvKill = fn(&mut Grid, AoId);
+        let kills: [EnvKill; 3] = [
+            |g, victim| g.kill(victim),
+            |g, victim| g.handle_crash(ProcId(victim.node)),
+            |g, victim| g.leave_proc(ProcId(victim.node)),
+        ];
+        for (victim, kill) in victims.into_iter().zip(kills) {
+            let before = g.dgc_stats();
+            kill(&mut g, victim);
+            assert!(!g.is_alive(victim));
+            assert_eq!(g.dgc_stats(), before, "the departed endpoint's counts stay");
+            for (kernel, live) in g.kernels.iter().zip(&g.procs) {
+                assert_eq!(kernel.hosted(), live.len());
+            }
+            // The root's next beat to the victim fails: the edge goes.
+            g.run_for(SimDuration::from_secs(31));
+            let after = g.dgc_stats();
+            assert!(after.messages_sent > before.messages_sent);
+            assert_eq!(
+                after.bumps_lost_referenced,
+                before.bumps_lost_referenced + 1
+            );
+        }
+        assert!(g.violations().is_empty());
     }
 
     #[test]

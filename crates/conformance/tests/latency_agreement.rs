@@ -92,4 +92,17 @@ fn collection_latency_histograms_agree_across_runtimes() {
             wait.mean()
         );
     }
+
+    // On the grid the wait is exactly TTA: the simulator runs the node
+    // kernel, where a dying endpoint's one timer is its TTA deadline —
+    // a propagated member does not wait for its next cadence tick — and
+    // virtual time adds no scheduling jitter. (`sum` is exact.)
+    let sim_wait = sim
+        .snapshot
+        .histogram("dgc.collect.consensus_to_collected_ns");
+    assert_eq!(
+        sim_wait.sum,
+        sim_wait.count * scenario.dgc.tta.as_nanos(),
+        "simnet: a TTA wait other than TTA"
+    );
 }

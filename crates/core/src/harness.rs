@@ -82,7 +82,7 @@ impl Harness {
     pub fn add(&mut self, config: DgcConfig) -> AoId {
         let id = AoId::new(self.next_node, 0);
         self.next_node += 1;
-        self.kernel.spawn(id, self.now, config, None);
+        self.kernel.spawn(id, self.now, Dur::ZERO, config, None);
         id
     }
 

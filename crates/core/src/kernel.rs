@@ -2,8 +2,9 @@
 //! and one DGC dispatch path for every host.
 //!
 //! A *host* — the socket runtime's event loop, the thread runtime's
-//! node thread, the in-memory [`Harness`](crate::harness::Harness) — owns
-//! a transport and a clock; what it hosts lives here. [`NodeKernel`] is
+//! node thread, the in-memory [`Harness`](crate::harness::Harness), the
+//! simulator `Grid` (one kernel per simulated process) — owns a
+//! transport and a clock; what it hosts lives here. [`NodeKernel`] is
 //! sans-io like the [`DgcState`] it drives: it never reads a clock (every
 //! timed entry point takes `now`), never sends, and is the only code
 //! that steps a hosted `DgcState`. The host turns what the kernel emits
@@ -22,18 +23,21 @@
 //! it *dying*, and the TTA wait ends on a later tick), so `tick_due` is
 //! where endpoints leave the table: by the time the host sees an
 //! [`Action::Terminate`] the endpoint and its timer are gone, and a
-//! later message to it is "no such target".
+//! later message to it is "no such target". The one other way out is
+//! [`NodeKernel::remove`], for an activity the environment killed.
+//! Either way the endpoint's counters stay in [`NodeKernel::stats`].
 //!
 //! The timers are one due-time index of `(next_tick, id)`, one entry per
 //! hosted endpoint: [`NodeKernel::next_tick`] reads its first entry and
 //! [`NodeKernel::tick_due`] pops only the due ones, so a loop turn with
-//! nothing due touches no endpoint. An activity beats one TTB after it
-//! is spawned and every TTB after that — except that a **new reference
-//! edge beats now**: [`NodeKernel::add_ref`] makes the referencer due at
-//! once, so the edge's first heartbeat leaves on the turn that created
-//! it instead of up to one TTB later, and the cadence restarts from
-//! there. Running Algorithm 2 early is safe: its every check compares
-//! elapsed time with TTA or TTB, and an early beat only shortens a gap.
+//! nothing due touches no endpoint. An activity beats one TTB (plus the
+//! phase its host picks) after it is spawned and every TTB after that —
+//! except that a **new reference edge beats now**:
+//! [`NodeKernel::add_ref`] makes the referencer due at once, so the
+//! edge's first heartbeat leaves on the turn that created it instead of
+//! up to one TTB later, and the cadence restarts from there. Running
+//! Algorithm 2 early is safe: its every check compares elapsed time with
+//! TTA or TTB, and an early beat only shortens a gap.
 //!
 //! **A dying endpoint's timer is its TTA deadline.** It sends nothing
 //! while it waits, so instead of ticking every TTB its one index entry
@@ -50,6 +54,7 @@ use crate::config::DgcConfig;
 use crate::id::AoId;
 use crate::message::{Action, DgcMessage, DgcResponse, TerminateReason};
 use crate::protocol::DgcState;
+use crate::stats::DgcStats;
 use crate::sweep::{sweep_sharded, SweepPools};
 use crate::telemetry::DgcObs;
 use crate::units::{Dur, Time};
@@ -135,16 +140,16 @@ impl Table {
         None
     }
 
-    fn remove(&mut self, id: AoId) {
-        let Some(slot) = self.slot_of.remove(&id) else {
-            return;
-        };
-        if slot < self.slots.len() {
-            self.slots.swap_remove(slot);
-            if let Some(moved) = self.slots.get(slot) {
-                self.slot_of.insert(moved.state.id(), slot);
-            }
+    fn remove(&mut self, id: AoId) -> Option<Endpoint> {
+        let slot = self.slot_of.remove(&id)?;
+        if slot >= self.slots.len() {
+            return None;
         }
+        let ep = self.slots.swap_remove(slot);
+        if let Some(moved) = self.slots.get(slot) {
+            self.slot_of.insert(moved.state.id(), slot);
+        }
+        Some(ep)
     }
 
     /// The endpoints in `slots` (ascending, distinct), borrowed at once
@@ -185,6 +190,8 @@ pub struct NodeKernel {
     /// ids of those that terminated.
     due: Vec<usize>,
     dead: Vec<AoId>,
+    /// The counters of every endpoint that left the table.
+    retired: DgcStats,
 }
 
 impl NodeKernel {
@@ -198,20 +205,30 @@ impl NodeKernel {
             pools: SweepPools::new(),
             due: Vec::new(),
             dead: Vec::new(),
+            retired: DgcStats::default(),
         }
     }
 
     /// Hosts a new activity, initially busy. Its first beat is one TTB
-    /// from `now` — or sooner, on the turn it gains its first reference
-    /// edge ([`add_ref`](Self::add_ref)) — and every TTB after that.
-    /// `obs` attaches the hosting node's telemetry handles. Spawning a
-    /// hosted id replaces its endpoint and its timer.
-    pub fn spawn(&mut self, id: AoId, now: Time, config: DgcConfig, obs: Option<DgcObs>) {
+    /// plus `phase` from `now` — or sooner, on the turn it gains its
+    /// first reference edge ([`add_ref`](Self::add_ref)) — and every TTB
+    /// after that. (`phase` spreads first beats the way unsynchronized
+    /// activities would; a host with no reason to spread them passes
+    /// [`Dur::ZERO`].) `obs` attaches the hosting node's telemetry
+    /// handles. Spawning a hosted id replaces its endpoint and its timer.
+    pub fn spawn(
+        &mut self,
+        id: AoId,
+        now: Time,
+        phase: Dur,
+        config: DgcConfig,
+        obs: Option<DgcObs>,
+    ) {
         let mut state = DgcState::new(id, now, config);
         if let Some(obs) = obs {
             state.set_obs(obs);
         }
-        let next_tick = now + config.ttb;
+        let next_tick = now + config.ttb + phase;
         let ep = Endpoint {
             state,
             idle: false,
@@ -219,8 +236,30 @@ impl NodeKernel {
         };
         if let Some(old) = self.table.insert(id, ep) {
             self.timers.remove(&(old.next_tick, id));
+            self.retired.merge(old.state.stats());
         }
         self.timers.insert((next_tick, id));
+    }
+
+    /// Stops hosting `id` without a verdict — the environment killed it
+    /// (an explicit kill, a crash, a departure). Its endpoint and timer
+    /// go, its counters stay in [`stats`](Self::stats), and a later
+    /// message to it is "no such target".
+    pub fn remove(&mut self, id: AoId) {
+        if let Some(ep) = self.table.remove(id) {
+            self.timers.remove(&(ep.next_tick, id));
+            self.retired.merge(ep.state.stats());
+        }
+    }
+
+    /// The protocol counters of every endpoint this kernel has hosted:
+    /// the live ones plus those terminated or removed.
+    pub fn stats(&self) -> DgcStats {
+        let mut total = self.retired;
+        for ep in &self.table.slots {
+            total.merge(ep.state.stats());
+        }
+        total
     }
 
     /// True while `id` is hosted here (spawned and not yet terminated).
@@ -353,7 +392,9 @@ impl NodeKernel {
             }
         }
         for id in self.dead.drain(..) {
-            self.table.remove(id);
+            if let Some(ep) = self.table.remove(id) {
+                self.retired.merge(ep.state.stats());
+            }
         }
         out
     }
@@ -426,7 +467,7 @@ mod tests {
     #[test]
     fn late_wakeups_do_not_drift_the_heartbeat() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None); // busy: beats forever
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None); // busy: beats forever
         let first = Time::ZERO + TTB;
         for period in 0..100 {
             let scheduled = first + TTB.saturating_mul(period);
@@ -438,7 +479,7 @@ mod tests {
     #[test]
     fn message_to_an_absent_id_is_no_such_target() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         k.add_ref(Time::ZERO, ao(0), AoId::new(1, 0));
         let now = Time::ZERO + TTB;
         let beat = tick(&mut k, now);
@@ -458,16 +499,19 @@ mod tests {
     #[test]
     fn terminate_removes_the_endpoint_and_its_timer() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
-        k.spawn(ao(1), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(1), Time::ZERO, Dur::ZERO, cfg(), None);
         k.add_ref(Time::ZERO, ao(1), ao(0));
         let beat = tick(&mut k, Time::ZERO + TTB);
         let Some(Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
             panic!("ao 1 beats toward ao 0: {beat:?}");
         };
         k.set_idle(Time::ZERO + TTB, ao(1), true);
+        let before = k.stats();
+        assert_eq!(before.messages_sent, 1);
         // Nobody references ao 1: silent for more than TTA, it goes.
         let units = tick(&mut k, Time::from_secs(1));
+        assert_eq!(k.stats(), before, "a terminated endpoint's counts stay");
         assert!(units.iter().any(|u| u.from == ao(1)
             && matches!(
                 u.action,
@@ -482,11 +526,35 @@ mod tests {
         assert!(k.on_message(Time::from_secs(1), ao(0), message).is_some());
     }
 
+    /// An environment kill: the endpoint and its timer go, its counts
+    /// stay, and the survivor's first beat still carries its phase.
+    #[test]
+    fn remove_keeps_the_counts_and_frees_the_timer() {
+        let mut k = NodeKernel::new(1);
+        let phase = Dur::from_millis(30);
+        k.spawn(ao(0), Time::ZERO, phase, cfg(), None);
+        k.spawn(ao(1), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.add_ref(Time::ZERO, ao(1), ao(0));
+        let beat = tick(&mut k, Time::ZERO);
+        let Some(&Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
+            panic!("ao 1 beats toward ao 0: {beat:?}");
+        };
+        deliver(&mut k, Time::ZERO, beat);
+        let before = k.stats();
+        assert_eq!((before.messages_sent, before.responses_sent), (1, 1));
+        k.remove(ao(1));
+        k.remove(ao(1));
+        assert_eq!(k.stats(), before);
+        assert_eq!((k.hosts(ao(1)), k.hosted(), k.timers.len()), (false, 1, 1));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB + phase));
+        assert!(k.on_message(Time::ZERO, ao(1), &message).is_none());
+    }
+
     #[test]
     fn node_death_reaches_every_hosted_endpoint() {
         let mut k = NodeKernel::new(1);
         for i in 0..5 {
-            k.spawn(ao(i), Time::ZERO, cfg(), None);
+            k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
             k.add_ref(Time::ZERO, ao(i), AoId::new(9, i));
             k.add_ref(Time::ZERO, ao(i), AoId::new(2, i));
         }
@@ -503,7 +571,7 @@ mod tests {
             let mut k = NodeKernel::new(shards);
             // Spawned out of order: the sweep order is the id order.
             for i in [5, 2, 7, 0, 3, 6, 1, 4] {
-                k.spawn(ao(i), Time::ZERO, cfg(), None);
+                k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
                 for t in 0..=i % 3 {
                     k.add_ref(Time::ZERO, ao(i), AoId::new(1, t));
                 }
@@ -531,7 +599,7 @@ mod tests {
     fn a_paused_kernel_ticks_once_not_in_a_burst() {
         let mut k = NodeKernel::new(1);
         for i in 0..3 {
-            k.spawn(ao(i), Time::ZERO, cfg(), None);
+            k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
             k.add_ref(Time::ZERO, ao(i), AoId::new(1, 0));
         }
         let resumed = Time::ZERO + TTB.saturating_mul(5) + Dur::from_millis(40);
@@ -543,7 +611,7 @@ mod tests {
     #[test]
     fn a_new_edge_makes_its_referencer_due_now() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         let now = Time::ZERO + Dur::from_millis(30);
         k.add_ref(now, ao(0), AoId::new(1, 0));
         assert_eq!(k.next_tick(), Some(now));
@@ -555,7 +623,7 @@ mod tests {
     #[test]
     fn a_thousand_new_edges_in_one_turn_give_one_tick() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         let now = Time::ZERO + Dur::from_millis(30);
         for i in 0..1_000 {
             k.add_ref(now, ao(0), AoId::new(1, i));
@@ -570,7 +638,7 @@ mod tests {
     #[test]
     fn re_deserializing_an_edge_does_not_move_its_timer() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         let edge_at = Time::ZERO + Dur::from_millis(30);
         k.add_ref(edge_at, ao(0), AoId::new(1, 0));
         // Still owed its first message: not new.
@@ -610,7 +678,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.add_ref(Time::ZERO, a, b);
@@ -650,7 +718,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.add_ref(Time::ZERO, a, b);
@@ -707,11 +775,11 @@ mod tests {
     #[test]
     fn spawning_an_id_twice_leaves_one_index_entry() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
-        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
         let later = Time::ZERO + Dur::from_millis(50);
-        k.spawn(ao(0), later, cfg(), None);
+        k.spawn(ao(0), later, Dur::ZERO, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
         assert_eq!(k.next_tick(), Some(later + TTB));
     }
@@ -735,7 +803,7 @@ mod tests {
             .build();
         config.validate().expect("safe");
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, config, None);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, config, None);
         let turn = Dur::from_millis(30);
         let mut beats: Vec<(Time, Dur)> = Vec::new();
         let mut record = |now: Time, units: Vec<SweepUnit>| {
@@ -888,7 +956,7 @@ mod tests {
                 let target = if b < 6 { ao(b) } else { AoId::new(1, b) };
                 match op {
                     0 => {
-                        k.spawn(ao(a), now, cfg(), None);
+                        k.spawn(ao(a), now, Dur::ZERO, cfg(), None);
                         model.spawn(ao(a), now, cfg());
                     }
                     1 | 2 => {
