@@ -250,7 +250,8 @@ impl<'a> AoCtx<'a> {
 
     /// Schedules an application timer; `token` comes back in
     /// [`Behavior::on_timer`]. Serving a timer makes the activity busy,
-    /// like a self-addressed request.
+    /// like a self-addressed request; until it fires, the timer holds
+    /// the activity live, as a §4.1 dummy referencer would.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::Timer { delay, token });
     }
@@ -287,6 +288,10 @@ pub struct Activity {
     /// Roots are never idle: registered objects and dummy referencers
     /// (§4.1).
     pub is_root: bool,
+    /// Application timers set and not yet fired. Each holds the activity
+    /// as a §4.1 dummy referencer would: it may be idle, but it is live
+    /// and its collector treats it as busy.
+    pub pending_timers: u32,
     /// Driver-pinned busyness (`Grid::set_busy`): an external client is
     /// mid-call on this activity. Orthogonal to `is_root`, so pinning
     /// and releasing never disturbs registry/root status.
@@ -312,6 +317,7 @@ impl Activity {
             stubs: StubTable::new(),
             rmi: None,
             is_root,
+            pending_timers: 0,
             pinned_busy: false,
             // Start "busy": the runtime refreshes idleness right after
             // on_start, producing the busy→idle transition if warranted.

@@ -40,7 +40,8 @@ pub struct InflightMessage {
 /// A full-system snapshot for the oracle.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Registered activities and dummy referencers: never idle.
+    /// Registered activities, dummy referencers, and activities a
+    /// pending timer will call: live whatever they do.
     pub roots: Vec<AoId>,
     /// Activities currently busy (serving, queued work, or waiting on a
     /// future).

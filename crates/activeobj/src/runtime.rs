@@ -11,11 +11,16 @@
 //! The complete DGC runs in one [`NodeKernel`] per process — the kernel
 //! the socket runtime, the thread runtime and the in-memory harness
 //! run — so the simulator keeps their timer rules: a new reference edge
-//! beats at once, ticks re-arm from the scheduled instant, and a dying
-//! endpoint wakes at its TTA deadline. Each process has at most one
-//! wake-up in the queue, at the earlier of its kernel's next beat and
-//! its outbox's next flush deadline — never an event per activity; only
-//! the RMI baseline keeps per-activity ticks.
+//! sends its first message at once, to that edge only, ticks re-arm from
+//! the scheduled instant, and a dying endpoint wakes at its TTA
+//! deadline. Only the first beat differs: each activity starts its
+//! cadence one TTB plus its own random phase after creation
+//! ([`GridConfig::tick_jitter`]), not on a per-process beat grid. A
+//! pending application timer holds its activity as §4.1's dummy
+//! referencer would ([`NodeKernel::set_held`]). Each process has at
+//! most one wake-up in the queue, at the earlier of its kernel's next
+//! beat and its outbox's next flush deadline — never an event per
+//! activity; only the RMI baseline keeps per-activity ticks.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,11 +90,16 @@ pub struct GridConfig {
     /// Trace verbosity.
     pub trace_level: TraceLevel,
     /// Randomize the phase of each activity's first collector tick, as
-    /// unsynchronized broadcasts do in the real system: the tick comes
-    /// one period (TTB; a quarter lease for the RMI baseline) plus a
-    /// draw from `[0, period)` after creation. Under the complete DGC a
-    /// new reference edge still beats at once, whatever the phase. Off,
-    /// every first tick comes exactly one period after creation.
+    /// unsynchronized broadcasts do: the tick comes one period (TTB; a
+    /// quarter lease for the RMI baseline) plus a draw from
+    /// `[0, period)` after creation, and under the complete DGC every
+    /// later beat keeps that phase. Off, every first tick comes exactly
+    /// one period after creation. Either way the simulator has no node
+    /// beat grid (its kernels are [`NodeKernel::unsynchronized`]; the
+    /// socket and thread runtimes beat on one): activities of one
+    /// process do not share a sweep. Under the complete DGC a new
+    /// reference edge's first message still leaves at once, whatever
+    /// the phase, and does not move the cadence.
     pub tick_jitter: bool,
     /// Deployment payload charged once per process when its first
     /// activity is created (models middleware bootstrap: class loading,
@@ -560,7 +570,9 @@ impl Grid {
             app_sends_to_dead: 0,
             inflight_app: BTreeMap::new(),
             next_inflight_key: 0,
-            kernels: (0..procs_n).map(|_| NodeKernel::new(1)).collect(),
+            kernels: (0..procs_n)
+                .map(|_| NodeKernel::unsynchronized(1))
+                .collect(),
             members,
             member_events: (0..procs_n).map(|_| Vec::new()).collect(),
             outboxes,
@@ -1121,6 +1133,29 @@ impl Grid {
         }
         self.run_handler(ao, HandlerKind::Timer(token));
         self.refresh_idle(ao);
+        // Serving the timer made the activity busy: only now may the
+        // fired timer let go of it.
+        self.hold_for_timer(ao, false);
+    }
+
+    /// Counts an application timer of `ao` set (`set`) or fired. While
+    /// any is pending the timer holds `ao` as a §4.1 dummy referencer
+    /// would: the oracle counts it live and its collector endpoint is
+    /// held ([`NodeKernel::set_held`]).
+    fn hold_for_timer(&mut self, ao: AoId, set: bool) {
+        let Some(act) = get_act(&mut self.procs, ao) else {
+            return;
+        };
+        let was_held = act.pending_timers > 0;
+        act.pending_timers = if set {
+            act.pending_timers + 1
+        } else {
+            act.pending_timers.saturating_sub(1)
+        };
+        let held = act.pending_timers > 0;
+        if held != was_held {
+            self.kernels[ao.node as usize].set_held(proto_time(self.now), ao, held);
+        }
     }
 
     fn try_serve(&mut self, ao: AoId) {
@@ -1225,6 +1260,7 @@ impl Grid {
                     self.register_deserialized(ao, std::slice::from_ref(&id));
                 }
                 Effect::Timer { delay, token } => {
+                    self.hold_for_timer(ao, true);
                     self.events
                         .schedule(self.now + delay, Event::AppTimer { ao, token });
                 }
@@ -2037,7 +2073,7 @@ impl Grid {
         let mut snap = Snapshot::default();
         for proc in &self.procs {
             for act in proc.values() {
-                if act.is_root {
+                if act.is_root || act.pending_timers > 0 {
                     snap.roots.push(act.id);
                 } else if !act.is_idle() {
                     snap.busy.push(act.id);
@@ -2370,9 +2406,13 @@ mod tests {
     /// `rings_idled_at_creation_end_on_the_early_beat_schedule`: one
     /// member per process over 1 ms links, no phase jitter, members
     /// pinned busy while the ring closes and released at once. Each new
-    /// edge beats at creation, and the last member to learn the
-    /// consensus from a response goes exactly TTA after it — so each
-    /// ring ends at the instant the harness pins.
+    /// edge's first message leaves at creation, and the last member to
+    /// learn the consensus from a response goes exactly TTA after it.
+    /// The simulator has no node beat grid: with the jitter off every
+    /// member's cadence starts one TTB after creation, so the members
+    /// beat in lock-step and a consensus crosses one hop per TTB —
+    /// 802 / 1,502 ms, where the harness, whose endpoints beat on their
+    /// nodes' out-of-phase grids, pins 702 / 1,202 ms.
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()

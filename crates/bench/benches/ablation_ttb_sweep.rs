@@ -65,6 +65,17 @@ fn main() {
         slowest.1,
         fastest.1
     );
+    // A new reference edge costs one message to that edge, not a beat
+    // of its referencer to every target, so traffic tracks TTB rather
+    // than the reference churn of the active phase.
+    assert!(
+        slowest.2 <= 0.7 * fastest.2,
+        "traffic must shrink with TTB ({:.1} MB at {} s vs {:.1} MB at {} s)",
+        slowest.2,
+        slowest.0,
+        fastest.2,
+        fastest.0
+    );
     println!(
         "\nShape: reclaim time grows with TTB (right column of Fig. 10);\n\
          traffic during the fixed 120 s active phase shrinks with TTB."

@@ -9,9 +9,12 @@
 //! quickly, both here and in the property-based suites.
 //!
 //! The harness owns idleness: tests declare objects idle or busy, create
-//! and drop reference edges, and step simulated time; the kernel ticks
-//! every endpoint at its own TTB phase, the harness ships the messages
-//! and responses it emits after `latency` and records terminations.
+//! and drop reference edges, and step simulated time; the harness ships
+//! the messages and responses the kernel emits after `latency` and
+//! records terminations. Each endpoint is its own node (`AoId::new(n, 0)`
+//! for the n-th added), so it beats on its own node's beat grid
+//! ([`crate::kernel`]): endpoints 0, 1, 2, 3 beat at 0, .618, .236, .854
+//! of a TTB, as activities on neighbouring socket nodes do.
 //! Calls naming an endpoint that was never added or has terminated are
 //! no-ops, as in the runtimes.
 
@@ -292,11 +295,15 @@ mod tests {
     }
 
     /// A ring whose members are idle from the moment they are wired:
-    /// each new edge beats on the turn that created it, and the last
-    /// member learns the consensus from a response 2 ms after a tick (a
-    /// 1 ms hop each way) and goes exactly TTA after that response — not
-    /// on the first cadence tick after it — so it goes exactly this long
-    /// after creation.
+    /// each new edge's first message leaves on the turn that created it,
+    /// every member then beats on its own node's grid — out of phase
+    /// with its neighbours, so a consensus crosses a hop in part of a
+    /// TTB — and the last member learns the consensus from a response
+    /// 2 ms after a beat (a 1 ms hop each way) and goes exactly TTA after
+    /// that response, so it goes exactly this long after creation. (The
+    /// simulator twin, `Grid` with `tick_jitter` off, has no node grid:
+    /// every member beats one TTB after creation, in lock-step, and its
+    /// rings take 802 / 1,502 ms.)
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()
@@ -304,7 +311,7 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2, 802), (4, 1_502)] {
+        for (n, lifetime_ms) in [(2, 702), (4, 1_202)] {
             let mut h = Harness::new(Dur::from_millis(1));
             let created = h.now();
             let ids = h.add_many(n, config);

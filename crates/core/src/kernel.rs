@@ -27,17 +27,32 @@
 //! [`NodeKernel::remove`], for an activity the environment killed.
 //! Either way the endpoint's counters stay in [`NodeKernel::stats`].
 //!
-//! The timers are one due-time index of `(next_tick, id)`, one entry per
+//! The timers are one due-time index of `(due, id)`, one entry per
 //! hosted endpoint: [`NodeKernel::next_tick`] reads its first entry and
 //! [`NodeKernel::tick_due`] pops only the due ones, so a loop turn with
-//! nothing due touches no endpoint. An activity beats one TTB (plus the
-//! phase its host picks) after it is spawned and every TTB after that —
-//! except that a **new reference edge beats now**:
-//! [`NodeKernel::add_ref`] makes the referencer due at once, so the
-//! edge's first heartbeat leaves on the turn that created it instead of
-//! up to one TTB later, and the cadence restarts from there. Running
-//! Algorithm 2 early is safe: its every check compares elapsed time with
-//! TTA or TTB, and an early beat only shortens a gap.
+//! nothing due touches no endpoint. An activity's **cadence** starts at
+//! its first beat and steps one TTB at a time. On a kernel from
+//! [`NodeKernel::new`] — the socket and thread runtimes and the harness
+//! — every activity of node `n` beats on the node's **beat grid**, the
+//! instants `offset(n) + k·TTB` with `offset(n) = frac(n·φ⁻¹)·TTB`: a
+//! node's activities share one sweep (one frame per destination) and
+//! neighbouring nodes, spread by the golden ratio, beat out of phase — a
+//! message reaches its receiver part of a TTB before the receiver's
+//! beat, not just after it, and a consensus crosses a ring in fractions
+//! of a TTB per hop. The simulator runs
+//! [`NodeKernel::unsynchronized`] kernels, whose activities each start
+//! their cadence one TTB plus a phase of the host's choosing after
+//! creation.
+//!
+//! **A new reference edge beats now, to that edge only, and keeps the
+//! cadence.** [`NodeKernel::add_ref`] moves the referencer's index entry
+//! to `now` and leaves its cadence alone; when `tick_due` pops that
+//! entry before the cadence instant it sends one message to each edge
+//! owed its first one ([`DgcState::on_owed_beats_into`]) and re-indexes
+//! the endpoint at its cadence. An endpoint whose cadence is due in the
+//! same call gets its full beat instead, which covers the owed edges.
+//! Sending the first message early is safe: the §4.2 bound is over gaps
+//! between messages, and an early one only shortens a gap.
 //!
 //! **A dying endpoint's timer is its TTA deadline.** It sends nothing
 //! while it waits, so instead of ticking every TTB its one index entry
@@ -71,38 +86,69 @@ pub struct Terminated {
 
 struct Endpoint {
     state: DgcState,
+    /// The activity's own idleness, as the host declares it.
     idle: bool,
-    next_tick: Time,
+    /// Held by a non-active referencer ([`NodeKernel::set_held`]).
+    held: bool,
+    /// The next full beat (or, while dying, the TTA deadline).
+    cadence: Time,
+    /// The endpoint's one index entry: `cadence`, or earlier while a
+    /// new edge is owed its first message.
+    due: Time,
 }
 
-/// When a TTB tick that was scheduled for `scheduled` and ran at `now`
-/// fires next. Re-arming from the *scheduled* instant keeps the period
-/// exact — re-arming from `now` would add every wake-up's lateness to
-/// it, forever, and the §4.2 bound is stated over a heartbeat that
-/// leaves every TTB. A host that is a whole period or more behind (a
-/// pause, a stall) restarts the cadence from `now` instead, so it never
-/// fires a burst of ticks to catch up.
-fn rearm(scheduled: Time, now: Time, ttb: Dur) -> Time {
-    let next = scheduled + ttb;
-    if next > now {
-        next
-    } else {
-        now + ttb
+impl Endpoint {
+    /// The idleness the protocol sees: a held activity counts as busy.
+    fn collectable(&self) -> bool {
+        self.idle && !self.held
     }
 }
 
-/// When an endpoint that has just been ticked at `now` is due next: its
-/// TTA deadline while dying, the TTB cadence ([`rearm`]) otherwise.
-fn next_due(ep: &Endpoint, now: Time) -> Time {
-    ep.state
-        .dying_deadline()
-        .unwrap_or_else(|| rearm(ep.next_tick, now, ep.state.current_ttb()))
+/// 2⁶⁴/φ: the golden-ratio step that spreads node offsets (Weyl
+/// sequence), so any few consecutive nodes sit far apart in the period.
+const GOLDEN_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The first instant of the lattice `anchor + k·ttb` (any integer `k`)
+/// after `now`: always in `(now, now + ttb]`.
+fn next_on_lattice(anchor: Time, now: Time, ttb: Dur) -> Time {
+    let period = ttb.as_nanos().max(1);
+    let behind = (now.as_nanos() % period + period - anchor.as_nanos() % period) % period;
+    now + Dur::from_nanos(period - behind)
 }
 
-/// Moves `id`'s one index entry from `ep.next_tick` to `at`.
+/// The first instant of node `node`'s beat grid after `now`: the grid is
+/// `offset(node) + k·ttb` with `offset(node) = frac(node·φ⁻¹)·ttb`
+/// (nodes 0, 1, 2, 3 at 0, .618, .236, .854 of a period).
+fn grid_beat(node: u32, now: Time, ttb: Dur) -> Time {
+    let frac = u64::from(node).wrapping_mul(GOLDEN_STEP);
+    let offset = (u128::from(frac) * u128::from(ttb.as_nanos())) >> 64;
+    next_on_lattice(Time::from_nanos(offset as u64), now, ttb)
+}
+
+/// When a TTB tick that was scheduled for `scheduled` and ran at `now`
+/// fires next: the first instant of the lattice `scheduled + k·ttb`
+/// after `now`. Re-arming from the *scheduled* instant keeps the period
+/// exact — re-arming from `now` would add every wake-up's lateness to
+/// it, forever, and the §4.2 bound is stated over a heartbeat that
+/// leaves every TTB. A host that is a whole period or more behind (a
+/// pause, a stall) ticks once, never in a burst to catch up, and the
+/// endpoint stays on its node's beat grid.
+fn rearm(scheduled: Time, now: Time, ttb: Dur) -> Time {
+    next_on_lattice(scheduled, now, ttb)
+}
+
+/// When an endpoint that has just been ticked at `now` beats next: its
+/// TTA deadline while dying, the TTB cadence ([`rearm`]) otherwise.
+fn next_cadence(ep: &Endpoint, now: Time) -> Time {
+    ep.state
+        .dying_deadline()
+        .unwrap_or_else(|| rearm(ep.cadence, now, ep.state.current_ttb()))
+}
+
+/// Moves `id`'s one index entry from `ep.due` to `at`.
 fn reschedule(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint, at: Time) {
-    timers.remove(&(ep.next_tick, id));
-    ep.next_tick = at;
+    timers.remove(&(ep.due, id));
+    ep.due = at;
     timers.insert((at, id));
 }
 
@@ -178,8 +224,8 @@ impl Table {
 /// Everything one node hosts, and when each of them beats next.
 pub struct NodeKernel {
     table: Table,
-    /// The due-time index: exactly one `(next_tick, id)` per hosted
-    /// endpoint, so the earliest beat is the first entry.
+    /// The due-time index: exactly one `(due, id)` per hosted endpoint,
+    /// so the earliest beat is the first entry.
     timers: BTreeSet<(Time, AoId)>,
     /// TTB sweep fan-out (`DGC_SWEEP_SHARDS` / `NetConfig::sweep_shards`).
     shards: usize,
@@ -192,11 +238,14 @@ pub struct NodeKernel {
     dead: Vec<AoId>,
     /// The counters of every endpoint that left the table.
     retired: DgcStats,
+    /// Whether first beats fall on the node's beat grid.
+    beat_grid: bool,
 }
 
 impl NodeKernel {
     /// An empty kernel whose TTB sweeps fan out over `shards` workers
-    /// (`1`: inline, no thread).
+    /// (`1`: inline, no thread), and whose activities beat on their
+    /// node's beat grid.
     pub fn new(shards: usize) -> Self {
         NodeKernel {
             table: Table::default(),
@@ -206,16 +255,29 @@ impl NodeKernel {
             due: Vec::new(),
             dead: Vec::new(),
             retired: DgcStats::default(),
+            beat_grid: true,
         }
     }
 
-    /// Hosts a new activity, initially busy. Its first beat is one TTB
-    /// plus `phase` from `now` — or sooner, on the turn it gains its
-    /// first reference edge ([`add_ref`](Self::add_ref)) — and every TTB
-    /// after that. (`phase` spreads first beats the way unsynchronized
-    /// activities would; a host with no reason to spread them passes
-    /// [`Dur::ZERO`].) `obs` attaches the hosting node's telemetry
-    /// handles. Spawning a hosted id replaces its endpoint and its timer.
+    /// An empty kernel with no beat grid: each activity's first beat is
+    /// one TTB plus its spawn phase after its creation, as activities
+    /// that share no clock would beat. The simulator runs these.
+    pub fn unsynchronized(shards: usize) -> Self {
+        NodeKernel {
+            beat_grid: false,
+            ..NodeKernel::new(shards)
+        }
+    }
+
+    /// Hosts a new activity, initially busy. Its cadence starts at its
+    /// node's first grid instant after `now` — so a node's activities
+    /// beat together — or, on an [`unsynchronized`](Self::unsynchronized)
+    /// kernel, one TTB after `now`; `phase` shifts that first beat (a
+    /// host with no reason to passes [`Dur::ZERO`]). The cadence then
+    /// steps one TTB at a time, and a new reference edge sends its first
+    /// message sooner without moving it ([`add_ref`](Self::add_ref)).
+    /// `obs` attaches the hosting node's telemetry handles. Spawning a
+    /// hosted id replaces its endpoint and its timer.
     pub fn spawn(
         &mut self,
         id: AoId,
@@ -228,17 +290,23 @@ impl NodeKernel {
         if let Some(obs) = obs {
             state.set_obs(obs);
         }
-        let next_tick = now + config.ttb + phase;
+        let first_beat = if self.beat_grid {
+            grid_beat(id.node, now, config.ttb)
+        } else {
+            now + config.ttb
+        } + phase;
         let ep = Endpoint {
             state,
             idle: false,
-            next_tick,
+            held: false,
+            cadence: first_beat,
+            due: first_beat,
         };
         if let Some(old) = self.table.insert(id, ep) {
-            self.timers.remove(&(old.next_tick, id));
+            self.timers.remove(&(old.due, id));
             self.retired.merge(old.state.stats());
         }
-        self.timers.insert((next_tick, id));
+        self.timers.insert((first_beat, id));
     }
 
     /// Stops hosting `id` without a verdict — the environment killed it
@@ -247,7 +315,7 @@ impl NodeKernel {
     /// message to it is "no such target".
     pub fn remove(&mut self, id: AoId) {
         if let Some(ep) = self.table.remove(id) {
-            self.timers.remove(&(ep.next_tick, id));
+            self.timers.remove(&(ep.due, id));
             self.retired.merge(ep.state.stats());
         }
     }
@@ -283,16 +351,32 @@ impl NodeKernel {
         }
     }
 
+    /// Declares whether `id` is held by a non-active referencer — §4.1's
+    /// dummy referencer, such as a pending application timer that will
+    /// call it. A held activity counts as busy for collection: it is
+    /// never collected and blocks every consensus through it. Its own
+    /// busy→idle transitions still bump its clock, and so does a release
+    /// that leaves it idle.
+    pub fn set_held(&mut self, now: Time, id: AoId, held: bool) {
+        if let Some(ep) = self.table.get_mut(id) {
+            if ep.held && !held && ep.idle {
+                ep.state.on_became_idle(now);
+            }
+            ep.held = held;
+        }
+    }
+
     /// Creates the reference edge `from → to` (stub deserialization).
-    /// A new edge beats now: `from` becomes due at `now`, so the next
-    /// [`tick_due`](Self::tick_due) sends the edge's first heartbeat,
-    /// and the TTB cadence continues from that beat. Re-deserializing
-    /// an edge `from` already has leaves its timer alone.
+    /// A new edge beats now, to that edge only: `from`'s index entry
+    /// moves to `now`, so the next [`tick_due`](Self::tick_due) sends
+    /// the edge its first message — one message, not a broadcast — and
+    /// `from`'s cadence stays where it was. Re-deserializing an edge
+    /// `from` already has leaves its timer alone.
     pub fn add_ref(&mut self, now: Time, from: AoId, to: AoId) {
         let Some(ep) = self.table.get_mut(from) else {
             return;
         };
-        if ep.state.on_stub_deserialized(to) && ep.next_tick > now {
+        if ep.state.on_stub_deserialized(to) && ep.due > now {
             reschedule(&mut self.timers, from, ep, now);
         }
     }
@@ -329,8 +413,9 @@ impl NodeKernel {
         let Some(ep) = self.table.get_mut(to) else {
             return Vec::new();
         };
-        let actions = ep.state.on_response(now, from, response, ep.idle);
+        let actions = ep.state.on_response(now, from, response, ep.collectable());
         if let Some(deadline) = ep.state.dying_deadline() {
+            ep.cadence = deadline;
             reschedule(&mut self.timers, to, ep, deadline);
         }
         actions
@@ -352,13 +437,15 @@ impl NodeKernel {
         }
     }
 
-    /// Runs every endpoint whose TTB tick is due at `now`, as **one
-    /// batched sweep**: the due entries leave the index, their
-    /// endpoints are ticked in place through `on_tick_into` in ascending
-    /// activity-id order (across the configured shards), each survivor
-    /// is re-armed — by [`rearm`], or at its TTA deadline if it is
-    /// dying — and re-indexed, the terminated ones are removed. The
-    /// returned pools hold every emitted unit in exactly
+    /// Runs every endpoint due at `now`, as **one batched sweep**: the
+    /// due entries leave the index and their endpoints run in place in
+    /// ascending activity-id order (across the configured shards). One
+    /// whose cadence is due ticks through `on_tick_into` and re-arms —
+    /// on its TTB lattice, or at its TTA deadline if it is dying; one
+    /// that is due early only for a new edge sends the owed first
+    /// messages (`on_owed_beats_into`) and keeps its cadence. Each
+    /// survivor is re-indexed at its cadence, the terminated ones are
+    /// removed. The returned pools hold every emitted unit in exactly
     /// the order a sequential sweep would have produced — all of a
     /// sweep's units reach the host before it routes any, which is what
     /// lets its egress coalesce a whole sweep into one frame. Drain
@@ -380,15 +467,22 @@ impl NodeKernel {
         self.due.dedup();
         let mut due = self.table.many_mut(&self.due);
         sweep_sharded(&mut due, self.shards, &mut out, |ep, scratch, units| {
-            ep.state.on_tick_into(now, ep.idle, scratch, units);
-            ep.next_tick = next_due(ep, now);
+            if ep.cadence <= now {
+                let idle = ep.collectable();
+                ep.state.on_tick_into(now, idle, scratch, units);
+                ep.cadence = next_cadence(ep, now);
+            } else {
+                let idle = ep.collectable();
+                ep.state.on_owed_beats_into(idle, scratch, units);
+            }
+            ep.due = ep.cadence;
         });
         for ep in due {
             let id = ep.state.id();
             if ep.state.is_dead() {
                 self.dead.push(id);
             } else {
-                self.timers.insert((ep.next_tick, id));
+                self.timers.insert((ep.due, id));
             }
         }
         for id in self.dead.drain(..) {
@@ -455,11 +549,15 @@ mod tests {
         // the period (`now + ttb` here is the drift this replaces).
         let late = scheduled + Dur::from_millis(3);
         assert_eq!(rearm(scheduled, late, TTB), scheduled + TTB);
-        // A whole period or more behind: restart from now, no burst.
+        // A whole period or more behind: the first instant of the same
+        // lattice after now — one tick, no burst, still on the grid.
         let stalled = scheduled + TTB;
         assert_eq!(rearm(scheduled, stalled, TTB), stalled + TTB);
         let paused = scheduled + Dur::from_millis(750);
-        assert_eq!(rearm(scheduled, paused, TTB), paused + TTB);
+        assert_eq!(
+            rearm(scheduled, paused, TTB),
+            scheduled + TTB.saturating_mul(8)
+        );
     }
 
     /// A host that wakes 3 ms late every period must not stretch the
@@ -594,7 +692,8 @@ mod tests {
     }
 
     /// A kernel that was not driven for several periods (a paused host)
-    /// fires one tick per endpoint and restarts the cadence from `now`.
+    /// fires one tick per endpoint and resumes the cadence at the next
+    /// instant of its lattice, not one TTB after the late tick.
     #[test]
     fn a_paused_kernel_ticks_once_not_in_a_burst() {
         let mut k = NodeKernel::new(1);
@@ -605,19 +704,149 @@ mod tests {
         let resumed = Time::ZERO + TTB.saturating_mul(5) + Dur::from_millis(40);
         assert_eq!(heartbeats_to(&tick(&mut k, resumed), 1), 3);
         assert!(tick(&mut k, resumed).is_empty(), "no catch-up ticks");
-        assert_eq!(k.next_tick(), Some(resumed + TTB));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB.saturating_mul(6)));
     }
 
+    /// The messages in `units`, as `(target, message)`.
+    fn messages(units: &[SweepUnit]) -> Vec<(AoId, DgcMessage)> {
+        units
+            .iter()
+            .filter_map(|u| match u.action {
+                Action::SendMessage { to, message } => Some((to, message)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A new edge mid-period: its referencer is due now, for exactly one
+    /// message, to that target; the next full beat stays at the instant
+    /// the cadence already had.
     #[test]
     fn a_new_edge_makes_its_referencer_due_now() {
         let mut k = NodeKernel::new(1);
         k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        let (held, new) = (AoId::new(1, 0), AoId::new(1, 1));
+        k.add_ref(Time::ZERO, ao(0), held);
+        assert_eq!(messages(&tick(&mut k, Time::ZERO)).len(), 1);
         let now = Time::ZERO + Dur::from_millis(30);
-        k.add_ref(now, ao(0), AoId::new(1, 0));
+        k.add_ref(now, ao(0), new);
         assert_eq!(k.next_tick(), Some(now));
-        assert_eq!(heartbeats_to(&tick(&mut k, now), 1), 1);
-        // Then the TTB cadence, counted from the early beat.
-        assert_eq!(k.next_tick(), Some(now + TTB));
+        let early = messages(&tick(&mut k, now));
+        assert_eq!(early.iter().map(|m| m.0).collect::<Vec<_>>(), vec![new]);
+        // The full beat stays where the cadence had it, and covers both.
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB));
+        assert!(tick(&mut k, Time::ZERO + Dur::from_millis(99)).is_empty());
+        let full = messages(&tick(&mut k, Time::ZERO + TTB));
+        assert_eq!(
+            full.iter().map(|m| m.0).collect::<Vec<_>>(),
+            vec![held, new]
+        );
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB.saturating_mul(2)));
+    }
+
+    /// The one-target beat keeps §3.1's promise once: a stub collected
+    /// after it loses the edge at once, and the next beat skips it.
+    #[test]
+    fn an_owed_beat_clears_the_promise() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        let target = AoId::new(1, 0);
+        let now = Time::ZERO + Dur::from_millis(30);
+        k.add_ref(now, ao(0), target);
+        assert_eq!(messages(&tick(&mut k, now)).len(), 1);
+        k.drop_ref(ao(0), target);
+        let referenced = k.table.get_mut(ao(0)).map(|ep| ep.state.referenced_count());
+        assert_eq!(referenced, Some(0), "no promise holds the edge");
+        assert!(messages(&tick(&mut k, Time::ZERO + TTB)).is_empty());
+        assert_eq!(k.stats().messages_sent, 1);
+    }
+
+    /// An owed edge whose stub was collected before the beat still gets
+    /// its one message, then drops; the drop bumps the clock before the
+    /// message is built, so the message carries the bumped clock.
+    #[test]
+    fn an_unreachable_owed_edge_drops_and_bumps_before_its_message() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        let target = AoId::new(1, 0);
+        let now = Time::ZERO + Dur::from_millis(30);
+        k.add_ref(now, ao(0), target);
+        k.drop_ref(ao(0), target);
+        let before = k.table.get_mut(ao(0)).map(|ep| ep.state.clock());
+        let sent = messages(&tick(&mut k, now));
+        let after = k
+            .table
+            .get_mut(ao(0))
+            .map(|ep| (ep.state.clock(), ep.state.referenced_count()));
+        let Some((clock, referenced)) = after else {
+            panic!("ao 0 is hosted");
+        };
+        assert_ne!(Some(clock), before, "the drop bumped the clock");
+        assert_eq!(referenced, 0, "the edge is gone");
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].0, sent[0].1.clock), (target, clock));
+        assert_eq!(k.stats().bumps_lost_referenced, 1);
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB), "the cadence holds");
+    }
+
+    #[test]
+    fn a_new_edge_at_the_cadence_instant_gets_one_message() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        let at = Time::ZERO + TTB;
+        k.add_ref(at, ao(0), AoId::new(1, 0));
+        assert_eq!(messages(&tick(&mut k, at)).len(), 1);
+        assert!(tick(&mut k, at).is_empty());
+        assert_eq!(k.next_tick(), Some(at + TTB));
+    }
+
+    /// Activities spawned at different instants of a period beat
+    /// together from their first beat on: one sweep, not two.
+    #[test]
+    fn endpoints_spawned_mid_period_share_every_beat() {
+        let mut k = NodeKernel::new(1);
+        let spawned = [Dur::from_millis(10), Dur::from_millis(70)];
+        for (i, at) in (0..).zip(spawned) {
+            let now = Time::ZERO + at;
+            k.spawn(ao(i), now, Dur::ZERO, cfg(), None);
+            k.add_ref(now, ao(i), AoId::new(1, i));
+            assert_eq!(messages(&tick(&mut k, now)).len(), 1, "the new edge's beat");
+        }
+        for round in 1..=5 {
+            let due = k.next_tick();
+            assert_eq!(due, Some(Time::ZERO + TTB.saturating_mul(round)));
+            let units = tick(&mut k, due.unwrap_or(Time::ZERO));
+            let from: Vec<AoId> = units.iter().map(|u| u.from).collect();
+            assert_eq!(from, vec![ao(0), ao(1)], "round {round}");
+        }
+    }
+
+    #[test]
+    fn grid_beats_land_within_one_period_on_the_node_offset() {
+        let offset = |node| grid_beat(node, Time::ZERO, TTB).as_nanos() % TTB.as_nanos();
+        // frac(n·φ⁻¹) of 100 ms: 0, .618, .236, .854.
+        let spread: Vec<u64> = (0..4).map(|n| offset(n) / 1_000_000).collect();
+        assert_eq!(spread, vec![0, 61, 23, 85]);
+        for node in [0, 1, 2, 3, 17, u32::MAX] {
+            let lattice = offset(node);
+            for now_ns in [
+                0,
+                1,
+                lattice,
+                lattice + 1,
+                99_999_999,
+                100_000_000,
+                12_345_678_901,
+            ] {
+                let now = Time::from_nanos(now_ns);
+                let beat = grid_beat(node, now, TTB);
+                assert!(
+                    beat > now && beat <= now + TTB,
+                    "node {node} at {now}: {beat}"
+                );
+                assert_eq!(beat.as_nanos() % TTB.as_nanos(), lattice, "node {node}");
+            }
+        }
     }
 
     #[test]
@@ -629,10 +858,10 @@ mod tests {
             k.add_ref(now, ao(0), AoId::new(1, i));
         }
         assert_eq!(k.timers.len(), 1, "one index entry per endpoint");
-        // One beat to each target: a second tick would double it.
+        // One message to each target: a second pass would double it.
         assert_eq!(heartbeats_to(&tick(&mut k, now), 1), 1_000);
         assert!(tick(&mut k, now).is_empty());
-        assert_eq!(k.next_tick(), Some(now + TTB));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB));
     }
 
     #[test]
@@ -647,7 +876,7 @@ mod tests {
         tick(&mut k, edge_at + Dur::from_millis(5));
         // Held and beaten: not new either.
         k.add_ref(edge_at + Dur::from_millis(50), ao(0), AoId::new(1, 0));
-        assert_eq!(k.next_tick(), Some(edge_at + TTB));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB));
     }
 
     /// Delivers `units` inside the kernel at `now`, with everything the
@@ -778,17 +1007,84 @@ mod tests {
         k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
-        let later = Time::ZERO + Dur::from_millis(50);
+        // Respawned mid-way through its second period: the old entry at
+        // the first grid instant goes, the new one is at the next.
+        let later = Time::ZERO + Dur::from_millis(150);
         k.spawn(ao(0), later, Dur::ZERO, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
-        assert_eq!(k.next_tick(), Some(later + TTB));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB.saturating_mul(2)));
+    }
+
+    #[test]
+    fn an_unsynchronized_kernel_beats_one_ttb_plus_the_phase_after_spawn() {
+        let mut k = NodeKernel::unsynchronized(1);
+        let at = Time::ZERO + Dur::from_millis(37);
+        let phase = Dur::from_millis(5);
+        k.spawn(ao(0), at, phase, cfg(), None);
+        assert_eq!(k.next_tick(), Some(at + TTB + phase));
+    }
+
+    /// A held activity counts as busy for collection: idle and
+    /// unreferenced it outlives TTA many times over, yet going idle
+    /// still bumps its clock. Released while idle, it bumps once more
+    /// and takes the acyclic path on its next beat.
+    #[test]
+    fn a_held_activity_is_collected_only_once_released() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.set_held(Time::ZERO, ao(0), true);
+        k.set_idle(Time::ZERO, ao(0), true);
+        assert_eq!(k.stats().bumps_became_idle, 1);
+        let mut now = Time::ZERO;
+        while now < Time::from_secs(2) {
+            now = k.next_tick().expect("a held activity stays hosted");
+            assert!(tick(&mut k, now).is_empty(), "at {now}");
+        }
+        k.set_held(now, ao(0), false);
+        assert_eq!(k.stats().bumps_became_idle, 2);
+        let due = k.next_tick().expect("hosted until its next beat");
+        assert!(tick(&mut k, due).iter().any(|u| matches!(
+            u.action,
+            Action::Terminate {
+                reason: TerminateReason::Acyclic
+            }
+        )));
+        assert!(!k.hosts(ao(0)));
+    }
+
+    /// An idle 2-cycle with one held member reaches no consensus; once
+    /// the member is released the cycle is collected.
+    #[test]
+    fn a_held_member_blocks_its_cycle_until_released() {
+        let mut k = NodeKernel::new(1);
+        let (a, b) = (ao(0), ao(1));
+        for id in [a, b] {
+            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.set_idle(Time::ZERO, id, true);
+        }
+        k.set_held(Time::ZERO, a, true);
+        k.add_ref(Time::ZERO, a, b);
+        k.add_ref(Time::ZERO, b, a);
+        let run_until = |k: &mut NodeKernel, end: Time| {
+            while let Some(due) = k.next_tick().filter(|&at| at <= end) {
+                let units = tick(k, due);
+                deliver(k, due + Dur::from_millis(2), units);
+            }
+        };
+        let released = Time::from_secs(5);
+        run_until(&mut k, released);
+        assert!(k.hosts(a) && k.hosts(b), "held: nothing collected");
+        k.set_held(released, a, false);
+        run_until(&mut k, Time::from_secs(10));
+        assert!(!k.hosts(a) && !k.hosts(b), "released: the cycle goes");
     }
 
     /// §7.1 adaptive timing with a busy referencer that gains a new edge
-    /// on each of several consecutive turns: every early beat is one more
-    /// adaptation step (busy backs off by a quarter), yet every gap
-    /// between beats stays within the TTB the previous beat announced,
-    /// and the TTB never passes `max_ttb`.
+    /// on each of several consecutive turns: every full beat is one
+    /// adaptation step (busy backs off by a quarter), a new edge's
+    /// one-target beat is none, every gap between messages stays within
+    /// the TTB the previous one announced, and the TTB never passes
+    /// `max_ttb`.
     #[test]
     fn early_beats_keep_adaptive_gaps_within_the_announced_ttb() {
         let max_ttb = Dur::from_millis(200);
@@ -804,15 +1100,15 @@ mod tests {
         config.validate().expect("safe");
         let mut k = NodeKernel::new(1);
         k.spawn(ao(0), Time::ZERO, Dur::ZERO, config, None);
+        let first_edge = AoId::new(1, 0);
         let turn = Dur::from_millis(30);
-        let mut beats: Vec<(Time, Dur)> = Vec::new();
+        // (when, announced TTB, a full beat: it reaches the first edge)
+        let mut beats: Vec<(Time, Dur, bool)> = Vec::new();
         let mut record = |now: Time, units: Vec<SweepUnit>| {
-            let announced = units.iter().find_map(|u| match u.action {
-                Action::SendMessage { message, .. } => Some(message.sender_ttb),
-                _ => None,
-            });
-            if let Some(ttb) = announced {
-                beats.push((now, ttb));
+            let sent = messages(&units);
+            if let Some((_, message)) = sent.first() {
+                let full = sent.iter().any(|&(to, _)| to == first_edge);
+                beats.push((now, message.sender_ttb, full));
             }
         };
         for i in 0..8u32 {
@@ -827,16 +1123,19 @@ mod tests {
             let due = k.next_tick().expect("a busy activity is hosted");
             record(due, tick(&mut k, due));
         }
+        let owed = beats.iter().filter(|b| !b.2).count();
+        assert_eq!(owed, 7, "one owed beat per edge after the first: {beats:?}");
         assert!(beats.len() >= 18, "{beats:?}");
         let mut expected = TTB;
-        for (i, &(_, ttb)) in beats.iter().enumerate() {
-            // One step per tick, early or scheduled.
-            expected = max_ttb.min(expected.saturating_add(expected.div(4)));
+        for (i, &(_, ttb, full)) in beats.iter().enumerate() {
+            if full {
+                expected = max_ttb.min(expected.saturating_add(expected.div(4)));
+            }
             assert_eq!(ttb, expected, "beat {i}");
             assert!(ttb <= max_ttb);
         }
         for pair in beats.windows(2) {
-            let ((prev, announced), (next, _)) = (pair[0], pair[1]);
+            let ((prev, announced, _), (next, _, _)) = (pair[0], pair[1]);
             assert!(next.since(prev) <= announced, "{pair:?}");
         }
     }
@@ -850,11 +1149,13 @@ mod tests {
     }
 
     impl ScanModel {
-        fn spawn(&mut self, id: AoId, now: Time, config: DgcConfig) {
+        fn spawn(&mut self, id: AoId, now: Time, first_beat: Time, config: DgcConfig) {
             let ep = Endpoint {
                 state: DgcState::new(id, now, config),
                 idle: false,
-                next_tick: now + config.ttb,
+                held: false,
+                cadence: first_beat,
+                due: first_beat,
             };
             self.endpoints.insert(id, ep);
         }
@@ -862,7 +1163,7 @@ mod tests {
         fn add_ref(&mut self, now: Time, from: AoId, to: AoId) {
             if let Some(ep) = self.endpoints.get_mut(&from) {
                 if ep.state.on_stub_deserialized(to) {
-                    ep.next_tick = ep.next_tick.min(now);
+                    ep.due = ep.due.min(now);
                 }
             }
         }
@@ -885,14 +1186,21 @@ mod tests {
         fn tick_due(&mut self, now: Time) -> Vec<SweepUnit> {
             let mut units = Vec::new();
             for ep in self.endpoints.values_mut() {
-                if ep.next_tick <= now {
+                if ep.due > now {
+                    continue;
+                }
+                if ep.cadence <= now {
                     ep.state
                         .on_tick_into(now, ep.idle, &mut self.scratch, &mut units);
-                    ep.next_tick = match ep.state.dying_deadline() {
+                    ep.cadence = match ep.state.dying_deadline() {
                         Some(deadline) => deadline,
-                        None => rearm(ep.next_tick, now, ep.state.current_ttb()),
+                        None => rearm(ep.cadence, now, ep.state.current_ttb()),
                     };
+                } else {
+                    ep.state
+                        .on_owed_beats_into(ep.idle, &mut self.scratch, &mut units);
                 }
+                ep.due = ep.cadence;
             }
             self.endpoints.retain(|_, ep| !ep.state.is_dead());
             units
@@ -923,7 +1231,8 @@ mod tests {
                                 in_flight.push_back(SweepUnit { from: to, action });
                             }
                             if let Some(deadline) = ep.state.dying_deadline() {
-                                ep.next_tick = deadline;
+                                ep.cadence = deadline;
+                                ep.due = deadline;
                             }
                         }
                     }
@@ -933,7 +1242,7 @@ mod tests {
         }
 
         fn next_tick(&self) -> Option<Time> {
-            self.endpoints.values().map(|ep| ep.next_tick).min()
+            self.endpoints.values().map(|ep| ep.due).min()
         }
     }
 
@@ -957,7 +1266,7 @@ mod tests {
                 match op {
                     0 => {
                         k.spawn(ao(a), now, Dur::ZERO, cfg(), None);
-                        model.spawn(ao(a), now, cfg());
+                        model.spawn(ao(a), now, grid_beat(0, now, TTB), cfg());
                     }
                     1 | 2 => {
                         k.add_ref(now, ao(a), target);
@@ -995,9 +1304,10 @@ mod tests {
                 prop_assert_eq!(k.timers.len(), k.hosted(), "step {}: one entry each", i);
                 for ep in &k.table.slots {
                     let id = ep.state.id();
-                    prop_assert!(k.timers.contains(&(ep.next_tick, id)), "step {}", i);
+                    prop_assert!(k.timers.contains(&(ep.due, id)), "step {}", i);
+                    prop_assert!(ep.due <= ep.cadence, "step {}: {:?}", i, id);
                     if let Some(deadline) = ep.state.dying_deadline() {
-                        prop_assert_eq!(ep.next_tick, deadline, "step {}: {:?} dying", i, id);
+                        prop_assert_eq!(ep.due, deadline, "step {}: {:?} dying", i, id);
                     }
                 }
             }

@@ -316,26 +316,7 @@ impl DgcState {
             // target hears the post-drop clock.
             self.referenced
                 .broadcast_targets_into(&mut scratch.targets, &mut scratch.dropped);
-            for i in 0..scratch.dropped.len() {
-                self.lose_referenced_edge(scratch.dropped[i]);
-            }
-            for i in 0..scratch.targets.len() {
-                let dest = scratch.targets[i];
-                let consensus = self.consensus_bit_for(dest, idle);
-                self.stats.messages_sent += 1;
-                sink.emit(
-                    self.id,
-                    Action::SendMessage {
-                        to: dest,
-                        message: DgcMessage {
-                            sender: self.id,
-                            clock: self.clock,
-                            consensus,
-                            sender_ttb: self.current_ttb,
-                        },
-                    },
-                );
-            }
+            self.drop_then_send(idle, scratch, sink);
             return;
         }
         // Hot path: no drop can occur this tick, so the broadcast is
@@ -371,6 +352,56 @@ impl DgcState {
                 );
             });
         debug_assert!(scratch.dropped.is_empty());
+    }
+
+    /// The first message of every edge still owed one (§3.1's
+    /// `must_send_once`), sent between two broadcasts so that a new
+    /// edge need not wait for its referencer's next beat — and to those
+    /// edges only. Same two-phase order as a broadcast: the promises
+    /// clear, the owed edges whose stubs are already collected drop and
+    /// bump the clock, and only then are the messages built, so they
+    /// carry the post-bump clock. This is not a tick: no Algorithm 2
+    /// check runs and the adaptive TTB does not step. Inactive
+    /// endpoints send nothing.
+    pub fn on_owed_beats_into(
+        &mut self,
+        idle: bool,
+        scratch: &mut SweepScratch,
+        sink: &mut impl ActionSink,
+    ) {
+        if self.phase != Phase::Active {
+            return;
+        }
+        scratch.targets.clear();
+        scratch.dropped.clear();
+        self.referenced
+            .owed_targets_into(&mut scratch.targets, &mut scratch.dropped);
+        self.drop_then_send(idle, scratch, sink);
+    }
+
+    /// The two-phase tail of a broadcast: the edges in `scratch.dropped`
+    /// are lost (each bumps the clock), then every target in
+    /// `scratch.targets` is sent the resulting clock.
+    fn drop_then_send(&mut self, idle: bool, scratch: &SweepScratch, sink: &mut impl ActionSink) {
+        for &target in &scratch.dropped {
+            self.lose_referenced_edge(target);
+        }
+        for &dest in &scratch.targets {
+            let consensus = self.consensus_bit_for(dest, idle);
+            self.stats.messages_sent += 1;
+            sink.emit(
+                self.id,
+                Action::SendMessage {
+                    to: dest,
+                    message: DgcMessage {
+                        sender: self.id,
+                        clock: self.clock,
+                        consensus,
+                        sender_ttb: self.current_ttb,
+                    },
+                },
+            );
+        }
     }
 
     /// The consensus bit sent toward `dest` (Algorithm 2, reconstructed):

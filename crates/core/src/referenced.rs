@@ -9,9 +9,10 @@
 //!   when the tag dies (all stubs collected) — that removal is a "loss of
 //!   a referenced" which must bump the activity clock (§3.2, Fig. 6).
 //! * **`must_send_once`.** A freshly deserialized reference guarantees at
-//!   least one DGC message at the next broadcast *even if the stub is
-//!   immediately collected*, so a reference hopping quickly between
-//!   objects keeps its target alive (§3.1).
+//!   least one DGC message — sent on its own at once by the node kernel,
+//!   or at the next broadcast — *even if the stub is immediately
+//!   collected*, so a reference hopping quickly between objects keeps its
+//!   target alive (§3.1).
 //!
 //! ## Storage
 //!
@@ -33,7 +34,7 @@ pub struct ReferencedInfo {
     /// True while at least one local stub (the shared tag) is alive.
     pub reachable: bool,
     /// True if we still owe this target one DGC message (deserialization
-    /// happened after the last broadcast).
+    /// happened after the last message sent to it).
     pub must_send_once: bool,
 }
 
@@ -145,8 +146,19 @@ impl ReferencedTable {
     /// (appended, id order) — one in-place pass, no allocation when the
     /// buffers' capacity is warm. This is the TTB-sweep hot path.
     pub fn broadcast_targets_into(&mut self, targets: &mut Vec<AoId>, dropped: &mut Vec<AoId>) {
+        self.targets_into(false, targets, dropped);
+    }
+
+    /// [`Self::broadcast_targets_into`] restricted to the targets still
+    /// owed their first message: the reachable edges that were already
+    /// beaten are left out, with their flags and responses untouched.
+    pub fn owed_targets_into(&mut self, targets: &mut Vec<AoId>, dropped: &mut Vec<AoId>) {
+        self.targets_into(true, targets, dropped);
+    }
+
+    fn targets_into(&mut self, owed_only: bool, targets: &mut Vec<AoId>, dropped: &mut Vec<AoId>) {
         self.entries.retain_mut(|(id, info)| {
-            if info.reachable || info.must_send_once {
+            if info.must_send_once || (info.reachable && !owed_only) {
                 targets.push(*id);
                 info.must_send_once = false;
                 if !info.reachable {
@@ -314,6 +326,28 @@ mod tests {
         assert_eq!(targets, vec![ao(7), ao(1), ao(2)]);
         assert_eq!(dropped, vec![ao(2)]);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn owed_walk_leaves_beaten_edges_alone() {
+        let mut t = ReferencedTable::new();
+        t.on_stub_deserialized(ao(1));
+        t.broadcast_targets();
+        t.on_stub_deserialized(ao(3));
+        t.on_stub_deserialized(ao(2));
+        t.on_stubs_collected(ao(2)); // owed, then unreachable
+        let (mut targets, mut dropped) = (Vec::new(), Vec::new());
+        t.owed_targets_into(&mut targets, &mut dropped);
+        assert_eq!((targets, dropped), (vec![ao(2), ao(3)], vec![ao(2)]));
+        let ids: Vec<AoId> = t.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![ao(1), ao(3)]);
+        assert!(t.iter().all(|(_, info)| !info.must_send_once));
+        let (mut targets, mut dropped) = (Vec::new(), Vec::new());
+        t.owed_targets_into(&mut targets, &mut dropped);
+        assert!(
+            targets.is_empty() && dropped.is_empty(),
+            "nothing owed twice"
+        );
     }
 
     #[test]

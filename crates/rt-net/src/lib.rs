@@ -225,4 +225,38 @@ mod tests {
         );
         cluster.shutdown();
     }
+
+    #[test]
+    fn a_nodes_activities_beat_in_one_sweep() {
+        // 50 busy activities spawned 2 ms apart on node 0, each
+        // referencing node 1. They all beat on node 0's grid, so once
+        // they are up node 0 sends one sweep's frame per TTB, not a
+        // frame per activity at its own spawn phase.
+        let ttb = Duration::from_millis(100);
+        let config = NetConfig::new(
+            DgcConfig::builder()
+                .ttb(Dur::from_millis(100))
+                .tta(Dur::from_millis(300))
+                .max_comm(Dur::from_millis(50))
+                .build(),
+        );
+        let cluster = Cluster::listen_local(2, config).unwrap();
+        let target = cluster.add_activity(1);
+        for _ in 0..50 {
+            let holder = cluster.add_activity(0);
+            cluster.add_ref(holder, target);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Every new edge's first message is out.
+        std::thread::sleep(ttb);
+        let before = cluster.stats()[0].frames_sent;
+        let periods = 5;
+        std::thread::sleep(ttb * periods);
+        let frames = cluster.stats()[0].frames_sent - before;
+        assert!(
+            frames <= 2 * u64::from(periods),
+            "{frames} frames from node 0 in {periods} TTBs"
+        );
+        cluster.shutdown();
+    }
 }

@@ -201,6 +201,54 @@ fn late_idle_member_delays_then_releases_consensus() {
     assert!(g.violations().is_empty());
 }
 
+/// A member whose blinker idles between bursts still has a timer
+/// pending: the timer holds it as a §4.1 dummy referencer would, so its
+/// idle windows never make the cycle garbage. Whatever the beat phases
+/// and the burst period, nothing is collected and no termination is a
+/// violation, while every burst still bumps the clock.
+#[test]
+fn a_pending_timer_holds_a_blinking_cycle_under_many_seeds() {
+    for period in [35, 40, 43, 47] {
+        for seed in 0..12 {
+            let mut g = grid(200 + seed);
+            let a = g.spawn(
+                ProcId(0),
+                Box::new(Blinker {
+                    period: SimDuration::from_secs(period),
+                }),
+            );
+            let b = g.spawn(ProcId(1), Box::new(Inert));
+            g.make_ref(a, b);
+            g.make_ref(b, a);
+            g.run_for(SimDuration::from_secs(600));
+            let case = format!("period {period} s, seed {seed}");
+            assert!(g.is_alive(a) && g.is_alive(b), "{case}");
+            assert!(g.violations().is_empty(), "{case}: {:?}", g.violations());
+            assert!(g.dgc_stats().bumps_became_idle >= 10, "{case}");
+        }
+    }
+}
+
+#[test]
+fn late_idle_pinned_member_releases_consensus_within_the_bound() {
+    // The cycle forms early and one member is pinned busy for 600 s.
+    // Once it idles, the cycle is garbage and must be collected by
+    // consensus within the O(h·TTB) + TTA bound (generously slackened).
+    let mut g = grid(6);
+    let a = g.spawn(ProcId(0), Box::new(Inert));
+    g.set_busy(a, true);
+    let b = g.spawn(ProcId(1), Box::new(Inert));
+    g.make_ref(a, b);
+    g.make_ref(b, a);
+    g.run_for(SimDuration::from_secs(600));
+    assert!(g.is_alive(a) && g.is_alive(b));
+    g.set_busy(a, false);
+    g.run_for(SimDuration::from_secs(300));
+    assert!(!g.is_alive(a) && !g.is_alive(b));
+    assert!(g.collected().iter().all(|c| c.reason.is_some()));
+    assert!(g.violations().is_empty(), "{:?}", g.violations());
+}
+
 #[test]
 fn idle_busy_churn_under_many_seeds_is_safe() {
     for seed in 0..8 {
