@@ -1646,10 +1646,16 @@ impl Grid {
         }
     }
 
+    /// Both deliveries can move `to`'s kernel timer earlier — an answer
+    /// that tells a dying endpoint's last referencer, a response that
+    /// makes it dying — so each re-arms `to`'s process wake.
     fn deliver_dgc_msg(&mut self, from: AoId, to: AoId, message: DgcMessage) {
         let p = to.node as usize;
         match self.kernels[p].on_message(proto_time(self.now), to, &message) {
-            Some(out) => self.emit_all(p, out),
+            Some(out) => {
+                self.emit_all(p, out);
+                self.schedule_wake(ProcId(to.node));
+            }
             // Target gone: the sender's connection fails.
             None => self.kernels[from.node as usize].on_send_failure(from, to),
         }
@@ -1657,11 +1663,10 @@ impl Grid {
 
     fn deliver_dgc_resp(&mut self, from: AoId, to: AoId, response: DgcResponse) {
         let now = proto_time(self.now);
-        // A propagated consensus moves `to`'s timer to its TTA deadline,
-        // never before the process's queued wake: no re-arm needed.
         for action in self.kernels[to.node as usize].on_response(now, from, to, &response) {
             self.emit(to, action);
         }
+        self.schedule_wake(ProcId(to.node));
     }
 
     fn handle_rmi_tick(&mut self, ao: AoId) {
@@ -2406,13 +2411,15 @@ mod tests {
     /// `rings_idled_at_creation_end_on_the_early_beat_schedule`: one
     /// member per process over 1 ms links, no phase jitter, members
     /// pinned busy while the ring closes and released at once. Each new
-    /// edge's first message leaves at creation, and the last member to
-    /// learn the consensus from a response goes exactly TTA after it.
-    /// The simulator has no node beat grid: with the jitter off every
-    /// member's cadence starts one TTB after creation, so the members
-    /// beat in lock-step and a consensus crosses one hop per TTB —
-    /// 802 / 1,502 ms, where the harness, whose endpoints beat on their
-    /// nodes' out-of-phase grids, pins 702 / 1,202 ms.
+    /// edge's first message leaves at creation, each member's dying wait
+    /// ends when its one referencer has been answered, and the last
+    /// member to learn the consensus goes on that response (its only
+    /// referencer owns the clock). The simulator has no node beat grid:
+    /// with the jitter off every member's cadence starts one TTB after
+    /// creation, so the members beat in lock-step and a consensus
+    /// crosses one hop per TTB — 302 / 1,002 ms, where the harness,
+    /// whose endpoints beat on their nodes' out-of-phase grids, pins
+    /// 202 / 702 ms.
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()
@@ -2420,7 +2427,7 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2u32, 802), (4, 1_502)] {
+        for (n, lifetime_ms) in [(2u32, 302), (4, 1_002)] {
             let topo = Topology::single_site(n, SimDuration::from_millis(1));
             let mut grid_config = GridConfig::new(topo)
                 .collector(CollectorKind::Complete(config))
@@ -2450,6 +2457,48 @@ mod tests {
                 "{n}-ring"
             );
         }
+    }
+
+    /// A dying endpoint's process wake follows its deadline. In the
+    /// lock-step 2-ring of the test above, the consensus owner detects
+    /// at 300 ms and waits on its one referencer, at most TTA: its
+    /// process wake sits at the 800 ms cap. The referencer's beat from
+    /// the same instant lands at 301 ms, the answer tells it, and the
+    /// wake moves to 301 ms, where the owner goes.
+    #[test]
+    fn a_dying_endpoint_wakes_when_its_last_referencer_is_told() {
+        let config = DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(200))
+            .build();
+        let topo = Topology::single_site(2, SimDuration::from_millis(1));
+        let mut grid_config = GridConfig::new(topo)
+            .collector(CollectorKind::Complete(config))
+            .seed(7);
+        grid_config.tick_jitter = false;
+        let mut g = Grid::new(grid_config);
+        let ids: Vec<AoId> = (0..2)
+            .map(|p| g.spawn(ProcId(p), Box::new(Inert)))
+            .collect();
+        for id in &ids {
+            g.set_busy(*id, true);
+        }
+        g.make_ref(ids[0], ids[1]);
+        g.make_ref(ids[1], ids[0]);
+        for id in &ids {
+            g.set_busy(*id, false);
+        }
+        g.run_until(SimTime::from_nanos(300_500_000));
+        let wakes: Vec<Option<SimTime>> = g.wake.iter().map(|w| w.map(|(at, _)| at)).collect();
+        let capped = SimTime::from_millis(800);
+        let Some(owner) = wakes.iter().position(|&at| at == Some(capped)) else {
+            panic!("no process waits on the TTA cap: {wakes:?}");
+        };
+        g.run_until(SimTime::from_millis(301));
+        let gone: Vec<(AoId, SimTime)> = g.collected().iter().map(|c| (c.ao, c.at)).collect();
+        assert_eq!(gone, vec![(ids[owner], SimTime::from_millis(301))]);
+        assert!(g.violations().is_empty());
     }
 
     /// However many activities a process hosts, the queue holds one

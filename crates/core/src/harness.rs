@@ -298,12 +298,14 @@ mod tests {
     /// each new edge's first message leaves on the turn that created it,
     /// every member then beats on its own node's grid — out of phase
     /// with its neighbours, so a consensus crosses a hop in part of a
-    /// TTB — and the last member learns the consensus from a response
-    /// 2 ms after a beat (a 1 ms hop each way) and goes exactly TTA after
-    /// that response, so it goes exactly this long after creation. (The
-    /// simulator twin, `Grid` with `tick_jitter` off, has no node grid:
-    /// every member beats one TTB after creation, in lock-step, and its
-    /// rings take 802 / 1,502 ms.)
+    /// TTB — and each member's dying wait ends when its one referencer
+    /// has been answered, not TTA later. The last member learns the
+    /// consensus from a response 2 ms after a beat (a 1 ms hop each way)
+    /// and goes on that response, since its only referencer owns the
+    /// consensus clock, so it goes exactly this long after creation.
+    /// (The simulator twin, `Grid` with `tick_jitter` off, has no node
+    /// grid: every member beats one TTB after creation, in lock-step,
+    /// and its rings take 302 / 1,002 ms.)
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()
@@ -311,7 +313,7 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2, 702), (4, 1_202)] {
+        for (n, lifetime_ms) in [(2, 202), (4, 702)] {
             let mut h = Harness::new(Dur::from_millis(1));
             let created = h.now();
             let ids = h.add_many(n, config);

@@ -20,7 +20,7 @@
 //! while it drains.)
 //!
 //! Only a tick terminates an activity (Algorithm 2 — a consensus makes
-//! it *dying*, and the TTA wait ends on a later tick), so `tick_due` is
+//! it *dying*, and its wait ends on a later tick), so `tick_due` is
 //! where endpoints leave the table: by the time the host sees an
 //! [`Action::Terminate`] the endpoint and its timer are gone, and a
 //! later message to it is "no such target". The one other way out is
@@ -54,14 +54,22 @@
 //! Sending the first message early is safe: the §4.2 bound is over gaps
 //! between messages, and an early one only shortens a gap.
 //!
-//! **A dying endpoint's timer is its TTA deadline.** It sends nothing
-//! while it waits, so instead of ticking every TTB its one index entry
-//! moves to `since + TTA` ([`DgcState::dying_deadline`]) — on the tick
-//! that detects the consensus, and in [`NodeKernel::on_response`] when a
-//! propagated consensus arrives between ticks — and the tick at that
-//! instant terminates it. A member that learns the consensus from a
-//! response therefore goes exactly TTA later, not on the first cadence
-//! tick after that, up to one TTB late.
+//! **A dying endpoint's timer is its deadline, and telling its last
+//! referencer moves it.** It sends nothing while it waits, so instead of
+//! ticking every TTB its one index entry sits at
+//! [`DgcState::dying_deadline`]: TTA after the consensus at the latest,
+//! and the instant its last referencer still owed an answer is answered
+//! if that comes first (the owner of the consensus clock is never owed
+//! one, so a member whose only referencer is the owner is due at once).
+//! The entry moves on the tick that detects the consensus, in
+//! [`NodeKernel::on_response`] when a propagated consensus arrives
+//! between ticks, and in [`NodeKernel::on_message`] when the answer to
+//! a message tells the last referencer. A tick still does the
+//! terminating, so the last response leaves before the endpoint does.
+//! Every host re-reads [`NodeKernel::next_tick`] after each delivery:
+//! rt-net's and rt-thread's loops and the harness on every turn, the
+//! simulator `Grid` by re-arming its process wake after each DGC message
+//! and response.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,7 +98,7 @@ struct Endpoint {
     idle: bool,
     /// Held by a non-active referencer ([`NodeKernel::set_held`]).
     held: bool,
-    /// The next full beat (or, while dying, the TTA deadline).
+    /// The next full beat (or, while dying, the dying deadline).
     cadence: Time,
     /// The endpoint's one index entry: `cadence`, or earlier while a
     /// new edge is owed its first message.
@@ -138,7 +146,7 @@ fn rearm(scheduled: Time, now: Time, ttb: Dur) -> Time {
 }
 
 /// When an endpoint that has just been ticked at `now` beats next: its
-/// TTA deadline while dying, the TTB cadence ([`rearm`]) otherwise.
+/// dying deadline while dying, the TTB cadence ([`rearm`]) otherwise.
 fn next_cadence(ep: &Endpoint, now: Time) -> Time {
     ep.state
         .dying_deadline()
@@ -150,6 +158,18 @@ fn reschedule(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint, 
     timers.remove(&(ep.due, id));
     ep.due = at;
     timers.insert((at, id));
+}
+
+/// Keeps a dying endpoint's cadence and index entry at its deadline,
+/// which a delivery can set (a response that propagates a consensus) or
+/// move earlier (a message whose answer tells the last referencer).
+fn follow_deadline(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint) {
+    if let Some(deadline) = ep.state.dying_deadline() {
+        ep.cadence = deadline;
+        if ep.due != deadline {
+            reschedule(timers, id, ep, deadline);
+        }
+    }
 }
 
 /// The hosted endpoints, densely packed in no particular order, and
@@ -391,18 +411,20 @@ impl NodeKernel {
     /// Delivers a DGC message to `to`. `None` means no such target —
     /// never hosted here, or already terminated — and the host owes the
     /// sender a send failure; otherwise the response is in the returned
-    /// pools (drain, then [`recycle`](Self::recycle)).
+    /// pools (drain, then [`recycle`](Self::recycle)). A dying `to`
+    /// whose answer tells its last referencer becomes due now.
     pub fn on_message(&mut self, now: Time, to: AoId, message: &DgcMessage) -> Option<SweepPools> {
         let ep = self.table.get_mut(to)?;
         let mut out = std::mem::take(&mut self.pools);
         ep.state.on_message_into(now, message, out.unit_buf());
+        follow_deadline(&mut self.timers, to, ep);
         Some(out)
     }
 
     /// Delivers the DGC response `from` sent to `to`; returns what `to`
     /// wants done (nothing if it is not hosted). A response that
     /// propagates a consensus makes `to` dying, and its timer moves to
-    /// the end of its TTA wait.
+    /// its dying deadline.
     pub fn on_response(
         &mut self,
         now: Time,
@@ -414,10 +436,7 @@ impl NodeKernel {
             return Vec::new();
         };
         let actions = ep.state.on_response(now, from, response, ep.collectable());
-        if let Some(deadline) = ep.state.dying_deadline() {
-            ep.cadence = deadline;
-            reschedule(&mut self.timers, to, ep, deadline);
-        }
+        follow_deadline(&mut self.timers, to, ep);
         actions
     }
 
@@ -441,7 +460,7 @@ impl NodeKernel {
     /// due entries leave the index and their endpoints run in place in
     /// ascending activity-id order (across the configured shards). One
     /// whose cadence is due ticks through `on_tick_into` and re-arms —
-    /// on its TTB lattice, or at its TTA deadline if it is dying; one
+    /// on its TTB lattice, or at its dying deadline if it is dying; one
     /// that is due early only for a new edge sends the owed first
     /// messages (`on_owed_beats_into`) and keeps its cadence. Each
     /// survivor is re-indexed at its cadence, the terminated ones are
@@ -938,12 +957,13 @@ mod tests {
     }
 
     /// §4.3 with the wait counted from the response: a member that learns
-    /// the consensus from a response between ticks is due exactly TTA
-    /// later — its one index entry moves there — and terminates on that
-    /// tick, not on the first cadence tick after it.
+    /// the consensus from a response between ticks, and whose only
+    /// referencer owns the consensus clock, is owed to no one, so it is
+    /// due at that instant — its one index entry moves there — and
+    /// terminates on that tick, neither TTA later nor on its next
+    /// cadence tick.
     #[test]
     fn a_propagated_dying_endpoint_terminates_at_its_deadline() {
-        let tta = cfg().tta;
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
@@ -957,6 +977,7 @@ mod tests {
                 Some(crate::protocol::Phase::Dying {
                     since,
                     reason: TerminateReason::CyclicPropagated,
+                    ..
                 }) => Some(since),
                 _ => None,
             };
@@ -976,7 +997,7 @@ mod tests {
             // The responses arrive 2 ms after the sweep, as over a link.
             deliver(&mut k, due + Dur::from_millis(2), units);
         };
-        let deadline = since + tta;
+        let deadline = since;
         let entries: Vec<Time> = k
             .timers
             .iter()
@@ -999,6 +1020,101 @@ mod tests {
                 }
             )));
         assert!(!k.hosts(member));
+    }
+
+    /// The owner that detects a 2-cycle's consensus waits on its one
+    /// referencer, at most TTA. The message whose answer tells it moves
+    /// its index entry to that instant, and the tick there terminates it
+    /// — after the answer was drained. The answer in turn makes the
+    /// other member dying and due at once: its only referencer is the
+    /// owner.
+    #[test]
+    fn telling_the_last_referencer_moves_the_deadline_to_now() {
+        let tta = cfg().tta;
+        let mut k = NodeKernel::new(1);
+        let (a, b) = (ao(0), ao(1));
+        for id in [a, b] {
+            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.set_idle(Time::ZERO, id, true);
+        }
+        k.add_ref(Time::ZERO, a, b);
+        k.add_ref(Time::ZERO, b, a);
+        let phase = |k: &mut NodeKernel, id| k.table.get_mut(id).map(|ep| ep.state.phase());
+        let detected = |k: &mut NodeKernel| {
+            [a, b].into_iter().find_map(|id| match phase(k, id) {
+                Some(crate::protocol::Phase::Dying {
+                    since,
+                    reason: TerminateReason::CyclicDetected,
+                    ..
+                }) => Some((id, since)),
+                _ => None,
+            })
+        };
+        let (owner, since, units) = loop {
+            let due = k.next_tick().expect("the 2-cycle is still hosted");
+            assert!(
+                due < Time::from_secs(10),
+                "the idle 2-cycle reaches consensus"
+            );
+            let units = tick(&mut k, due);
+            if let Some((owner, since)) = detected(&mut k) {
+                break (owner, since, units);
+            }
+            deliver(&mut k, due + Dur::from_millis(2), units);
+        };
+        let other = if owner == a { b } else { a };
+        let entries = |k: &NodeKernel, of| {
+            k.timers
+                .iter()
+                .filter(|&&(_, id)| id == of)
+                .map(|&(at, _)| at)
+                .collect::<Vec<Time>>()
+        };
+        assert_eq!(entries(&k, owner), vec![since + tta], "owed to {other:?}");
+        // Both members beat on node 0's grid, so the sweep that found
+        // the consensus also carries the other member's beat.
+        let beat = messages(&units)
+            .into_iter()
+            .find_map(|(to, message)| (to == owner).then_some(message))
+            .expect("the other member beats the owner");
+        let at = since + Dur::from_millis(2);
+        let mut out = k.on_message(at, owner, &beat).expect("the owner is hosted");
+        let answer: Vec<SweepUnit> = out.drain_units().collect();
+        k.recycle(out);
+        assert!(
+            matches!(
+                answer.as_slice(),
+                [SweepUnit {
+                    action: Action::SendResponse { to, response },
+                    ..
+                }] if *to == other && response.consensus_reached
+            ),
+            "{answer:?}"
+        );
+        assert_eq!(entries(&k, owner), vec![at]);
+        assert_eq!(k.next_tick(), Some(at));
+        let units = tick(&mut k, at);
+        assert!(units.iter().any(|u| u.from == owner
+            && matches!(
+                u.action,
+                Action::Terminate {
+                    reason: TerminateReason::CyclicDetected
+                }
+            )));
+        assert!(!k.hosts(owner));
+        // The answer, delivered after the owner left, still propagates.
+        let learned = at + Dur::from_millis(2);
+        deliver(&mut k, learned, answer);
+        assert_eq!(k.next_tick(), Some(learned));
+        let units = tick(&mut k, learned);
+        assert!(units.iter().any(|u| u.from == other
+            && matches!(
+                u.action,
+                Action::Terminate {
+                    reason: TerminateReason::CyclicPropagated
+                }
+            )));
+        assert_eq!(k.hosted(), 0);
     }
 
     #[test]
@@ -1141,11 +1257,72 @@ mod tests {
     }
 
     /// The old linear-scan kernel, kept as the index's reference model:
-    /// every tick filters all endpoints and the next tick is a `min`.
+    /// every tick filters all endpoints and the next tick is a `min`. It
+    /// keeps its own §4.3 books rather than asking `dying_deadline`.
     #[derive(Default)]
     struct ScanModel {
         endpoints: BTreeMap<AoId, Endpoint>,
+        waits: BTreeMap<AoId, Wait>,
         scratch: crate::sweep::SweepScratch,
+    }
+
+    /// A dying endpoint as the model sees it: when it began dying, the
+    /// referencers it still owes an answer (all but the clock owner),
+    /// and when the last of them was answered.
+    struct Wait {
+        since: Time,
+        untold: BTreeSet<AoId>,
+        told_at: Option<Time>,
+    }
+
+    impl Wait {
+        /// The wait `state` began at `now`, if this input made it dying.
+        fn began(was_active: bool, state: &DgcState, now: Time) -> Option<Wait> {
+            if !was_active || !matches!(state.phase(), crate::protocol::Phase::Dying { .. }) {
+                return None;
+            }
+            let owner = state.clock().owner;
+            let untold: BTreeSet<AoId> = state
+                .referencer_ids()
+                .into_iter()
+                .filter(|&r| r != owner)
+                .collect();
+            let told_at = untold.is_empty().then_some(now);
+            Some(Wait {
+                since: now,
+                untold,
+                told_at,
+            })
+        }
+
+        /// Books the wait `id`'s last input began, if any, and keeps a
+        /// dying endpoint's cadence and due at the model's deadline.
+        fn follow(
+            waits: &mut BTreeMap<AoId, Wait>,
+            id: AoId,
+            ep: &mut Endpoint,
+            was_active: bool,
+            now: Time,
+        ) {
+            if let Some(wait) = Wait::began(was_active, &ep.state, now) {
+                waits.insert(id, wait);
+            }
+            if let Some(wait) = waits.get(&id) {
+                ep.cadence = wait.deadline(ep.state.config().tta);
+                ep.due = ep.cadence;
+            }
+        }
+
+        fn answered(&mut self, sender: AoId, now: Time) {
+            if self.untold.remove(&sender) && self.untold.is_empty() {
+                self.told_at = Some(now);
+            }
+        }
+
+        fn deadline(&self, tta: Dur) -> Time {
+            let cap = self.since + tta;
+            self.told_at.map_or(cap, |told| told.min(cap))
+        }
     }
 
     impl ScanModel {
@@ -1158,6 +1335,7 @@ mod tests {
                 due: first_beat,
             };
             self.endpoints.insert(id, ep);
+            self.waits.remove(&id);
         }
 
         fn add_ref(&mut self, now: Time, from: AoId, to: AoId) {
@@ -1185,15 +1363,19 @@ mod tests {
 
         fn tick_due(&mut self, now: Time) -> Vec<SweepUnit> {
             let mut units = Vec::new();
-            for ep in self.endpoints.values_mut() {
+            for (&id, ep) in self.endpoints.iter_mut() {
                 if ep.due > now {
                     continue;
                 }
                 if ep.cadence <= now {
+                    let was_active = ep.state.phase() == crate::protocol::Phase::Active;
                     ep.state
                         .on_tick_into(now, ep.idle, &mut self.scratch, &mut units);
-                    ep.cadence = match ep.state.dying_deadline() {
-                        Some(deadline) => deadline,
+                    if let Some(wait) = Wait::began(was_active, &ep.state, now) {
+                        self.waits.insert(id, wait);
+                    }
+                    ep.cadence = match self.waits.get(&id) {
+                        Some(wait) => wait.deadline(ep.state.config().tta),
                         None => rearm(ep.cadence, now, ep.state.current_ttb()),
                     };
                 } else {
@@ -1203,21 +1385,28 @@ mod tests {
                 ep.due = ep.cadence;
             }
             self.endpoints.retain(|_, ep| !ep.state.is_dead());
+            let endpoints = &self.endpoints;
+            self.waits.retain(|id, _| endpoints.contains_key(id));
             units
         }
 
         /// [`deliver`] over the model: a dying endpoint's next tick is
-        /// its deadline from the moment a response makes it dying.
+        /// its deadline from the moment a response makes it dying, and
+        /// moves to `now` when a message's answer tells its last
+        /// referencer.
         fn deliver(&mut self, now: Time, units: Vec<SweepUnit>) {
             let mut in_flight: std::collections::VecDeque<SweepUnit> = units.into();
             while let Some(SweepUnit { from, action }) = in_flight.pop_front() {
                 match action {
                     Action::SendMessage { to, message } => match self.endpoints.get_mut(&to) {
                         Some(ep) => {
-                            let from = ep.state.id();
                             for action in ep.state.on_message(now, &message) {
-                                in_flight.push_back(SweepUnit { from, action });
+                                in_flight.push_back(SweepUnit { from: to, action });
                             }
+                            if let Some(wait) = self.waits.get_mut(&to) {
+                                wait.answered(message.sender, now);
+                            }
+                            Wait::follow(&mut self.waits, to, ep, false, now);
                         }
                         None => {
                             if let Some(ep) = self.endpoints.get_mut(&from) {
@@ -1227,13 +1416,11 @@ mod tests {
                     },
                     Action::SendResponse { to, response } => {
                         if let Some(ep) = self.endpoints.get_mut(&to) {
+                            let was_active = ep.state.phase() == crate::protocol::Phase::Active;
                             for action in ep.state.on_response(now, from, &response, ep.idle) {
                                 in_flight.push_back(SweepUnit { from: to, action });
                             }
-                            if let Some(deadline) = ep.state.dying_deadline() {
-                                ep.cadence = deadline;
-                                ep.due = deadline;
-                            }
+                            Wait::follow(&mut self.waits, to, ep, was_active, now);
                         }
                     }
                     Action::Terminate { .. } => {}

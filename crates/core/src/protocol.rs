@@ -33,13 +33,19 @@ use crate::units::{Dur, Time};
 pub enum Phase {
     /// Normal operation.
     Active,
-    /// Consensus reached (§4.3 optimization): heartbeats stopped,
-    /// responses advertise `consensus_reached`, termination after TTA.
+    /// Consensus reached (§4.3 optimization): heartbeats stopped and
+    /// every DGC message is answered with `consensus_reached`. The
+    /// endpoint terminates once each referencer it waits on has been
+    /// answered since `since`, or TTA after `since` if one stays silent
+    /// ([`DgcState::dying_deadline`]).
     Dying {
         /// When the phase was entered.
         since: Time,
         /// The reason that will be reported at termination.
         reason: TerminateReason,
+        /// Referencers not yet answered since `since`. The owner of the
+        /// consensus clock is never counted: it is dying already.
+        untold: u32,
     },
     /// Terminated; all inputs are ignored.
     Dead,
@@ -59,6 +65,8 @@ pub struct DgcState {
     referenced: ReferencedTable,
     /// Arrival time of the last DGC message from anyone; initialised to
     /// the creation time so a never-referenced object still waits TTA.
+    /// While dying it is when the last referencer owed an answer was
+    /// answered (the Dying entry if none was owed).
     last_message_timestamp: Time,
     phase: Phase,
     current_ttb: Dur,
@@ -222,10 +230,24 @@ impl DgcState {
     ) {
         match self.phase {
             Phase::Dead => return,
-            Phase::Dying { since, reason } => {
-                // §4.3: wait TTA, then terminate. No heartbeats meanwhile.
-                if now.since(since) >= self.config.tta {
+            Phase::Dying {
+                since,
+                reason,
+                untold,
+            } => {
+                // §4.3: no heartbeats; terminate once every referencer
+                // has been told, or after TTA.
+                let (end, told) = self.wait_end(since, untold);
+                if now >= end {
                     self.phase = Phase::Dead;
+                    if let Some(obs) = &self.obs {
+                        let ended = if told {
+                            &obs.dying_ended_told
+                        } else {
+                            &obs.dying_ended_capped
+                        };
+                        ended.incr();
+                    }
                     self.record_collected(now, reason, Some(since));
                     sink.emit(self.id, Action::Terminate { reason });
                 }
@@ -286,10 +308,7 @@ impl DgcState {
                     }
                 }
                 if self.config.propagate_consensus {
-                    self.phase = Phase::Dying {
-                        since: now,
-                        reason: TerminateReason::CyclicDetected,
-                    };
+                    self.enter_dying(now, TerminateReason::CyclicDetected);
                     return;
                 }
                 self.phase = Phase::Dead;
@@ -451,9 +470,16 @@ impl DgcState {
         }
         self.stats.messages_received += 1;
 
-        if let Phase::Dying { .. } = self.phase {
+        if let Phase::Dying { untold, .. } = &mut self.phase {
             // §4.3: a dying object no longer updates its state but keeps
-            // answering so the consensus outcome propagates.
+            // answering so the consensus outcome propagates. The answer
+            // tells the sender; the last referencer told ends the wait.
+            if *untold > 0 && self.referencers.tell(message.sender) {
+                *untold -= 1;
+                if *untold == 0 {
+                    self.last_message_timestamp = now;
+                }
+            }
             self.stats.responses_sent += 1;
             sink.emit(
                 self.id,
@@ -549,10 +575,7 @@ impl DgcState {
             if let Some(obs) = &self.obs {
                 obs.consensus_propagated.incr();
             }
-            self.phase = Phase::Dying {
-                since: now,
-                reason: TerminateReason::CyclicPropagated,
-            };
+            self.enter_dying(now, TerminateReason::CyclicPropagated);
             return Vec::new();
         }
 
@@ -592,6 +615,45 @@ impl DgcState {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Enters the §4.3 dying wait at `now`: every referencer except the
+    /// owner of the consensus clock is owed one `consensus_reached`
+    /// answer, and the wait ends when the last of them has had it, TTA
+    /// at the latest. Leaving before TTA is safe:
+    ///
+    /// * which activities die is decided exactly as without the early
+    ///   end — it only changes *when* a member of an already agreed set
+    ///   leaves;
+    /// * it is no less safe than `propagate_consensus = false`, under
+    ///   which the detecting owner terminates at the consensus instant;
+    /// * a lost answer costs that referencer a slower collection (it
+    ///   meets a terminated target, or finds the consensus again), never
+    ///   a wrongful one.
+    ///
+    /// The owner is exempt because only the owner of a clock can
+    /// originate a Dying phase on it: a referencer that owns the clock
+    /// is dying already and will never beat again.
+    fn enter_dying(&mut self, now: Time, reason: TerminateReason) {
+        let untold = self.referencers.begin_wait(self.clock.owner);
+        self.last_message_timestamp = now;
+        self.phase = Phase::Dying {
+            since: now,
+            reason,
+            untold,
+        };
+    }
+
+    /// When the dying wait that began at `since` with `untold`
+    /// referencers still owed an answer ends, and whether it ends
+    /// because all of them were told (`true`) rather than at the TTA cap.
+    fn wait_end(&self, since: Time, untold: u32) -> (Time, bool) {
+        let cap = since + self.config.tta;
+        if untold == 0 && self.last_message_timestamp <= cap {
+            (self.last_message_timestamp, true)
+        } else {
+            (cap, false)
+        }
+    }
+
     fn lose_referenced_edge(&mut self, target: AoId) {
         if self.parent == Some(target) {
             self.parent = None;
@@ -614,7 +676,8 @@ impl DgcState {
 
     /// Feeds the collection-latency histograms at the moment this
     /// endpoint goes `Dead`. `dying_since` is when consensus put it in
-    /// the Dying phase (the §4.3 TTA wait), `None` on the acyclic path.
+    /// the Dying phase (the start of the §4.3 wait), `None` on the
+    /// acyclic path.
     fn record_collected(&self, now: Time, reason: TerminateReason, dying_since: Option<Time>) {
         let Some(obs) = &self.obs else {
             return;
@@ -709,12 +772,15 @@ impl DgcState {
         self.phase == Phase::Dead
     }
 
-    /// When a dying endpoint's §4.3 TTA wait ends: the first tick at or
-    /// after this instant terminates it, and no earlier tick does
-    /// anything. `None` unless dying.
+    /// When a dying endpoint's §4.3 wait ends: `min(since + TTA, the
+    /// instant its last referencer still owed an answer was answered)`,
+    /// so `since` itself when the only referencer is the clock owner.
+    /// The first tick at or after this instant terminates it, and no
+    /// earlier tick does anything. A message that tells the last
+    /// referencer moves it earlier. `None` unless dying.
     pub fn dying_deadline(&self) -> Option<Time> {
         match self.phase {
-            Phase::Dying { since, .. } => Some(since + self.config.tta),
+            Phase::Dying { since, untold, .. } => Some(self.wait_end(since, untold).0),
             Phase::Active | Phase::Dead => None,
         }
     }
@@ -744,6 +810,13 @@ impl DgcState {
     /// to tear down connections on termination).
     pub fn referenced_ids(&self) -> Vec<AoId> {
         self.referenced.iter().map(|(id, _)| id).collect()
+    }
+
+    /// Ids of currently known referencers, in id order (for the
+    /// kernel's reference model).
+    #[cfg(test)]
+    pub(crate) fn referencer_ids(&self) -> Vec<AoId> {
+        self.referencers.iter().map(|(id, _)| id).collect()
     }
 
     /// Protocol counters.
@@ -1439,9 +1512,177 @@ mod tests {
             panic!()
         };
         assert!(response.consensus_reached);
-        // And it no longer broadcasts.
+        // And it no longer broadcasts: ao2, its one referencer, has been
+        // told, so the next tick terminates it instead.
         s.on_stub_deserialized(ao(3));
-        assert!(s.on_tick(t(4), true).is_empty());
+        assert_eq!(
+            s.on_tick(t(4), true),
+            vec![Action::Terminate {
+                reason: TerminateReason::CyclicDetected
+            }]
+        );
+    }
+
+    fn msg(sender: AoId, clock: NamedClock) -> DgcMessage {
+        DgcMessage {
+            sender,
+            clock,
+            consensus: true,
+            sender_ttb: Dur::from_secs(30),
+        }
+    }
+
+    /// An owner whose referencers ao2 and ao3 agreed at t=1 detects the
+    /// consensus at t=2 and waits on both of them.
+    fn detector_with_two_referencers() -> DgcState {
+        let mut s = DgcState::new(ao(1), t(0), cfg());
+        let mine = s.clock();
+        for r in [2, 3] {
+            s.on_message(t(1), &msg(ao(r), mine));
+        }
+        assert!(s.on_tick(t(2), true).is_empty());
+        assert!(matches!(s.phase(), Phase::Dying { untold: 2, .. }));
+        s
+    }
+
+    fn terminates(actions: &[Action]) -> bool {
+        actions
+            .iter()
+            .any(|a| matches!(a, Action::Terminate { .. }))
+    }
+
+    #[test]
+    fn dying_ends_once_every_referencer_messaged_since_dying() {
+        let mut s = detector_with_two_referencers();
+        let mine = s.clock();
+        let cap = t(2) + cfg().tta;
+        assert_eq!(
+            s.dying_deadline(),
+            Some(cap),
+            "messages before Dying do not count"
+        );
+        s.on_message(t(3), &msg(ao(2), mine));
+        assert_eq!(s.dying_deadline(), Some(cap), "ao3 is still owed");
+        s.on_message(t(4), &msg(ao(2), mine));
+        assert_eq!(s.dying_deadline(), Some(cap), "a second answer counts once");
+        s.on_message(t(5), &msg(ao(3), mine));
+        assert_eq!(s.dying_deadline(), Some(t(5)));
+        // A later message does not move the deadline back.
+        s.on_message(t(6), &msg(ao(3), mine));
+        assert_eq!(s.dying_deadline(), Some(t(5)));
+        assert!(!terminates(
+            &s.on_tick(Time::from_nanos(4_999_000_000), true)
+        ));
+        assert!(terminates(&s.on_tick(t(6), true)));
+    }
+
+    #[test]
+    fn the_message_that_completes_the_set_is_answered() {
+        let mut s = detector_with_two_referencers();
+        let mine = s.clock();
+        s.on_message(t(3), &msg(ao(2), mine));
+        let answer = s.on_message(t(4), &msg(ao(3), mine));
+        assert_eq!(s.dying_deadline(), Some(t(4)));
+        let [Action::SendResponse { to, response }] = answer.as_slice() else {
+            panic!("one response: {answer:?}");
+        };
+        assert_eq!(*to, ao(3));
+        assert!(response.consensus_reached);
+        assert_eq!(response.clock, mine);
+    }
+
+    #[test]
+    fn a_silent_referencer_leaves_the_wait_at_the_tta_cap() {
+        let mut s = detector_with_two_referencers();
+        let mine = s.clock();
+        s.on_message(t(3), &msg(ao(2), mine));
+        let cap = t(2) + cfg().tta;
+        let just_before = Time::from_nanos(cap.as_nanos() - 1);
+        assert!(s.on_tick(just_before, true).is_empty());
+        assert_eq!(
+            s.on_tick(cap, true),
+            vec![Action::Terminate {
+                reason: TerminateReason::CyclicDetected
+            }]
+        );
+    }
+
+    /// A learner adopts ao9's clock, then hears from a referenced edge
+    /// that the consensus on it is reached.
+    fn learner(referencers: &[u32]) -> DgcState {
+        let mut s = DgcState::new(ao(1), t(0), cfg());
+        s.on_stub_deserialized(ao(2));
+        let owned = NamedClock {
+            value: 4,
+            owner: ao(9),
+        };
+        for &r in referencers {
+            s.on_message(t(1), &msg(ao(r), owned));
+        }
+        let reached = DgcResponse {
+            responder: ao(2),
+            clock: owned,
+            has_parent: true,
+            consensus_reached: true,
+            depth: None,
+        };
+        s.on_response(t(2), ao(2), &reached, true);
+        assert!(matches!(
+            s.phase(),
+            Phase::Dying {
+                reason: TerminateReason::CyclicPropagated,
+                ..
+            }
+        ));
+        s
+    }
+
+    #[test]
+    fn the_clock_owner_is_never_waited_on() {
+        // The owner is the only referencer: due at once.
+        let mut s = learner(&[9]);
+        assert_eq!(s.dying_deadline(), Some(t(2)));
+        assert!(terminates(&s.on_tick(t(2), true)));
+        // Beside another referencer, only the other one is waited on.
+        let mut s = learner(&[4, 9]);
+        let owned = s.clock();
+        assert_eq!(s.dying_deadline(), Some(t(2) + cfg().tta));
+        s.on_message(t(3), &msg(ao(9), owned));
+        assert_eq!(s.dying_deadline(), Some(t(2) + cfg().tta));
+        s.on_message(t(4), &msg(ao(4), owned));
+        assert_eq!(s.dying_deadline(), Some(t(4)));
+    }
+
+    #[test]
+    fn dying_waits_are_counted_by_how_they_ended() {
+        let registry = dgc_obs::Registry::default();
+        let attach = |s: &mut DgcState| s.set_obs(DgcObs::new(&registry));
+        let mut a = detector_with_two_referencers();
+        attach(&mut a);
+        let mine = a.clock();
+        for r in [2, 3] {
+            a.on_message(t(3), &msg(ao(r), mine));
+        }
+        assert!(terminates(&a.on_tick(t(3), true)));
+        let mut b = detector_with_two_referencers();
+        attach(&mut b);
+        assert!(terminates(&b.on_tick(t(2) + cfg().tta, true)));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("dgc.dying.ended_told"), 1);
+        assert_eq!(snap.counter("dgc.dying.ended_capped"), 1);
+        let wait = snap.histogram("dgc.collect.consensus_to_collected_ns");
+        assert_eq!(wait.sum, t(1).as_nanos() + cfg().tta.as_nanos());
+    }
+
+    #[test]
+    fn dying_keeps_the_state_size() {
+        // The untold count sits in the Dying variant's padding and the
+        // told flag in the referencer entry's.
+        assert_eq!(std::mem::size_of::<Phase>(), 16);
+        assert_eq!(
+            std::mem::size_of::<crate::referencers::ReferencerInfo>(),
+            40
+        );
     }
 
     #[test]

@@ -36,6 +36,10 @@ pub struct ReferencerInfo {
     /// The TTB it advertised, used for the per-referencer expiry when
     /// heartbeat periods differ (§7.1 extension).
     pub advertised_ttb: Dur,
+    /// Answered with `consensus_reached` since this endpoint began its
+    /// §4.3 dying wait ([`ReferencerTable::begin_wait`]); `false` while
+    /// the endpoint is active.
+    pub told: bool,
 }
 
 impl ReferencerInfo {
@@ -84,6 +88,7 @@ impl ReferencerTable {
             consensus,
             last_message: now,
             advertised_ttb,
+            told: false,
         };
         match self.position(sender) {
             Ok(i) => {
@@ -151,6 +156,28 @@ impl ReferencerTable {
                 true
             }
             Err(_) => false,
+        }
+    }
+
+    /// Begins a §4.3 dying wait: every referencer except `exempt` (the
+    /// consensus clock's owner) is marked not yet told. Returns how many
+    /// that is.
+    pub fn begin_wait(&mut self, exempt: AoId) -> u32 {
+        let mut untold = 0u32;
+        for (id, info) in &mut self.entries {
+            info.told = *id == exempt;
+            untold = untold.saturating_add(u32::from(!info.told));
+        }
+        untold
+    }
+
+    /// Marks referencer `id` told; `true` if it is known and was not
+    /// told before.
+    pub fn tell(&mut self, id: AoId) -> bool {
+        let slot = self.position(id).ok();
+        match slot.and_then(|i| self.entries.get_mut(i)) {
+            Some((_, info)) => !std::mem::replace(&mut info.told, true),
+            None => false,
         }
     }
 

@@ -19,7 +19,8 @@
 //! | `dgc.collect.spawn_to_collected_ns` | histogram | whole-life latency |
 //! | `dgc.collect.idle_to_collected_ns` | histogram | last busy→idle → collected |
 //! | `dgc.collect.idle_to_consensus_ns` | histogram | last busy→idle → consensus |
-//! | `dgc.collect.consensus_to_collected_ns` | histogram | TTA wait (§4.3) |
+//! | `dgc.collect.consensus_to_collected_ns` | histogram | dying wait (§4.3): until every referencer was told, TTA at most |
+//! | `dgc.dying.ended_told` / `.ended_capped` | counter | dying waits ended by the last referencer told / by the TTA cap |
 //! | `dgc.ttb_round_ns` | histogram | spacing of Algorithm-2 beats |
 
 use dgc_obs::{Counter, Histogram, Registry};
@@ -49,8 +50,15 @@ pub struct DgcObs {
     pub idle_to_collected: Histogram,
     /// Last busy→idle transition → consensus detection, nanoseconds.
     pub idle_to_consensus: Histogram,
-    /// Consensus (Dying entry) → collected: the §4.3 TTA wait.
+    /// Consensus (Dying entry) → collected: the §4.3 dying wait, which
+    /// ends when every referencer has been told, TTA at the latest.
     pub consensus_to_collected: Histogram,
+    /// Dying waits that ended because the last referencer owed an
+    /// answer was answered.
+    pub dying_ended_told: Counter,
+    /// Dying waits that ended at the TTA cap: some referencer never
+    /// beat again (it learned the outcome elsewhere, or went silent).
+    pub dying_ended_capped: Counter,
     /// Observed spacing between consecutive Algorithm-2 beats.
     pub ttb_round: Histogram,
 }
@@ -70,6 +78,8 @@ impl DgcObs {
             idle_to_collected: registry.histogram("dgc.collect.idle_to_collected_ns"),
             idle_to_consensus: registry.histogram("dgc.collect.idle_to_consensus_ns"),
             consensus_to_collected: registry.histogram("dgc.collect.consensus_to_collected_ns"),
+            dying_ended_told: registry.counter("dgc.dying.ended_told"),
+            dying_ended_capped: registry.counter("dgc.dying.ended_capped"),
             ttb_round: registry.histogram("dgc.ttb_round_ns"),
         }
     }

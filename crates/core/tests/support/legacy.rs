@@ -44,6 +44,7 @@ impl ReferencerTable {
                     consensus,
                     last_message: now,
                     advertised_ttb,
+                    told: false,
                 },
             )
             .is_none()

@@ -161,3 +161,51 @@ fn acyclic_reason_for_chains_cyclic_for_rings() {
     assert!(ring.iter().any(|id| reason_of(*id).is_cyclic()));
     assert!(g.violations().is_empty());
 }
+
+/// How each §4.3 dying wait ended, as an operator reads it from
+/// `dgc.dying.ended_told` / `.ended_capped`. On fault-free rings every
+/// member's one referencer beats it again and is told (the member whose
+/// referencer owns the clock owes no one), so no wait reaches the TTA
+/// cap. In a clique a referencer that learned the outcome from another
+/// member first stops beating, and some waits fall back to the cap.
+#[test]
+fn ring_waits_end_told_and_a_clique_hits_the_cap() {
+    // TTA well above a ring's propagation time: a member whose only
+    // referencer is the (silent) dying owner must still be beating when
+    // its own referenced member waits on it, not collected acyclically.
+    let fast = DgcConfig::builder()
+        .ttb(Dur::from_millis(100))
+        .tta(Dur::from_millis(500))
+        .max_comm(Dur::from_millis(200))
+        .build();
+    for (seed, n) in [(21, 2), (22, 3), (23, 4), (24, 6)] {
+        let mut g = Grid::new(
+            GridConfig::new(Topology::single_site(6, SimDuration::from_millis(1)))
+                .collector(CollectorKind::Complete(fast))
+                .seed(seed),
+        );
+        let ring = scenarios::ring(&mut g, n, 6);
+        g.run_for(SimDuration::from_secs(10));
+        assert!(ring.iter().all(|id| !g.is_alive(*id)), "{n}-ring");
+        let snap = g.obs_merged();
+        assert_eq!(snap.counter("dgc.collected.cyclic"), n as u64, "{n}-ring");
+        assert_eq!(snap.counter("dgc.dying.ended_told"), n as u64, "{n}-ring");
+        assert_eq!(snap.counter("dgc.dying.ended_capped"), 0, "{n}-ring");
+        assert!(g.violations().is_empty());
+    }
+    let mut g = Grid::new(
+        GridConfig::new(Topology::single_site(8, SimDuration::from_millis(1)))
+            .collector(CollectorKind::Complete(dgc()))
+            .seed(3),
+    );
+    let clique = scenarios::clique(&mut g, 12, 8);
+    g.run_for(SimDuration::from_secs(3_000));
+    assert!(clique.iter().all(|id| !g.is_alive(*id)));
+    let snap = g.obs_merged();
+    assert!(snap.counter("dgc.dying.ended_capped") >= 1);
+    assert_eq!(
+        snap.counter("dgc.dying.ended_told") + snap.counter("dgc.dying.ended_capped"),
+        snap.counter("dgc.collected.cyclic")
+    );
+    assert!(g.violations().is_empty());
+}
