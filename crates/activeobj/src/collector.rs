@@ -25,18 +25,11 @@ pub enum CollectorKind {
     Rmi(RmiConfig),
 }
 
-impl CollectorKind {
-    /// The period of an activity's collector timer, within which its
-    /// first tick's phase is drawn: TTB for the complete DGC, a quarter
-    /// lease for RMI (renewals are due at lease/2, so ticking at lease/4
-    /// bounds the renewal lag at lease/4); `None` without a collector.
-    pub(crate) fn tick_period(&self) -> Option<SimDuration> {
-        match self {
-            CollectorKind::None => None,
-            CollectorKind::Complete(cfg) => Some(sim_dur(cfg.ttb)),
-            CollectorKind::Rmi(cfg) => Some(sim_dur(cfg.lease.div(4))),
-        }
-    }
+/// The period of an RMI endpoint's timer, a quarter lease: renewals are
+/// due at lease/2, so ticking at lease/4 bounds the renewal lag at
+/// lease/4.
+pub(crate) fn rmi_tick_period(cfg: RmiConfig) -> SimDuration {
+    sim_dur(cfg.lease.div(4))
 }
 
 /// Converts simulator time to protocol time (both are nanoseconds).
@@ -54,24 +47,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_has_no_tick() {
-        assert!(CollectorKind::None.tick_period().is_none());
-    }
-
-    #[test]
-    fn complete_ticks_at_ttb() {
-        let cfg = DgcConfig::builder().ttb(Dur::from_secs(30)).build();
-        assert_eq!(
-            CollectorKind::Complete(cfg).tick_period(),
-            Some(SimDuration::from_secs(30))
-        );
-    }
-
-    #[test]
     fn rmi_ticks_at_quarter_lease() {
         assert_eq!(
-            CollectorKind::Rmi(RmiConfig::default()).tick_period(),
-            Some(SimDuration::from_secs(15))
+            rmi_tick_period(RmiConfig::default()),
+            SimDuration::from_secs(15)
         );
     }
 

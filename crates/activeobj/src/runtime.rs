@@ -10,17 +10,16 @@
 //!
 //! The complete DGC runs in one [`NodeKernel`] per process — the kernel
 //! the socket runtime, the thread runtime and the in-memory harness
-//! run — so the simulator keeps their timer rules: a new reference edge
-//! sends its first message at once, to that edge only, ticks re-arm from
-//! the scheduled instant, and a dying endpoint wakes at its TTA
-//! deadline. Only the first beat differs: each activity starts its
-//! cadence one TTB plus its own random phase after creation
-//! ([`GridConfig::tick_jitter`]), not on a per-process beat grid. A
-//! pending application timer holds its activity as §4.1's dummy
-//! referencer would ([`NodeKernel::set_held`]). Each process has at
-//! most one wake-up in the queue, at the earlier of its kernel's next
-//! beat and its outbox's next flush deadline — never an event per
-//! activity; only the RMI baseline keeps per-activity ticks.
+//! run — so the simulator keeps their timer rules: a process's
+//! activities beat on its beat grid and share one sweep, a new reference
+//! edge sends its first message at once, to that edge only, ticks
+//! re-arm from the scheduled instant, and a dying endpoint wakes at its
+//! TTA deadline. A pending application timer holds its activity as
+//! §4.1's dummy referencer would ([`NodeKernel::set_held`]). Each
+//! process has at most one wake-up in the queue, at the earlier of its
+//! kernel's next beat and its outbox's next flush deadline — never an
+//! event per activity; only the RMI baseline keeps per-activity ticks,
+//! each first one at a random phase.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +41,6 @@ use dgc_core::message::{Action, DgcMessage, DgcResponse, TerminateReason};
 use dgc_core::stats::DgcStats;
 use dgc_core::sweep::SweepPools;
 use dgc_core::telemetry::DgcObs;
-use dgc_core::units::Dur;
 use dgc_core::wire as dgc_wire;
 use dgc_membership::wire as membership_wire;
 use dgc_membership::{
@@ -58,7 +56,7 @@ use dgc_rmi::endpoint::{RmiAction, RmiEndpoint, RmiMessage};
 use dgc_rmi::wire as rmi_wire;
 
 use crate::activity::{Activity, AoCtx, Behavior, Effect, SpawnAlloc};
-use crate::collector::{proto_time, sim_dur, CollectorKind};
+use crate::collector::{proto_time, rmi_tick_period, CollectorKind};
 use crate::oracle::{garbage_set, live_set, InflightMessage, SafetyViolation, Snapshot};
 use crate::request::{FutureId, Reply, Request};
 
@@ -89,18 +87,6 @@ pub struct GridConfig {
     pub sample_every: Option<SimDuration>,
     /// Trace verbosity.
     pub trace_level: TraceLevel,
-    /// Randomize the phase of each activity's first collector tick, as
-    /// unsynchronized broadcasts do: the tick comes one period (TTB; a
-    /// quarter lease for the RMI baseline) plus a draw from
-    /// `[0, period)` after creation, and under the complete DGC every
-    /// later beat keeps that phase. Off, every first tick comes exactly
-    /// one period after creation. Either way the simulator has no node
-    /// beat grid (its kernels are [`NodeKernel::unsynchronized`]; the
-    /// socket and thread runtimes beat on one): activities of one
-    /// process do not share a sweep. Under the complete DGC a new
-    /// reference edge's first message still leaves at once, whatever
-    /// the phase, and does not move the cadence.
-    pub tick_jitter: bool,
     /// Deployment payload charged once per process when its first
     /// activity is created (models middleware bootstrap: class loading,
     /// runtime descriptors — the bulk of a lightly-communicating
@@ -147,7 +133,6 @@ impl GridConfig {
             check_safety: true,
             sample_every: None,
             trace_level: TraceLevel::Off,
-            tick_jitter: true,
             deployment_bytes: 0,
             fault_plan: FaultPlan::none(),
             membership: None,
@@ -570,9 +555,7 @@ impl Grid {
             app_sends_to_dead: 0,
             inflight_app: BTreeMap::new(),
             next_inflight_key: 0,
-            kernels: (0..procs_n)
-                .map(|_| NodeKernel::unsynchronized(1))
-                .collect(),
+            kernels: (0..procs_n).map(|_| NodeKernel::new(1)).collect(),
             members,
             member_events: (0..procs_n).map(|_| Vec::new()).collect(),
             outboxes,
@@ -969,23 +952,20 @@ impl Grid {
         }
         let rng = self.rng.fork(hash_id(id));
         let mut act = Activity::new(id, behavior, is_root, rng);
-        let period = self.config.collector.tick_period().unwrap_or_default();
-        let phase = if self.config.tick_jitter {
-            self.rng.jitter(period)
-        } else {
-            SimDuration::ZERO
-        };
         let now = proto_time(self.now);
         match self.config.collector {
             CollectorKind::None => {}
             CollectorKind::Complete(cfg) => {
                 let obs = DgcObs::new(&self.obs[id.node as usize]);
-                let phase = Dur::from_nanos(phase.as_nanos());
-                self.kernels[id.node as usize].spawn(id, now, phase, cfg, Some(obs));
+                self.kernels[id.node as usize].spawn(id, now, cfg, Some(obs));
                 self.schedule_wake(ProcId(id.node));
             }
             CollectorKind::Rmi(cfg) => {
                 act.rmi = Some(Box::new(RmiEndpoint::new(id, now, cfg)));
+                // Unsynchronised leases: the first tick comes one period
+                // plus a random phase after creation.
+                let period = rmi_tick_period(cfg);
+                let phase = self.rng.jitter(period);
                 self.events
                     .schedule(self.now + period + phase, Event::Tick { ao: id });
             }
@@ -1678,7 +1658,7 @@ impl Grid {
             return;
         };
         let actions = e.on_tick(proto_time(self.now), idle);
-        let period = sim_dur(e.config().lease.div(4));
+        let period = rmi_tick_period(e.config());
         self.apply_rmi_actions(ao, actions);
         if self.is_alive(ao) {
             self.events.schedule(self.now + period, Event::Tick { ao });
@@ -2409,17 +2389,14 @@ mod tests {
 
     /// The grid twin of the harness's
     /// `rings_idled_at_creation_end_on_the_early_beat_schedule`: one
-    /// member per process over 1 ms links, no phase jitter, members
-    /// pinned busy while the ring closes and released at once. Each new
-    /// edge's first message leaves at creation, each member's dying wait
-    /// ends when its one referencer has been answered, and the last
-    /// member to learn the consensus goes on that response (its only
-    /// referencer owns the clock). The simulator has no node beat grid:
-    /// with the jitter off every member's cadence starts one TTB after
-    /// creation, so the members beat in lock-step and a consensus
-    /// crosses one hop per TTB — 302 / 1,002 ms, where the harness,
-    /// whose endpoints beat on their nodes' out-of-phase grids, pins
-    /// 202 / 702 ms.
+    /// member per process over 1 ms links, members pinned busy while the
+    /// ring closes and released at once. Each new edge's first message
+    /// leaves at creation, every member beats on its process's grid — out
+    /// of phase with its neighbours, so a consensus crosses a hop in part
+    /// of a TTB — each member's dying wait ends when its one referencer
+    /// has been answered, and the last member to learn the consensus
+    /// goes on that response (its only referencer owns the clock). The
+    /// harness runs the same grid and pins the same 202 / 702 ms.
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()
@@ -2427,12 +2404,11 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2u32, 302), (4, 1_002)] {
+        for (n, lifetime_ms) in [(2u32, 202), (4, 702)] {
             let topo = Topology::single_site(n, SimDuration::from_millis(1));
-            let mut grid_config = GridConfig::new(topo)
+            let grid_config = GridConfig::new(topo)
                 .collector(CollectorKind::Complete(config))
                 .seed(7);
-            grid_config.tick_jitter = false;
             let mut g = Grid::new(grid_config);
             let created = g.now();
             let ids: Vec<AoId> = (0..n)
@@ -2460,11 +2436,13 @@ mod tests {
     }
 
     /// A dying endpoint's process wake follows its deadline. In the
-    /// lock-step 2-ring of the test above, the consensus owner detects
-    /// at 300 ms and waits on its one referencer, at most TTA: its
-    /// process wake sits at the 800 ms cap. The referencer's beat from
-    /// the same instant lands at 301 ms, the answer tells it, and the
-    /// wake moves to 301 ms, where the owner goes.
+    /// 2-ring of the test above, process 1's grid sits at
+    /// `frac(φ⁻¹)·TTB` = 61.803398 ms and process 0's at 0: the member
+    /// on process 1 detects the consensus on its second beat, at
+    /// 161.803398 ms, and waits on its one referencer, at most TTA — its
+    /// process wake sits at the 661.803398 ms cap. The referencer's beat
+    /// at 200 ms, on process 0's grid, lands at 201 ms, the answer tells
+    /// it, and the wake moves to 201 ms, where the owner goes.
     #[test]
     fn a_dying_endpoint_wakes_when_its_last_referencer_is_told() {
         let config = DgcConfig::builder()
@@ -2473,10 +2451,9 @@ mod tests {
             .max_comm(Dur::from_millis(200))
             .build();
         let topo = Topology::single_site(2, SimDuration::from_millis(1));
-        let mut grid_config = GridConfig::new(topo)
+        let grid_config = GridConfig::new(topo)
             .collector(CollectorKind::Complete(config))
             .seed(7);
-        grid_config.tick_jitter = false;
         let mut g = Grid::new(grid_config);
         let ids: Vec<AoId> = (0..2)
             .map(|p| g.spawn(ProcId(p), Box::new(Inert)))
@@ -2489,16 +2466,59 @@ mod tests {
         for id in &ids {
             g.set_busy(*id, false);
         }
-        g.run_until(SimTime::from_nanos(300_500_000));
+        let offset = SimDuration::from_nanos(61_803_398); // frac(φ⁻¹)·TTB
+        let detected = SimTime::ZERO + offset + SimDuration::from_millis(100);
+        g.run_until(SimTime::from_nanos(200_500_000));
         let wakes: Vec<Option<SimTime>> = g.wake.iter().map(|w| w.map(|(at, _)| at)).collect();
-        let capped = SimTime::from_millis(800);
+        let capped = detected + SimDuration::from_millis(500);
         let Some(owner) = wakes.iter().position(|&at| at == Some(capped)) else {
             panic!("no process waits on the TTA cap: {wakes:?}");
         };
-        g.run_until(SimTime::from_millis(301));
+        assert_eq!(owner, 1, "{wakes:?}");
+        g.run_until(SimTime::from_millis(201));
         let gone: Vec<(AoId, SimTime)> = g.collected().iter().map(|c| (c.ao, c.at)).collect();
-        assert_eq!(gone, vec![(ids[owner], SimTime::from_millis(301))]);
+        assert_eq!(gone, vec![(ids[owner], SimTime::from_millis(201))]);
         assert!(g.violations().is_empty());
+    }
+
+    /// The grid twin of rt-net's `a_nodes_activities_beat_in_one_sweep`:
+    /// 50 busy activities spawned 2 ms apart on process 0, each
+    /// referencing one on process 1. They all beat on process 0's grid,
+    /// so once they are up process 0 sends one sweep's frame per TTB,
+    /// not a frame per activity at its own spawn instant.
+    #[test]
+    fn a_nodes_activities_beat_in_one_sweep() {
+        let ttb = SimDuration::from_millis(100);
+        let config = DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(300))
+            .max_comm(Dur::from_millis(50))
+            .build();
+        let topo = Topology::single_site(2, SimDuration::from_millis(1));
+        let mut g = Grid::new(
+            GridConfig::new(topo)
+                .collector(CollectorKind::Complete(config))
+                .seed(7)
+                .egress(dgc_core::egress::FlushPolicy::default()),
+        );
+        let target = g.spawn(ProcId(1), Box::new(Inert));
+        for _ in 0..50 {
+            let holder = g.spawn(ProcId(0), Box::new(Inert));
+            g.set_busy(holder, true);
+            g.make_ref(holder, target);
+            g.run_for(SimDuration::from_millis(2));
+        }
+        // Every new edge's first message is out.
+        g.run_for(ttb);
+        let before = g.egress_stats(ProcId(0)).flushes;
+        let periods = 5;
+        g.run_for(ttb.saturating_mul(periods));
+        let frames = g.egress_stats(ProcId(0)).flushes - before;
+        assert!(
+            frames <= 2 * periods,
+            "{frames} frames from process 0 in {periods} TTBs"
+        );
+        assert!(g.is_alive(target) && g.violations().is_empty());
     }
 
     /// However many activities a process hosts, the queue holds one
@@ -2891,14 +2911,10 @@ mod tests {
     /// returns (total bytes, dgc bytes, piggybacked units).
     fn egress_workload(policy: dgc_core::egress::FlushPolicy) -> (u64, u64, u64) {
         let topo = Topology::single_site(2, SimDuration::from_millis(1));
-        let mut config = GridConfig::new(topo)
+        let config = GridConfig::new(topo)
             .collector(CollectorKind::Complete(dgc_cfg()))
             .seed(11)
             .egress(policy);
-        // Synchronized TTB sweeps, so co-due heartbeats can share a
-        // frame (the socket runtime's event loop co-schedules them the
-        // same way).
-        config.tick_jitter = false;
         let mut g = Grid::new(config);
         let sink = g.spawn_root(ProcId(1), Box::new(Echo));
         let pinger = g.spawn_root(

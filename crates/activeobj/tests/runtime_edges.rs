@@ -126,7 +126,6 @@ fn dropped_edge_detected_at_next_sweep_not_sooner() {
     // collector before the sweep fires.
     let mut cfg = base_config().collector(CollectorKind::Complete(dgc()));
     cfg.local_gc_period = SimDuration::from_secs(10);
-    cfg.tick_jitter = false;
     let mut g = Grid::new(cfg);
     let root = g.spawn_root(ProcId(0), Box::new(Inert));
     let a = g.spawn(ProcId(1), Box::new(Inert));

@@ -85,7 +85,7 @@ impl Harness {
     pub fn add(&mut self, config: DgcConfig) -> AoId {
         let id = AoId::new(self.next_node, 0);
         self.next_node += 1;
-        self.kernel.spawn(id, self.now, Dur::ZERO, config, None);
+        self.kernel.spawn(id, self.now, config, None);
         id
     }
 
@@ -303,9 +303,8 @@ mod tests {
     /// consensus from a response 2 ms after a beat (a 1 ms hop each way)
     /// and goes on that response, since its only referencer owns the
     /// consensus clock, so it goes exactly this long after creation.
-    /// (The simulator twin, `Grid` with `tick_jitter` off, has no node
-    /// grid: every member beats one TTB after creation, in lock-step,
-    /// and its rings take 302 / 1,002 ms.)
+    /// The simulator twin in `runtime.rs`, one member per `Grid`
+    /// process, runs the same grid and pins the same 202 / 702 ms.
     #[test]
     fn rings_idled_at_creation_end_on_the_early_beat_schedule() {
         let config = DgcConfig::builder()

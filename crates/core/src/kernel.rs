@@ -31,18 +31,15 @@
 //! hosted endpoint: [`NodeKernel::next_tick`] reads its first entry and
 //! [`NodeKernel::tick_due`] pops only the due ones, so a loop turn with
 //! nothing due touches no endpoint. An activity's **cadence** starts at
-//! its first beat and steps one TTB at a time. On a kernel from
-//! [`NodeKernel::new`] — the socket and thread runtimes and the harness
-//! — every activity of node `n` beats on the node's **beat grid**, the
-//! instants `offset(n) + k·TTB` with `offset(n) = frac(n·φ⁻¹)·TTB`: a
-//! node's activities share one sweep (one frame per destination) and
+//! its first beat and steps one TTB at a time. On every host — the
+//! socket and thread runtimes, the harness and the simulator — every
+//! activity of node `n` beats on the node's **beat grid**, the instants
+//! `offset(n) + k·TTB` with `offset(n) = frac(n·φ⁻¹)·TTB`: a node's
+//! activities share one sweep (one frame per destination) and
 //! neighbouring nodes, spread by the golden ratio, beat out of phase — a
 //! message reaches its receiver part of a TTB before the receiver's
 //! beat, not just after it, and a consensus crosses a ring in fractions
-//! of a TTB per hop. The simulator runs
-//! [`NodeKernel::unsynchronized`] kernels, whose activities each start
-//! their cadence one TTB plus a phase of the host's choosing after
-//! creation.
+//! of a TTB per hop.
 //!
 //! **A new reference edge beats now, to that edge only, and keeps the
 //! cadence.** [`NodeKernel::add_ref`] moves the referencer's index entry
@@ -258,8 +255,6 @@ pub struct NodeKernel {
     dead: Vec<AoId>,
     /// The counters of every endpoint that left the table.
     retired: DgcStats,
-    /// Whether first beats fall on the node's beat grid.
-    beat_grid: bool,
 }
 
 impl NodeKernel {
@@ -275,46 +270,22 @@ impl NodeKernel {
             due: Vec::new(),
             dead: Vec::new(),
             retired: DgcStats::default(),
-            beat_grid: true,
-        }
-    }
-
-    /// An empty kernel with no beat grid: each activity's first beat is
-    /// one TTB plus its spawn phase after its creation, as activities
-    /// that share no clock would beat. The simulator runs these.
-    pub fn unsynchronized(shards: usize) -> Self {
-        NodeKernel {
-            beat_grid: false,
-            ..NodeKernel::new(shards)
         }
     }
 
     /// Hosts a new activity, initially busy. Its cadence starts at its
     /// node's first grid instant after `now` — so a node's activities
-    /// beat together — or, on an [`unsynchronized`](Self::unsynchronized)
-    /// kernel, one TTB after `now`; `phase` shifts that first beat (a
-    /// host with no reason to passes [`Dur::ZERO`]). The cadence then
-    /// steps one TTB at a time, and a new reference edge sends its first
-    /// message sooner without moving it ([`add_ref`](Self::add_ref)).
-    /// `obs` attaches the hosting node's telemetry handles. Spawning a
-    /// hosted id replaces its endpoint and its timer.
-    pub fn spawn(
-        &mut self,
-        id: AoId,
-        now: Time,
-        phase: Dur,
-        config: DgcConfig,
-        obs: Option<DgcObs>,
-    ) {
+    /// beat together — and then steps one TTB at a time; a new reference
+    /// edge sends its first message sooner without moving it
+    /// ([`add_ref`](Self::add_ref)). `obs` attaches the hosting node's
+    /// telemetry handles. Spawning a hosted id replaces its endpoint and
+    /// its timer.
+    pub fn spawn(&mut self, id: AoId, now: Time, config: DgcConfig, obs: Option<DgcObs>) {
         let mut state = DgcState::new(id, now, config);
         if let Some(obs) = obs {
             state.set_obs(obs);
         }
-        let first_beat = if self.beat_grid {
-            grid_beat(id.node, now, config.ttb)
-        } else {
-            now + config.ttb
-        } + phase;
+        let first_beat = grid_beat(id.node, now, config.ttb);
         let ep = Endpoint {
             state,
             idle: false,
@@ -584,7 +555,7 @@ mod tests {
     #[test]
     fn late_wakeups_do_not_drift_the_heartbeat() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None); // busy: beats forever
+        k.spawn(ao(0), Time::ZERO, cfg(), None); // busy: beats forever
         let first = Time::ZERO + TTB;
         for period in 0..100 {
             let scheduled = first + TTB.saturating_mul(period);
@@ -596,7 +567,7 @@ mod tests {
     #[test]
     fn message_to_an_absent_id_is_no_such_target() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         k.add_ref(Time::ZERO, ao(0), AoId::new(1, 0));
         let now = Time::ZERO + TTB;
         let beat = tick(&mut k, now);
@@ -616,8 +587,8 @@ mod tests {
     #[test]
     fn terminate_removes_the_endpoint_and_its_timer() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
-        k.spawn(ao(1), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(1), Time::ZERO, cfg(), None);
         k.add_ref(Time::ZERO, ao(1), ao(0));
         let beat = tick(&mut k, Time::ZERO + TTB);
         let Some(Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
@@ -644,13 +615,12 @@ mod tests {
     }
 
     /// An environment kill: the endpoint and its timer go, its counts
-    /// stay, and the survivor's first beat still carries its phase.
+    /// stay, and the survivor's first beat stays on the grid.
     #[test]
     fn remove_keeps_the_counts_and_frees_the_timer() {
         let mut k = NodeKernel::new(1);
-        let phase = Dur::from_millis(30);
-        k.spawn(ao(0), Time::ZERO, phase, cfg(), None);
-        k.spawn(ao(1), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(1), Time::ZERO, cfg(), None);
         k.add_ref(Time::ZERO, ao(1), ao(0));
         let beat = tick(&mut k, Time::ZERO);
         let Some(&Action::SendMessage { message, .. }) = beat.first().map(|u| &u.action) else {
@@ -663,7 +633,7 @@ mod tests {
         k.remove(ao(1));
         assert_eq!(k.stats(), before);
         assert_eq!((k.hosts(ao(1)), k.hosted(), k.timers.len()), (false, 1, 1));
-        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB + phase));
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB), "ao 0's");
         assert!(k.on_message(Time::ZERO, ao(1), &message).is_none());
     }
 
@@ -671,7 +641,7 @@ mod tests {
     fn node_death_reaches_every_hosted_endpoint() {
         let mut k = NodeKernel::new(1);
         for i in 0..5 {
-            k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(ao(i), Time::ZERO, cfg(), None);
             k.add_ref(Time::ZERO, ao(i), AoId::new(9, i));
             k.add_ref(Time::ZERO, ao(i), AoId::new(2, i));
         }
@@ -688,7 +658,7 @@ mod tests {
             let mut k = NodeKernel::new(shards);
             // Spawned out of order: the sweep order is the id order.
             for i in [5, 2, 7, 0, 3, 6, 1, 4] {
-                k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
+                k.spawn(ao(i), Time::ZERO, cfg(), None);
                 for t in 0..=i % 3 {
                     k.add_ref(Time::ZERO, ao(i), AoId::new(1, t));
                 }
@@ -717,7 +687,7 @@ mod tests {
     fn a_paused_kernel_ticks_once_not_in_a_burst() {
         let mut k = NodeKernel::new(1);
         for i in 0..3 {
-            k.spawn(ao(i), Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(ao(i), Time::ZERO, cfg(), None);
             k.add_ref(Time::ZERO, ao(i), AoId::new(1, 0));
         }
         let resumed = Time::ZERO + TTB.saturating_mul(5) + Dur::from_millis(40);
@@ -743,7 +713,7 @@ mod tests {
     #[test]
     fn a_new_edge_makes_its_referencer_due_now() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let (held, new) = (AoId::new(1, 0), AoId::new(1, 1));
         k.add_ref(Time::ZERO, ao(0), held);
         assert_eq!(messages(&tick(&mut k, Time::ZERO)).len(), 1);
@@ -768,7 +738,7 @@ mod tests {
     #[test]
     fn an_owed_beat_clears_the_promise() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let target = AoId::new(1, 0);
         let now = Time::ZERO + Dur::from_millis(30);
         k.add_ref(now, ao(0), target);
@@ -786,7 +756,7 @@ mod tests {
     #[test]
     fn an_unreachable_owed_edge_drops_and_bumps_before_its_message() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let target = AoId::new(1, 0);
         let now = Time::ZERO + Dur::from_millis(30);
         k.add_ref(now, ao(0), target);
@@ -811,7 +781,7 @@ mod tests {
     #[test]
     fn a_new_edge_at_the_cadence_instant_gets_one_message() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let at = Time::ZERO + TTB;
         k.add_ref(at, ao(0), AoId::new(1, 0));
         assert_eq!(messages(&tick(&mut k, at)).len(), 1);
@@ -827,7 +797,7 @@ mod tests {
         let spawned = [Dur::from_millis(10), Dur::from_millis(70)];
         for (i, at) in (0..).zip(spawned) {
             let now = Time::ZERO + at;
-            k.spawn(ao(i), now, Dur::ZERO, cfg(), None);
+            k.spawn(ao(i), now, cfg(), None);
             k.add_ref(now, ao(i), AoId::new(1, i));
             assert_eq!(messages(&tick(&mut k, now)).len(), 1, "the new edge's beat");
         }
@@ -871,7 +841,7 @@ mod tests {
     #[test]
     fn a_thousand_new_edges_in_one_turn_give_one_tick() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let now = Time::ZERO + Dur::from_millis(30);
         for i in 0..1_000 {
             k.add_ref(now, ao(0), AoId::new(1, i));
@@ -886,7 +856,7 @@ mod tests {
     #[test]
     fn re_deserializing_an_edge_does_not_move_its_timer() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         let edge_at = Time::ZERO + Dur::from_millis(30);
         k.add_ref(edge_at, ao(0), AoId::new(1, 0));
         // Still owed its first message: not new.
@@ -926,7 +896,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.add_ref(Time::ZERO, a, b);
@@ -967,7 +937,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.add_ref(Time::ZERO, a, b);
@@ -1034,7 +1004,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.add_ref(Time::ZERO, a, b);
@@ -1120,24 +1090,15 @@ mod tests {
     #[test]
     fn spawning_an_id_twice_leaves_one_index_entry() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
         // Respawned mid-way through its second period: the old entry at
         // the first grid instant goes, the new one is at the next.
         let later = Time::ZERO + Dur::from_millis(150);
-        k.spawn(ao(0), later, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), later, cfg(), None);
         assert_eq!((k.timers.len(), k.hosted()), (1, 1));
         assert_eq!(k.next_tick(), Some(Time::ZERO + TTB.saturating_mul(2)));
-    }
-
-    #[test]
-    fn an_unsynchronized_kernel_beats_one_ttb_plus_the_phase_after_spawn() {
-        let mut k = NodeKernel::unsynchronized(1);
-        let at = Time::ZERO + Dur::from_millis(37);
-        let phase = Dur::from_millis(5);
-        k.spawn(ao(0), at, phase, cfg(), None);
-        assert_eq!(k.next_tick(), Some(at + TTB + phase));
     }
 
     /// A held activity counts as busy for collection: idle and
@@ -1147,7 +1108,7 @@ mod tests {
     #[test]
     fn a_held_activity_is_collected_only_once_released() {
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, cfg(), None);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
         k.set_held(Time::ZERO, ao(0), true);
         k.set_idle(Time::ZERO, ao(0), true);
         assert_eq!(k.stats().bumps_became_idle, 1);
@@ -1175,7 +1136,7 @@ mod tests {
         let mut k = NodeKernel::new(1);
         let (a, b) = (ao(0), ao(1));
         for id in [a, b] {
-            k.spawn(id, Time::ZERO, Dur::ZERO, cfg(), None);
+            k.spawn(id, Time::ZERO, cfg(), None);
             k.set_idle(Time::ZERO, id, true);
         }
         k.set_held(Time::ZERO, a, true);
@@ -1215,7 +1176,7 @@ mod tests {
             .build();
         config.validate().expect("safe");
         let mut k = NodeKernel::new(1);
-        k.spawn(ao(0), Time::ZERO, Dur::ZERO, config, None);
+        k.spawn(ao(0), Time::ZERO, config, None);
         let first_edge = AoId::new(1, 0);
         let turn = Dur::from_millis(30);
         // (when, announced TTB, a full beat: it reaches the first edge)
@@ -1452,7 +1413,7 @@ mod tests {
                 let target = if b < 6 { ao(b) } else { AoId::new(1, b) };
                 match op {
                     0 => {
-                        k.spawn(ao(a), now, Dur::ZERO, cfg(), None);
+                        k.spawn(ao(a), now, cfg(), None);
                         model.spawn(ao(a), now, grid_beat(0, now, TTB), cfg());
                     }
                     1 | 2 => {

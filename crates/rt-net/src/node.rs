@@ -1484,13 +1484,8 @@ impl Worker {
             }
             Event::AddActivity { id } => {
                 self.trace(TraceLevel::Debug, "spawn", || format!("ao {id}"));
-                self.kernel.spawn(
-                    id,
-                    self.now(),
-                    Dur::ZERO,
-                    self.config.dgc,
-                    Some(self.dgc_obs.clone()),
-                );
+                self.kernel
+                    .spawn(id, self.now(), self.config.dgc, Some(self.dgc_obs.clone()));
             }
             Event::SetIdle { ao, idle } => self.kernel.set_idle(self.now(), ao, idle),
             Event::AddRef { from, to } => {

@@ -140,7 +140,7 @@ impl NodeWorker {
         let now = self.now();
         match msg {
             NodeMsg::Shutdown => return false,
-            NodeMsg::AddActivity { id } => self.kernel.spawn(id, now, Dur::ZERO, self.config, None),
+            NodeMsg::AddActivity { id } => self.kernel.spawn(id, now, self.config, None),
             NodeMsg::SetIdle { ao, idle } => self.kernel.set_idle(now, ao, idle),
             NodeMsg::AddRef { from, to } => self.kernel.add_ref(now, from, to),
             NodeMsg::DropRef { from, to } => self.kernel.drop_ref(from, to),

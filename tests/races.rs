@@ -7,6 +7,8 @@ use grid_dgc::activeobj::request::Request;
 use grid_dgc::activeobj::runtime::{Grid, GridConfig};
 use grid_dgc::dgc::config::DgcConfig;
 use grid_dgc::dgc::units::Dur;
+use grid_dgc::dgc::TerminateReason;
+use grid_dgc::simnet::rng::SimRng;
 use grid_dgc::simnet::time::SimDuration;
 use grid_dgc::simnet::topology::{ProcId, Topology};
 use grid_dgc::workloads::scenarios;
@@ -122,16 +124,23 @@ fn hot_potato_reference_survives_rapid_exchange() {
     g.send_from(dummy, first, 7, 16, vec![target]);
     g.drop_ref(dummy, target);
 
-    // While the potato travels (hops every ~ms), target must stay alive
-    // well past one TTA.
-    g.run_for(SimDuration::from_secs(70));
+    // The potato hops every ~ms, so the relay ends within milliseconds
+    // of the seed send. Every heartbeat target hears comes at or after
+    // that send, so it is alive a full TTA later, whatever the beat
+    // phases.
+    g.run_for(SimDuration::from_nanos(dgc().tta.as_nanos()));
     assert!(
         g.is_alive(target),
         "in-flight references must keep the target alive"
     );
-    // After the relay finishes (last holder dropped it), it is garbage.
+    // After the relay finishes (last holder dropped it), it is acyclic
+    // garbage.
     g.run_for(SimDuration::from_secs(400));
-    assert!(!g.is_alive(target));
+    let record = g.collected().iter().find(|c| c.ao == target);
+    assert_eq!(
+        record.map(|c| c.reason),
+        Some(Some(TerminateReason::Acyclic))
+    );
     assert!(g.violations().is_empty(), "{:?}", g.violations());
 }
 
@@ -205,12 +214,16 @@ fn late_idle_member_delays_then_releases_consensus() {
 /// pending: the timer holds it as a §4.1 dummy referencer would, so its
 /// idle windows never make the cycle garbage. Whatever the beat phases
 /// and the burst period, nothing is collected and no termination is a
-/// violation, while every burst still bumps the clock.
+/// violation, while every burst still bumps the clock. Each seed spawns
+/// the pair at its own instant within the first TTB, so the seeds move
+/// the bursts against the beat grid.
 #[test]
 fn a_pending_timer_holds_a_blinking_cycle_under_many_seeds() {
+    let ttb = SimDuration::from_nanos(dgc().ttb.as_nanos());
     for period in [35, 40, 43, 47] {
         for seed in 0..12 {
             let mut g = grid(200 + seed);
+            g.run_for(SimRng::from_seed(seed).jitter(ttb));
             let a = g.spawn(
                 ProcId(0),
                 Box::new(Blinker {
