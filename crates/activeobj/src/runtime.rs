@@ -37,7 +37,7 @@ use dgc_simnet::traffic::{TrafficClass, TrafficMeter};
 use dgc_core::egress::{EgressClass, EgressObs, Flush, FlushPolicy, Outbox};
 use dgc_core::id::AoId;
 use dgc_core::kernel::NodeKernel;
-use dgc_core::message::{Action, DgcMessage, DgcResponse, TerminateReason};
+use dgc_core::message::{Action, DgcFarewell, DgcMessage, DgcResponse, TerminateReason};
 use dgc_core::stats::DgcStats;
 use dgc_core::sweep::SweepPools;
 use dgc_core::telemetry::DgcObs;
@@ -275,6 +275,10 @@ enum Event {
         to: AoId,
         response: DgcResponse,
     },
+    DgcFarewell {
+        to: AoId,
+        farewell: DgcFarewell,
+    },
     Rmi {
         from: AoId,
         to: AoId,
@@ -362,6 +366,10 @@ enum OutUnit {
         from: AoId,
         to: AoId,
         response: DgcResponse,
+    },
+    Farewell {
+        to: AoId,
+        farewell: DgcFarewell,
     },
     Gossip {
         to: ProcId,
@@ -858,6 +866,7 @@ impl Grid {
             }
             Event::DgcMsg { from, to, message } => self.deliver_dgc_msg(from, to, message),
             Event::DgcResp { from, to, response } => self.deliver_dgc_resp(from, to, response),
+            Event::DgcFarewell { to, farewell } => self.deliver_dgc_farewell(to, farewell),
             Event::Rmi { from, to, message } => self.deliver_rmi(from, to, message),
             Event::Tick { ao } => self.handle_rmi_tick(ao),
             Event::Wake { proc } => self.handle_wake(proc),
@@ -1276,6 +1285,7 @@ impl Grid {
         refs: Vec<AoId>,
         future: Option<FutureId>,
     ) {
+        self.pass_on(sender, &refs);
         let request = Request {
             sender,
             method,
@@ -1303,6 +1313,7 @@ impl Grid {
     }
 
     fn dispatch_reply(&mut self, sender: AoId, reply: Reply) {
+        self.pass_on(sender, &reply.refs);
         let to = reply.future.caller;
         if sender.node == to.node {
             self.schedule_unit(self.now, ProcId(sender.node), OutUnit::Reply { to, reply });
@@ -1316,6 +1327,16 @@ impl Grid {
             size,
             OutUnit::Reply { to, reply },
         );
+    }
+
+    /// `sender` passes the references in `refs` on, in a request or reply
+    /// it dispatches now: its farewells to them will carry this instant's
+    /// age.
+    fn pass_on(&mut self, sender: AoId, refs: &[AoId]) {
+        let now = proto_time(self.now);
+        for &r in refs {
+            self.kernels[sender.node as usize].passed_on(now, sender, r);
+        }
     }
 
     /// Per-call envelope for traffic that does not ride the egress
@@ -1469,6 +1490,10 @@ impl Grid {
                 self.events
                     .schedule(at, Event::DgcResp { from, to, response });
             }
+            OutUnit::Farewell { to, farewell } => {
+                self.events
+                    .schedule(at, Event::DgcFarewell { to, farewell });
+            }
             OutUnit::Gossip { to, digest } => {
                 self.events.schedule(at, Event::Gossip { from, to, digest });
             }
@@ -1555,8 +1580,12 @@ impl Grid {
                 });
             }
             // A dropped heartbeat/digest is what the fault profiles are
-            // *for*: the next TTB/gossip round regenerates it.
-            OutUnit::Dgc { .. } | OutUnit::Resp { .. } | OutUnit::Gossip { .. } => {}
+            // *for*: the next TTB/gossip round regenerates it. A lost
+            // farewell is never resent: its target falls back to TTA.
+            OutUnit::Dgc { .. }
+            | OutUnit::Resp { .. }
+            | OutUnit::Farewell { .. }
+            | OutUnit::Gossip { .. } => {}
         }
     }
 
@@ -1619,6 +1648,21 @@ impl Grid {
                     );
                 }
             }
+            Action::SendFarewell { to, farewell } => {
+                let size = dgc_wire::farewell_wire_size(farewell.age.is_some());
+                let unit = OutUnit::Farewell { to, farewell };
+                if ao.node == to.node {
+                    self.schedule_unit(self.now, ProcId(ao.node), unit);
+                } else {
+                    self.enqueue_unit(
+                        ProcId(ao.node),
+                        ProcId(to.node),
+                        EgressClass::DgcMessage,
+                        size,
+                        unit,
+                    );
+                }
+            }
             Action::Terminate { reason } => {
                 self.terminate_activity(ao, Some(reason));
             }
@@ -1638,6 +1682,17 @@ impl Grid {
             }
             // Target gone: the sender's connection fails.
             None => self.kernels[from.node as usize].on_send_failure(from, to),
+        }
+    }
+
+    /// A farewell can make `to` due at once (see [`NodeKernel::on_farewell`]);
+    /// one to an absent target is dropped and counted, never answered.
+    fn deliver_dgc_farewell(&mut self, to: AoId, farewell: DgcFarewell) {
+        let p = to.node as usize;
+        if self.kernels[p].on_farewell(proto_time(self.now), to, &farewell) {
+            self.schedule_wake(ProcId(to.node));
+        } else {
+            self.obs[p].counter("dgc.farewell.dropped").incr();
         }
     }
 
@@ -1906,13 +1961,15 @@ impl Grid {
             };
             let mut rmi_actions = Vec::new();
             for z in act.stubs.sweep() {
-                self.kernels[proc.0 as usize].drop_ref(ao, z);
+                self.kernels[proc.0 as usize].drop_ref(proto_time(self.now), ao, z);
                 if let Some(e) = &mut act.rmi {
                     rmi_actions.extend(e.on_stubs_collected(z));
                 }
             }
             self.apply_rmi_actions(ao, rmi_actions);
         }
+        // A dropped edge's farewell leaves now.
+        self.schedule_wake(proc);
         self.events.schedule(
             self.now + self.config.local_gc_period,
             Event::LocalGc { proc },
@@ -2094,6 +2151,7 @@ fn event_proc(event: &Event) -> Option<ProcId> {
         | Event::ReplyMsg { to, .. }
         | Event::DgcMsg { to, .. }
         | Event::DgcResp { to, .. }
+        | Event::DgcFarewell { to, .. }
         | Event::Rmi { to, .. } => Some(ProcId(to.node)),
         Event::Tick { ao } | Event::ServeDone { ao } | Event::AppTimer { ao, .. } => {
             Some(ProcId(ao.node))
@@ -2433,6 +2491,226 @@ mod tests {
                 "{n}-ring"
             );
         }
+    }
+
+    /// The grid twin of the harness's
+    /// `chains_idled_at_creation_end_at_message_speed_after_the_head`:
+    /// one member per process over 1 ms links, pinned busy while the
+    /// chain is wired and released at once. The head, referenced by
+    /// nobody, goes on its process's first grid beat past creation + TTA
+    /// — 600 ms, process 0's grid being the multiples of TTB — and says
+    /// farewell to the next member, which never passed the reference on:
+    /// its table empties on receipt, past creation + TTA, and it goes
+    /// then, 1 ms later, and so on down the chain. The harness runs the
+    /// same grid and pins the same 601 / 603 ms.
+    #[test]
+    fn chains_idled_at_creation_end_at_message_speed_after_the_head() {
+        for (n, lifetime_ms) in [(2u32, 601), (4, 603)] {
+            let topo = Topology::single_site(n, SimDuration::from_millis(1));
+            let grid_config = GridConfig::new(topo)
+                .collector(CollectorKind::Complete(fast_cfg()))
+                .seed(7);
+            let mut g = Grid::new(grid_config);
+            let created = g.now();
+            let ids: Vec<AoId> = (0..n)
+                .map(|p| g.spawn(ProcId(p), Box::new(Inert)))
+                .collect();
+            for id in &ids {
+                g.set_busy(*id, true);
+            }
+            for pair in ids.windows(2) {
+                g.make_ref(pair[0], pair[1]);
+            }
+            for id in &ids {
+                g.set_busy(*id, false);
+            }
+            g.run_for(SimDuration::from_secs(10));
+            assert_eq!(g.alive_count(), 0, "{n}-chain");
+            assert!(g.violations().is_empty(), "{n}-chain");
+            let at: Vec<(AoId, SimDuration)> = g
+                .collected()
+                .iter()
+                .map(|c| (c.ao, c.at - created))
+                .collect();
+            let expected: Vec<(AoId, SimDuration)> = (0..n)
+                .map(|k| {
+                    let ms = u64::from(lifetime_ms - (n - 1) + k);
+                    (ids[k as usize], SimDuration::from_millis(ms))
+                })
+                .collect();
+            assert_eq!(at, expected, "{n}-chain: head first, one hop each");
+        }
+    }
+
+    /// The timing of the ring and chain twins: TTB 100 ms, TTA 500 ms,
+    /// MaxComm 200 ms.
+    fn fast_cfg() -> DgcConfig {
+        DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(200))
+            .build()
+    }
+
+    /// The farewell's age term. Root D (process 0) holds idle X
+    /// (process 1). Past X's creation + TTA, D sends X's reference to
+    /// root C (process 2) over a 150 ms link, then drops its own stub.
+    /// Its farewell crosses the 1 ms link to X long before C's first
+    /// beat can, so it carries the age since the pass-on, and X forgets D
+    /// only at `receipt + 2·MaxComm − age` — after C's first beat, which
+    /// left on the request's arrival, has made C a referencer. Were the
+    /// age "never", X would go on receipt while its reference is still in
+    /// flight, and the oracle would flag it.
+    #[test]
+    fn a_passed_on_reference_outlives_its_holders_farewell() {
+        use dgc_simnet::topology::Site;
+        let ms = SimDuration::from_millis;
+        let sites = (0..3)
+            .map(|p| Site {
+                name: format!("s{p}"),
+                procs: 1,
+                local_latency: ms(1),
+            })
+            .collect();
+        let latency = vec![
+            vec![ms(0), ms(1), ms(150)],
+            vec![ms(1), ms(0), ms(1)],
+            vec![ms(150), ms(1), ms(0)],
+        ];
+        let mut config = GridConfig::new(Topology::new(sites, latency))
+            .collector(CollectorKind::Complete(fast_cfg()))
+            .seed(7);
+        config.local_gc_period = ms(5);
+        let mut g = Grid::new(config);
+        let d = g.spawn_root(ProcId(0), Box::new(Inert));
+        let x = g.spawn(ProcId(1), Box::new(Inert));
+        let c = g.spawn_root(ProcId(2), Box::new(Inert));
+        g.make_ref(d, x);
+        g.run_until(SimTime::from_secs(1));
+        g.send_from(d, c, PING, 8, vec![x]);
+        g.drop_ref(d, x);
+        g.run_for(SimDuration::from_secs(2));
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+        assert!(g.is_alive(x), "C holds X from its first beat on");
+        let snap = g.obs(ProcId(1)).snapshot();
+        assert_eq!(snap.counter("dgc.referencer.ended_farewell"), 1, "D's");
+        assert_eq!(snap.counter("dgc.referencer.ended_silent"), 0);
+    }
+
+    /// A lost farewell costs the TTA it replaced. Root D drops its stub
+    /// for idle X at 1,010 ms, and its farewell dies in a drop window on
+    /// the link to X. D's last beat, at 1,000 ms, lands at 1,001 ms; X
+    /// forgets D after TTA of silence (`ended_silent`) and goes on its
+    /// process's first grid beat past 1,501 ms: 1,561.803398 ms.
+    #[test]
+    fn a_lost_farewell_falls_back_to_tta() {
+        use dgc_core::faults::{FaultProfile, Window};
+        let profile = FaultProfile::none().drop_frames(
+            Some(0),
+            Some(1),
+            Window::from_millis(1_010, 1_100),
+            1_000,
+        );
+        let mut config = GridConfig::new(Topology::single_site(2, SimDuration::from_millis(1)))
+            .collector(CollectorKind::Complete(fast_cfg()))
+            .seed(7)
+            .fault_profile(&profile);
+        config.local_gc_period = SimDuration::from_millis(5);
+        let mut g = Grid::new(config);
+        let d = g.spawn_root(ProcId(0), Box::new(Inert));
+        let x = g.spawn(ProcId(1), Box::new(Inert));
+        g.make_ref(d, x);
+        g.run_until(SimTime::from_millis(1_010));
+        g.drop_ref(d, x);
+        g.run_until(SimTime::from_secs(3));
+        assert!(g.dropped_messages() >= 1, "the farewell was lost");
+        let gone: Vec<(AoId, SimTime)> = g.collected().iter().map(|c| (c.ao, c.at)).collect();
+        assert_eq!(gone, vec![(x, SimTime::from_nanos(1_561_803_398))]);
+        assert_eq!(g.obs(ProcId(0)).snapshot().counter("dgc.farewell.sent"), 1);
+        let snap = g.obs(ProcId(1)).snapshot();
+        assert_eq!(snap.counter("dgc.referencer.ended_silent"), 1);
+        assert_eq!(snap.counter("dgc.referencer.ended_farewell"), 0);
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+    }
+
+    /// A referencer removed by a node's departure is not a farewell: its
+    /// messages still hold the acyclic wait, for TTA after the last one,
+    /// as without farewells. Busy w (process 2) holds idle u (process
+    /// 1), well past u's creation + TTA; process 2 leaves at 100 s — its
+    /// activities are killed, which sends nothing — and process 1 buries
+    /// it at once. w's last beat left at 97.082 s on process 2's grid
+    /// (offset `frac(2·φ⁻¹)·TTB`), so u waits until past 158.08 s, not
+    /// just its next beat after the verdict.
+    #[test]
+    fn a_departed_referencer_holds_the_acyclic_wait_for_tta() {
+        let topo = Topology::single_site(3, SimDuration::from_millis(2));
+        let mut g = Grid::new(
+            GridConfig::new(topo)
+                .collector(CollectorKind::Complete(dgc_cfg()))
+                .seed(7)
+                .membership(MembershipConfig::scaled(Dur::from_secs(1))),
+        );
+        let w = g.spawn(ProcId(2), Box::new(Inert));
+        let u = g.spawn(ProcId(1), Box::new(Inert));
+        g.set_busy(w, true);
+        g.make_ref(w, u);
+        g.run_for(SimDuration::from_secs(100));
+        g.leave_proc(ProcId(2));
+        g.run_for(SimDuration::from_secs(5));
+        let snap = g.obs(ProcId(1)).snapshot();
+        assert_eq!(
+            snap.counter("dgc.clock_bumps.lost_referencer"),
+            1,
+            "u forgot w on the verdict"
+        );
+        g.run_until(SimTime::from_secs(158));
+        assert!(g.is_alive(u), "TTA after w's last message has not passed");
+        g.run_until(SimTime::from_secs(200));
+        let at = g.collected().iter().find(|c| c.ao == u).map(|c| c.at);
+        assert!(
+            at.is_some_and(|at| at > SimTime::from_nanos(158_082_000_000)),
+            "{at:?}"
+        );
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+    }
+
+    /// A farewell tells a dying endpoint like a message. In the 2-ring
+    /// of the ring twin, the member on process 1 detects the consensus
+    /// at 161.803398 ms and waits on its one referencer, which drops its
+    /// stub at 170 ms instead of beating again at 200 ms. The farewell
+    /// tells the owner, which goes on receipt — `ended_told`, not the TTA
+    /// cap at 661.803398 ms.
+    #[test]
+    fn a_farewell_tells_a_dying_endpoint() {
+        let topo = Topology::single_site(2, SimDuration::from_millis(1));
+        let mut config = GridConfig::new(topo)
+            .collector(CollectorKind::Complete(fast_cfg()))
+            .seed(7);
+        config.local_gc_period = SimDuration::from_millis(1);
+        let mut g = Grid::new(config);
+        let ids: Vec<AoId> = (0..2)
+            .map(|p| g.spawn(ProcId(p), Box::new(Inert)))
+            .collect();
+        for id in &ids {
+            g.set_busy(*id, true);
+        }
+        g.make_ref(ids[0], ids[1]);
+        g.make_ref(ids[1], ids[0]);
+        for id in &ids {
+            g.set_busy(*id, false);
+        }
+        g.run_until(SimTime::from_millis(170));
+        assert_eq!(g.obs_merged().counter("dgc.consensus.detected"), 1);
+        g.drop_ref(ids[0], ids[1]);
+        g.run_until(SimTime::from_millis(199));
+        let owner = g.collected().first().map(|c| (c.ao, c.reason));
+        assert_eq!(owner, Some((ids[1], Some(TerminateReason::CyclicDetected))));
+        let snap = g.obs(ProcId(1)).snapshot();
+        assert_eq!(snap.counter("dgc.dying.ended_told"), 1);
+        assert_eq!(snap.counter("dgc.dying.ended_capped"), 0);
+        g.run_for(SimDuration::from_secs(2));
+        assert_eq!(g.alive_count(), 0);
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
     }
 
     /// A dying endpoint's process wake follows its deadline. In the

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use crate::config::DgcConfig;
 use crate::id::AoId;
 use crate::kernel::NodeKernel;
-use crate::message::{Action, DgcMessage, DgcResponse, TerminateReason};
+use crate::message::{Action, DgcFarewell, DgcMessage, DgcResponse, TerminateReason};
 use crate::sweep::SweepPools;
 use crate::units::{Dur, Time};
 
@@ -48,6 +48,10 @@ enum Wire {
         from: AoId,
         to: AoId,
         response: DgcResponse,
+    },
+    Farewell {
+        to: AoId,
+        farewell: DgcFarewell,
     },
 }
 
@@ -105,9 +109,10 @@ impl Harness {
         self.kernel.add_ref(self.now, from, to);
     }
 
-    /// Removes the reference edge `from → to` (all stubs collected).
+    /// Removes the reference edge `from → to` (all stubs collected):
+    /// `to` hears `from`'s farewell one latency later.
     pub fn drop_ref(&mut self, from: AoId, to: AoId) {
-        self.kernel.drop_ref(from, to);
+        self.kernel.drop_ref(self.now, from, to);
     }
 
     /// True if `id` is still alive (added and not terminated).
@@ -171,6 +176,10 @@ impl Harness {
                     self.emit(to, action);
                 }
             }
+            // A farewell to a terminated target is dropped.
+            Wire::Farewell { to, farewell } => {
+                self.kernel.on_farewell(self.now, to, &farewell);
+            }
         }
     }
 
@@ -194,6 +203,7 @@ impl Harness {
                 to,
                 response,
             },
+            Action::SendFarewell { to, farewell } => Wire::Farewell { to, farewell },
             Action::Terminate { reason } => {
                 return self.terminations.push(Termination {
                     id: who,
@@ -330,6 +340,52 @@ mod tests {
                 Some(Dur::from_millis(lifetime_ms)),
                 "{n}-ring"
             );
+        }
+    }
+
+    /// Chains idle from the moment they are wired, with the ring test's
+    /// timing. Nobody references the head, so it waits out TTA from its
+    /// creation: its node's grid beats on multiples of TTB, 500 ms is
+    /// not *past* creation + TTA, and it goes at 600 ms, saying farewell
+    /// to the next member. That member never passed the reference on, so
+    /// the farewell empties its table at once; past creation + TTA, it is
+    /// due at that instant and goes on receipt, 1 ms later — and so on
+    /// down the chain: `600 + (n − 1)` ms. (Without farewells each later
+    /// member waited TTA after its referencer's last beat and went on its
+    /// own node's next beat: 1,061.8 / 1,985.4 ms.) The simulator twin
+    /// in `runtime.rs` pins the same 601 / 603 ms.
+    #[test]
+    fn chains_idled_at_creation_end_at_message_speed_after_the_head() {
+        let config = DgcConfig::builder()
+            .ttb(Dur::from_millis(100))
+            .tta(Dur::from_millis(500))
+            .max_comm(Dur::from_millis(200))
+            .build();
+        for (n, lifetime_ms) in [(2, 601), (4, 603)] {
+            let mut h = Harness::new(Dur::from_millis(1));
+            let created = h.now();
+            let ids = h.add_many(n, config);
+            for w in 1..n {
+                h.add_ref(ids[w - 1], ids[w]);
+            }
+            for id in &ids {
+                h.set_idle(*id, true);
+            }
+            h.run_for(Dur::from_secs(10));
+            assert_eq!(h.alive_count(), 0, "{n}-chain");
+            let at: Vec<Dur> = h
+                .terminations()
+                .iter()
+                .map(|t| t.at.since(created))
+                .collect();
+            let expected: Vec<Dur> = (0..n as u64)
+                .map(|k| Dur::from_millis(lifetime_ms - (n as u64 - 1) + k))
+                .collect();
+            assert_eq!(at, expected, "{n}-chain: head first, one hop each");
+            assert!(h
+                .terminations()
+                .iter()
+                .all(|t| t.reason == TerminateReason::Acyclic));
         }
     }
 

@@ -45,7 +45,7 @@
 //! cadence.** [`NodeKernel::add_ref`] moves the referencer's index entry
 //! to `now` and leaves its cadence alone; when `tick_due` pops that
 //! entry before the cadence instant it sends one message to each edge
-//! owed its first one ([`DgcState::on_owed_beats_into`]) and re-indexes
+//! owed its first one ([`DgcState::on_owed_into`]) and re-indexes
 //! the endpoint at its cadence. An endpoint whose cadence is due in the
 //! same call gets its full beat instead, which covers the owed edges.
 //! Sending the first message early is safe: the §4.2 bound is over gaps
@@ -65,14 +65,34 @@
 //! terminating, so the last response leaves before the endpoint does.
 //! Every host re-reads [`NodeKernel::next_tick`] after each delivery:
 //! rt-net's and rt-thread's loops and the harness on every turn, the
-//! simulator `Grid` by re-arming its process wake after each DGC message
-//! and response.
+//! simulator `Grid` by re-arming its process wake after each DGC message,
+//! response and farewell.
+//!
+//! **A referencer that lets go says farewell, and the farewell ends the
+//! acyclic wait.** An endpoint that terminates on the acyclic path sends
+//! one farewell to every target it still references, in the sweep that
+//! terminates it (a cyclic one only to the edges it had dropped);
+//! an edge lost to stub collection ([`NodeKernel::drop_ref`]) makes its
+//! endpoint due now, and that pop sends the one farewell — the same
+//! one-target path as a new edge's first message, so farewells leave
+//! only through `tick_due`. Each carries the age of the sender's last
+//! [`NodeKernel::passed_on`] of that reference. The target forgets the
+//! sender at `receipt + max(0, 2·MaxComm − age)` rather than TTA after
+//! its last message ([`DgcState::on_farewell`]); a farewell that leaves
+//! an idle target listing only referencers that said farewell moves its
+//! index entry to the instant its acyclic wait ends
+//! ([`DgcState::acyclic_deadline`]) — now, when the table is empty and
+//! TTA has passed since creation — and that pop collects it. So each
+//! later hop of a garbage chain costs one message, not a TTA. A
+//! farewell from a referencer a dying endpoint still waits on tells it,
+//! as a message would. A farewell to an absent target is dropped: it
+//! owes the sender nothing, not even a send failure.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::DgcConfig;
 use crate::id::AoId;
-use crate::message::{Action, DgcMessage, DgcResponse, TerminateReason};
+use crate::message::{Action, DgcFarewell, DgcMessage, DgcResponse, TerminateReason};
 use crate::protocol::DgcState;
 use crate::stats::DgcStats;
 use crate::sweep::{sweep_sharded, SweepPools};
@@ -155,6 +175,21 @@ fn reschedule(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint, 
     timers.remove(&(ep.due, id));
     ep.due = at;
     timers.insert((at, id));
+}
+
+/// Moves an idle active endpoint's index entry to the instant its
+/// acyclic wait ends — `now` if it has — when only farewells and time
+/// hold it and that is before its next pop; the cadence stays.
+fn follow_acyclic(timers: &mut BTreeSet<(Time, AoId)>, now: Time, id: AoId, ep: &mut Endpoint) {
+    if !ep.collectable() {
+        return;
+    }
+    if let Some(end) = ep.state.acyclic_deadline() {
+        let end = end.max(now);
+        if end < ep.due {
+            reschedule(timers, id, ep, end);
+        }
+    }
 }
 
 /// Keeps a dying endpoint's cadence and index entry at its deadline,
@@ -373,9 +408,25 @@ impl NodeKernel {
     }
 
     /// Removes the reference edge `from → to` (all stubs collected).
-    pub fn drop_ref(&mut self, from: AoId, to: AoId) {
+    /// `to` is owed a farewell, so `from` is due now and the next
+    /// [`tick_due`](Self::tick_due) sends it — after the edge's first
+    /// message, if that is still owed — and `from`'s cadence stays.
+    pub fn drop_ref(&mut self, now: Time, from: AoId, to: AoId) {
+        let Some(ep) = self.table.get_mut(from) else {
+            return;
+        };
+        if ep.state.on_stubs_collected(to) && ep.due > now {
+            reschedule(&mut self.timers, from, ep, now);
+        }
+    }
+
+    /// `from` passed its reference to `to` on to another activity at
+    /// `now`, inside a request or reply it sent: its farewell to `to`
+    /// will carry the age of this instant. A host calls this for every
+    /// reference an activity dispatches.
+    pub fn passed_on(&mut self, now: Time, from: AoId, to: AoId) {
         if let Some(ep) = self.table.get_mut(from) {
-            ep.state.on_stubs_collected(to);
+            ep.state.on_passed_on(now, to);
         }
     }
 
@@ -390,6 +441,21 @@ impl NodeKernel {
         ep.state.on_message_into(now, message, out.unit_buf());
         follow_deadline(&mut self.timers, to, ep);
         Some(out)
+    }
+
+    /// Delivers a farewell to `to`. `false` means no such target; the
+    /// host drops the farewell and owes the sender nothing. A farewell
+    /// that tells a dying `to`'s last referencer makes it due now, and
+    /// one that leaves an idle `to` held only by farewells and time moves
+    /// its index entry to the end of its acyclic wait.
+    pub fn on_farewell(&mut self, now: Time, to: AoId, farewell: &DgcFarewell) -> bool {
+        let Some(ep) = self.table.get_mut(to) else {
+            return false;
+        };
+        ep.state.on_farewell(now, farewell);
+        follow_deadline(&mut self.timers, to, ep);
+        follow_acyclic(&mut self.timers, now, to, ep);
+        true
     }
 
     /// Delivers the DGC response `from` sent to `to`; returns what `to`
@@ -432,9 +498,10 @@ impl NodeKernel {
     /// ascending activity-id order (across the configured shards). One
     /// whose cadence is due ticks through `on_tick_into` and re-arms —
     /// on its TTB lattice, or at its dying deadline if it is dying; one
-    /// that is due early only for a new edge sends the owed first
-    /// messages (`on_owed_beats_into`) and keeps its cadence. Each
-    /// survivor is re-indexed at its cadence, the terminated ones are
+    /// that is due early — for a new edge, a lost edge's farewell, or the
+    /// end of an acyclic wait a farewell shortened — sends what it owes
+    /// or terminates ([`DgcState::on_owed_into`]) and keeps its cadence.
+    /// Each survivor is re-indexed at its cadence, the terminated ones are
     /// removed. The returned pools hold every emitted unit in exactly
     /// the order a sequential sweep would have produced — all of a
     /// sweep's units reach the host before it routes any, which is what
@@ -463,7 +530,7 @@ impl NodeKernel {
                 ep.cadence = next_cadence(ep, now);
             } else {
                 let idle = ep.collectable();
-                ep.state.on_owed_beats_into(idle, scratch, units);
+                ep.state.on_owed_into(now, idle, scratch, units);
             }
             ep.due = ep.cadence;
         });
@@ -584,6 +651,96 @@ mod tests {
         assert!(tick(&mut k, now).is_empty(), "nothing was emitted");
     }
 
+    /// A farewell to a target that was never hosted here, or has gone,
+    /// changes nothing and gets no reply of any kind — not even a send
+    /// failure: the host just drops it.
+    #[test]
+    fn a_farewell_to_an_absent_target_gets_no_reply() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        k.set_idle(Time::ZERO, ao(0), true);
+        let gone = tick(&mut k, Time::from_secs(1));
+        assert!(!k.hosts(ao(0)), "{gone:?}");
+        k.spawn(ao(1), Time::ZERO, cfg(), None);
+        let before = (k.next_tick(), k.stats());
+        let farewell = DgcFarewell {
+            sender: AoId::new(1, 0),
+            age: None,
+        };
+        for absent in [ao(0), ao(7), AoId::new(3, 1)] {
+            assert!(!k.on_farewell(Time::from_secs(1), absent, &farewell));
+        }
+        assert_eq!((k.next_tick(), k.stats()), before);
+        assert!(tick(&mut k, Time::from_secs(1)).is_empty());
+    }
+
+    /// A dropped edge's farewell leaves on the next pop, now, alone, and
+    /// carries the age of the edge's last pass-on; the cadence holds.
+    #[test]
+    fn a_dropped_edge_says_farewell_now_with_its_pass_on_age() {
+        let mut k = NodeKernel::new(1);
+        k.spawn(ao(0), Time::ZERO, cfg(), None);
+        let target = AoId::new(1, 0);
+        k.add_ref(Time::ZERO, ao(0), target);
+        assert_eq!(messages(&tick(&mut k, Time::ZERO)).len(), 1);
+        k.passed_on(Time::ZERO + Dur::from_millis(30), ao(0), target);
+        let now = Time::ZERO + Dur::from_millis(50);
+        k.drop_ref(now, ao(0), target);
+        assert_eq!(k.next_tick(), Some(now));
+        let said = tick(&mut k, now);
+        assert_eq!(
+            said,
+            vec![SweepUnit {
+                from: ao(0),
+                action: Action::SendFarewell {
+                    to: target,
+                    farewell: DgcFarewell {
+                        sender: ao(0),
+                        age: Some(Dur::from_millis(20)),
+                    },
+                },
+            }]
+        );
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB), "the cadence holds");
+        assert!(tick(&mut k, Time::ZERO + TTB).is_empty(), "said once");
+    }
+
+    /// A farewell that empties an idle target's referencer table, past
+    /// its creation + TTA, makes it due at that instant, and the pop
+    /// there collects it — not its next beat.
+    #[test]
+    fn a_farewell_that_empties_an_idle_table_collects_at_once() {
+        let mut k = NodeKernel::new(1);
+        let (holder, target) = (ao(0), ao(1));
+        for id in [holder, target] {
+            k.spawn(id, Time::ZERO, cfg(), None);
+        }
+        k.set_idle(Time::ZERO, target, true);
+        k.add_ref(Time::ZERO, holder, target);
+        let mut now = Time::ZERO;
+        while now < Time::from_secs(1) {
+            now = k.next_tick().expect("both hosted");
+            let units = tick(&mut k, now);
+            deliver(&mut k, now, units);
+        }
+        assert!(k.hosts(target), "held by its busy referencer");
+        let dropped = now + Dur::from_millis(10);
+        k.drop_ref(dropped, holder, target);
+        let units = tick(&mut k, dropped);
+        let received = dropped + Dur::from_millis(2);
+        deliver(&mut k, received, units);
+        assert_eq!(k.next_tick(), Some(received));
+        let units = tick(&mut k, received);
+        assert!(units.iter().any(|u| u.from == target
+            && matches!(
+                u.action,
+                Action::Terminate {
+                    reason: TerminateReason::Acyclic
+                }
+            )));
+        assert!(!k.hosts(target));
+    }
+
     #[test]
     fn terminate_removes_the_endpoint_and_its_timer() {
         let mut k = NodeKernel::new(1);
@@ -664,17 +821,13 @@ mod tests {
                 }
             }
             k.set_idle(Time::ZERO, ao(4), true);
-            let mut units = tick(&mut k, Time::ZERO + TTB);
-            units.extend(tick(&mut k, Time::from_secs(1)));
-            units
+            [TTB, Dur::from_secs(1)].map(|at| tick(&mut k, Time::ZERO + at))
         };
         let sequential = script(1);
-        assert_eq!(
-            sequential.len(),
-            2 * 15 - 1,
-            "ao 4 ends instead of beating twice"
-        );
-        for sweep in sequential.chunks(15) {
+        // ao 4 ends instead of beating twice, with a farewell to each.
+        let sizes = sequential.each_ref().map(Vec::len);
+        assert_eq!(sizes, [15, 15 - 2 + 2 + 1]);
+        for sweep in &sequential {
             assert!(sweep.windows(2).all(|w| w[0].from <= w[1].from));
         }
         assert_eq!(script(4), sequential);
@@ -743,7 +896,7 @@ mod tests {
         let now = Time::ZERO + Dur::from_millis(30);
         k.add_ref(now, ao(0), target);
         assert_eq!(messages(&tick(&mut k, now)).len(), 1);
-        k.drop_ref(ao(0), target);
+        k.drop_ref(now, ao(0), target);
         let referenced = k.table.get_mut(ao(0)).map(|ep| ep.state.referenced_count());
         assert_eq!(referenced, Some(0), "no promise holds the edge");
         assert!(messages(&tick(&mut k, Time::ZERO + TTB)).is_empty());
@@ -760,7 +913,7 @@ mod tests {
         let target = AoId::new(1, 0);
         let now = Time::ZERO + Dur::from_millis(30);
         k.add_ref(now, ao(0), target);
-        k.drop_ref(ao(0), target);
+        k.drop_ref(now, ao(0), target);
         let before = k.table.get_mut(ao(0)).map(|ep| ep.state.clock());
         let sent = messages(&tick(&mut k, now));
         let after = k
@@ -885,6 +1038,9 @@ mod tests {
                     for action in k.on_response(now, from, to, &response) {
                         in_flight.push_back(SweepUnit { from: to, action });
                     }
+                }
+                Action::SendFarewell { to, farewell } => {
+                    k.on_farewell(now, to, &farewell);
                 }
                 Action::Terminate { .. } => {}
             }
@@ -1307,9 +1463,17 @@ mod tests {
             }
         }
 
-        fn drop_ref(&mut self, from: AoId, to: AoId) {
+        fn drop_ref(&mut self, now: Time, from: AoId, to: AoId) {
             if let Some(ep) = self.endpoints.get_mut(&from) {
-                ep.state.on_stubs_collected(to);
+                if ep.state.on_stubs_collected(to) {
+                    ep.due = ep.due.min(now);
+                }
+            }
+        }
+
+        fn passed_on(&mut self, now: Time, from: AoId, to: AoId) {
+            if let Some(ep) = self.endpoints.get_mut(&from) {
+                ep.state.on_passed_on(now, to);
             }
         }
 
@@ -1341,7 +1505,7 @@ mod tests {
                     };
                 } else {
                     ep.state
-                        .on_owed_beats_into(ep.idle, &mut self.scratch, &mut units);
+                        .on_owed_into(now, ep.idle, &mut self.scratch, &mut units);
                 }
                 ep.due = ep.cadence;
             }
@@ -1353,8 +1517,10 @@ mod tests {
 
         /// [`deliver`] over the model: a dying endpoint's next tick is
         /// its deadline from the moment a response makes it dying, and
-        /// moves to `now` when a message's answer tells its last
-        /// referencer.
+        /// moves to `now` when a message's answer or a farewell tells its
+        /// last referencer; an idle endpoint a farewell leaves held by
+        /// farewells and time only is next due when its acyclic wait
+        /// ends, if that is sooner.
         fn deliver(&mut self, now: Time, units: Vec<SweepUnit>) {
             let mut in_flight: std::collections::VecDeque<SweepUnit> = units.into();
             while let Some(SweepUnit { from, action }) = in_flight.pop_front() {
@@ -1382,6 +1548,18 @@ mod tests {
                                 in_flight.push_back(SweepUnit { from: to, action });
                             }
                             Wait::follow(&mut self.waits, to, ep, was_active, now);
+                        }
+                    }
+                    Action::SendFarewell { to, farewell } => {
+                        if let Some(ep) = self.endpoints.get_mut(&to) {
+                            ep.state.on_farewell(now, &farewell);
+                            if let Some(wait) = self.waits.get_mut(&to) {
+                                wait.answered(farewell.sender, now);
+                            }
+                            Wait::follow(&mut self.waits, to, ep, false, now);
+                            if let Some(end) = ep.state.acyclic_deadline().filter(|_| ep.idle) {
+                                ep.due = ep.due.min(end.max(now));
+                            }
                         }
                     }
                     Action::Terminate { .. } => {}
@@ -1416,13 +1594,17 @@ mod tests {
                         k.spawn(ao(a), now, cfg(), None);
                         model.spawn(ao(a), now, grid_beat(0, now, TTB), cfg());
                     }
-                    1 | 2 => {
+                    1 => {
                         k.add_ref(now, ao(a), target);
                         model.add_ref(now, ao(a), target);
                     }
+                    2 => {
+                        k.passed_on(now, ao(a), target);
+                        model.passed_on(now, ao(a), target);
+                    }
                     3 => {
-                        k.drop_ref(ao(a), target);
-                        model.drop_ref(ao(a), target);
+                        k.drop_ref(now, ao(a), target);
+                        model.drop_ref(now, ao(a), target);
                     }
                     4 => {
                         k.set_idle(now, ao(a), b % 2 == 0);

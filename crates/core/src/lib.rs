@@ -12,7 +12,8 @@
 //! transitive closure of its *referencers* is idle (equation (1)).
 //! Acyclic garbage is found by **reference listing with heartbeats**:
 //! referencers send a DGC message every TTB; an idle activity without a
-//! message for TTA terminates (§3.1). Cyclic garbage is found by a
+//! message for TTA terminates (§3.1), and a referencer that lets go says
+//! farewell, which ends that wait sooner (see `DESIGN.md`). Cyclic garbage is found by a
 //! **consensus on a named Lamport "final activity clock"** carried by
 //! those same heartbeats: responses propose the candidate, a reverse
 //! spanning tree (children point to parents, respecting firewalls/NATs)
@@ -97,7 +98,7 @@ pub use egress::{EgressClass, EgressObs, EgressStats, Flush, FlushPolicy, FlushR
 pub use faults::{FaultKind, FaultProfile, LinkDisruption, NodeCrash, NodePause, Window};
 pub use id::{AoId, AoIdAllocator};
 pub use kernel::{NodeKernel, Terminated};
-pub use message::{Action, DgcMessage, DgcResponse, TerminateReason};
+pub use message::{Action, DgcFarewell, DgcMessage, DgcResponse, TerminateReason};
 pub use process_graph::ProcessGraph;
 pub use protocol::{DgcState, Phase};
 pub use stats::{ClockBumpReason, DgcStats};

@@ -57,6 +57,22 @@ pub struct DgcResponse {
     pub depth: Option<u32>,
 }
 
+/// A farewell, sent once by a referencer that stops referencing the
+/// receiver — it terminated, or its local collector dropped its last stub
+/// for the receiver. The receiver forgets the sender at
+/// `receipt + max(0, 2·MaxComm − age)` instead of TTA after its last
+/// message: every copy of the reference the sender passed on landed
+/// within MaxComm, and the new holder's first message within another
+/// (see DESIGN.md, "Farewells").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DgcFarewell {
+    /// The departing referencer.
+    pub sender: AoId,
+    /// Time since the sender last passed the receiver's reference on to
+    /// another activity, as the farewell left; `None` if it never did.
+    pub age: Option<Dur>,
+}
+
 /// Why an active object decided to terminate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -104,6 +120,14 @@ pub enum Action {
         to: AoId,
         /// The response.
         response: DgcResponse,
+    },
+    /// Tell a referenced active object that this one no longer
+    /// references it. Never answered.
+    SendFarewell {
+        /// Destination (the target the sender held).
+        to: AoId,
+        /// The farewell.
+        farewell: DgcFarewell,
     },
     /// Destroy this active object; it is garbage.
     Terminate {

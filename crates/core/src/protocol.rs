@@ -20,7 +20,7 @@
 use crate::clock::NamedClock;
 use crate::config::{DgcConfig, ParentPolicy, TimingMode};
 use crate::id::AoId;
-use crate::message::{Action, DgcMessage, DgcResponse, TerminateReason};
+use crate::message::{Action, DgcFarewell, DgcMessage, DgcResponse, TerminateReason};
 use crate::referenced::ReferencedTable;
 use crate::referencers::ReferencerTable;
 use crate::stats::{ClockBumpReason, DgcStats};
@@ -63,10 +63,13 @@ pub struct DgcState {
     tree_depth: Option<u32>,
     referencers: ReferencerTable,
     referenced: ReferencedTable,
-    /// Arrival time of the last DGC message from anyone; initialised to
-    /// the creation time so a never-referenced object still waits TTA.
-    /// While dying it is when the last referencer owed an answer was
-    /// answered (the Dying entry if none was owed).
+    /// While active, the last instant that holds the §3.1 acyclic wait
+    /// beyond the referencer table's own entries: the creation time, so a
+    /// never-referenced object still waits TTA, or the last message of a
+    /// referencer that left the table without a farewell (silence, node
+    /// death), whichever is later. While dying it is when the last
+    /// referencer owed an answer was answered (the Dying entry if none
+    /// was owed).
     last_message_timestamp: Time,
     phase: Phase,
     current_ttb: Dur,
@@ -131,13 +134,28 @@ impl DgcState {
 
     /// The local collector reports that all stubs for `target` (the
     /// shared tag) died. If the edge disappears, this is a "loss of a
-    /// referenced" and bumps the activity clock (§3.2, Fig. 6).
-    pub fn on_stubs_collected(&mut self, target: AoId) {
+    /// referenced" and bumps the activity clock (§3.2, Fig. 6), and
+    /// `target` is owed a farewell, sent by the next
+    /// [`on_owed_into`](Self::on_owed_into) or tick; `true` then. An edge
+    /// still owed its first message keeps it, and its farewell follows
+    /// that message.
+    pub fn on_stubs_collected(&mut self, target: AoId) -> bool {
         if self.phase != Phase::Active {
-            return;
+            return false;
         }
-        if self.referenced.on_stubs_collected(target) {
+        let lost = self.referenced.on_stubs_collected(target);
+        if lost {
             self.lose_referenced_edge(target);
+        }
+        lost
+    }
+
+    /// This activity passed `target`'s reference on to another activity
+    /// at `now` (a request or reply carrying its stub left): a farewell
+    /// to `target` will carry the age of this instant.
+    pub fn on_passed_on(&mut self, now: Time, target: AoId) {
+        if self.phase == Phase::Active {
+            self.referenced.passed_on(target, now);
         }
     }
 
@@ -177,7 +195,10 @@ impl DgcState {
             .filter(|id| id.node == node)
             .collect();
         for r in departed {
-            if self.referencers.remove(r) {
+            if let Some(info) = self.referencers.take(r) {
+                // Its messages still hold the acyclic wait: a departure
+                // is not a farewell.
+                self.last_message_timestamp = self.last_message_timestamp.max(info.last_message);
                 self.bump_clock(ClockBumpReason::LostReferencer);
             }
         }
@@ -239,7 +260,6 @@ impl DgcState {
                 // has been told, or after TTA.
                 let (end, told) = self.wait_end(since, untold);
                 if now >= end {
-                    self.phase = Phase::Dead;
                     if let Some(obs) = &self.obs {
                         let ended = if told {
                             &obs.dying_ended_told
@@ -248,8 +268,7 @@ impl DgcState {
                         };
                         ended.incr();
                     }
-                    self.record_collected(now, reason, Some(since));
-                    sink.emit(self.id, Action::Terminate { reason });
+                    self.terminate(now, reason, Some(since), sink);
                 }
                 return;
             }
@@ -263,35 +282,37 @@ impl DgcState {
         }
         self.last_tick_at = Some(now);
 
-        // Loss of referencers: silent for TTA (or 2·their TTB + MaxComm).
+        // Loss of referencers: a farewell horizon reached, or silent for
+        // TTA (or 2·their TTB + MaxComm).
         scratch.expired.clear();
-        self.referencers.expire_silent_into(
+        let expiry = self.referencers.expire_silent_into(
             now,
             self.config.tta,
             self.config.max_comm,
             &mut scratch.expired,
         );
+        if let Some(heard) = expiry.last_heard {
+            self.last_message_timestamp = self.last_message_timestamp.max(heard);
+        }
+        if !scratch.expired.is_empty() {
+            if let Some(obs) = &self.obs {
+                let farewells = expiry.farewells as u64;
+                obs.referencer_ended_farewell.add(farewells);
+                obs.referencer_ended_silent
+                    .add(scratch.expired.len() as u64 - farewells);
+            }
+        }
         for _ in 0..scratch.expired.len() {
             self.bump_clock(ClockBumpReason::LostReferencer);
         }
 
-        if idle {
-            // Acyclic garbage (§3.1): no DGC message for TTA.
-            let timeout = self
-                .referencers
-                .max_expiry(self.config.tta, self.config.max_comm);
-            if now.since(self.last_message_timestamp) > timeout {
-                self.phase = Phase::Dead;
-                self.record_collected(now, TerminateReason::Acyclic, None);
-                sink.emit(
-                    self.id,
-                    Action::Terminate {
-                        reason: TerminateReason::Acyclic,
-                    },
-                );
-                return;
-            }
+        if idle && now >= self.acyclic_end() {
+            // Acyclic garbage (§3.1): no referencer holds it any more.
+            self.terminate(now, TerminateReason::Acyclic, None, sink);
+            return;
+        }
 
+        if idle {
             // Cyclic garbage (§3.2): we own the final activity clock and
             // every referencer agreed on it. The non-empty guard keeps
             // freshly created objects on the acyclic path, whose TTA
@@ -311,14 +332,7 @@ impl DgcState {
                     self.enter_dying(now, TerminateReason::CyclicDetected);
                     return;
                 }
-                self.phase = Phase::Dead;
-                self.record_collected(now, TerminateReason::CyclicDetected, Some(now));
-                sink.emit(
-                    self.id,
-                    Action::Terminate {
-                        reason: TerminateReason::CyclicDetected,
-                    },
-                );
+                self.terminate(now, TerminateReason::CyclicDetected, Some(now), sink);
                 return;
             }
         }
@@ -336,6 +350,7 @@ impl DgcState {
             self.referenced
                 .broadcast_targets_into(&mut scratch.targets, &mut scratch.dropped);
             self.drop_then_send(idle, scratch, sink);
+            self.send_farewells(now, sink);
             return;
         }
         // Hot path: no drop can occur this tick, so the broadcast is
@@ -371,19 +386,25 @@ impl DgcState {
                 );
             });
         debug_assert!(scratch.dropped.is_empty());
+        self.send_farewells(now, sink);
     }
 
-    /// The first message of every edge still owed one (§3.1's
-    /// `must_send_once`), sent between two broadcasts so that a new
-    /// edge need not wait for its referencer's next beat — and to those
-    /// edges only. Same two-phase order as a broadcast: the promises
+    /// What an endpoint owes between two beats, at `now`: the first
+    /// message of every edge still owed one (§3.1's `must_send_once`),
+    /// so that a new edge need not wait for its referencer's next beat —
+    /// to those edges only — then the farewell of every edge lost since
+    /// the last beat. Same two-phase order as a broadcast: the promises
     /// clear, the owed edges whose stubs are already collected drop and
     /// bump the clock, and only then are the messages built, so they
-    /// carry the post-bump clock. This is not a tick: no Algorithm 2
-    /// check runs and the adaptive TTB does not step. Inactive
-    /// endpoints send nothing.
-    pub fn on_owed_beats_into(
+    /// carry the post-bump clock; each dropped edge's farewell follows
+    /// its message. This is not a tick: the adaptive TTB does not step
+    /// and no referencer expires. The one Algorithm 2 check that runs is
+    /// the acyclic one: an idle endpoint whose wait is over — a farewell
+    /// ended it ([`acyclic_deadline`](Self::acyclic_deadline)) —
+    /// terminates instead. Inactive endpoints send nothing.
+    pub fn on_owed_into(
         &mut self,
+        now: Time,
         idle: bool,
         scratch: &mut SweepScratch,
         sink: &mut impl ActionSink,
@@ -391,11 +412,73 @@ impl DgcState {
         if self.phase != Phase::Active {
             return;
         }
+        if idle && now >= self.acyclic_end() {
+            self.terminate(now, TerminateReason::Acyclic, None, sink);
+            return;
+        }
         scratch.targets.clear();
         scratch.dropped.clear();
         self.referenced
             .owed_targets_into(&mut scratch.targets, &mut scratch.dropped);
         self.drop_then_send(idle, scratch, sink);
+        self.send_farewells(now, sink);
+    }
+
+    /// Sends the farewell of every edge lost since the last one went.
+    fn send_farewells(&mut self, now: Time, sink: &mut impl ActionSink) {
+        let id = self.id;
+        let mut sent = 0;
+        for (to, passed_on) in self.referenced.drain_leaving() {
+            sink.emit(id, farewell(id, now, to, passed_on));
+            sent += 1;
+        }
+        if let Some(obs) = self.obs.as_ref().filter(|_| sent > 0) {
+            obs.farewell_sent.add(sent);
+        }
+    }
+
+    /// Goes `Dead` at `now` for `reason`, saying farewell first. An
+    /// acyclic leaver tells every target it still references or has not
+    /// yet told. A cyclic one tells only the edges it dropped before its
+    /// consensus: the targets it still holds are either in its agreed set,
+    /// which learns the outcome by §4.3 propagation, or downstream of it,
+    /// and a farewell racing that propagation would bump a member's clock
+    /// before its `consensus_reached` answer arrives (see DESIGN.md).
+    /// `dying_since` as in [`record_collected`](Self::record_collected).
+    fn terminate(
+        &mut self,
+        now: Time,
+        reason: TerminateReason,
+        dying_since: Option<Time>,
+        sink: &mut impl ActionSink,
+    ) {
+        self.phase = Phase::Dead;
+        self.record_collected(now, reason, dying_since);
+        if reason == TerminateReason::Acyclic {
+            self.referenced.leave_all();
+        }
+        self.send_farewells(now, sink);
+        sink.emit(self.id, Action::Terminate { reason });
+    }
+
+    /// The first instant at which the §3.1 acyclic guard passes, absent
+    /// further input. It needs all of:
+    ///
+    /// * more than TTA since creation;
+    /// * more than its expiry (TTA, or the referencer's `2·TTB +
+    ///   MaxComm` if larger) since the last message of every referencer
+    ///   that has not said farewell — including referencers that left the
+    ///   table by silence or node death, as without farewells;
+    /// * every farewell horizon reached.
+    ///
+    /// Without farewells this is exactly the TTA-of-silence rule.
+    fn acyclic_end(&self) -> Time {
+        let wait = self
+            .referencers
+            .acyclic_wait(self.config.tta, self.config.max_comm);
+        let heard = wait.last_heard.unwrap_or(Time::ZERO);
+        let quiet = heard.max(self.last_message_timestamp) + wait.timeout + Dur::from_nanos(1);
+        wait.horizon.map_or(quiet, |h| h.max(quiet))
     }
 
     /// The two-phase tail of a broadcast: the edges in `scratch.dropped`
@@ -503,7 +586,6 @@ impl DgcState {
             now,
             message.sender_ttb,
         );
-        self.last_message_timestamp = now;
 
         self.stats.responses_sent += 1;
         sink.emit(
@@ -513,6 +595,54 @@ impl DgcState {
                 response: self.build_response(false),
             },
         );
+    }
+
+    /// Handles a farewell from `farewell.sender`, which no longer
+    /// references this endpoint. Never answered. While active, a known
+    /// referencer is forgotten at its horizon `now + max(0, 2·MaxComm −
+    /// age)` — at once when the sender never passed the reference on —
+    /// and its messages stop holding the acyclic wait; a later message
+    /// from it makes it a referencer again. While dying, it tells the
+    /// sender like a message would. Returns `false` when the farewell
+    /// reached no referencer entry (counted as `dgc.farewell.dropped`).
+    pub fn on_farewell(&mut self, now: Time, farewell: &DgcFarewell) -> bool {
+        let known = match &mut self.phase {
+            Phase::Dead => false,
+            Phase::Dying { untold, .. } => {
+                let sender = farewell.sender;
+                if *untold > 0 && self.referencers.tell(sender) {
+                    *untold -= 1;
+                    if *untold == 0 {
+                        self.last_message_timestamp = now;
+                    }
+                }
+                self.referencers.get(sender).is_some()
+            }
+            Phase::Active => {
+                let wait = farewell.age.map_or(Dur::ZERO, |age| {
+                    let window = self.config.max_comm.saturating_mul(2);
+                    Dur::from_nanos(window.as_nanos().saturating_sub(age.as_nanos()))
+                });
+                if wait == Dur::ZERO {
+                    let gone = self.referencers.take(farewell.sender).is_some();
+                    if gone {
+                        if let Some(obs) = &self.obs {
+                            obs.referencer_ended_farewell.incr();
+                        }
+                        self.bump_clock(ClockBumpReason::LostReferencer);
+                    }
+                    gone
+                } else {
+                    self.referencers.farewell(farewell.sender, now + wait)
+                }
+            }
+        };
+        if !known {
+            if let Some(obs) = &self.obs {
+                obs.farewell_dropped.incr();
+            }
+        }
+        known
     }
 
     fn build_response(&self, consensus_reached: bool) -> DgcResponse {
@@ -772,6 +902,16 @@ impl DgcState {
         self.phase == Phase::Dead
     }
 
+    /// When an active endpoint's §3.1 acyclic wait ends, if nothing but
+    /// farewells and time hold it: every referencer it still lists has
+    /// said farewell. The first tick or owed pass at or after this
+    /// instant collects it if it is idle then. `None` while some
+    /// referencer may still beat, or unless active.
+    pub fn acyclic_deadline(&self) -> Option<Time> {
+        let farewelled = self.referencers.iter().all(|(_, info)| info.farewell);
+        (self.phase == Phase::Active && farewelled).then(|| self.acyclic_end())
+    }
+
     /// When a dying endpoint's §4.3 wait ends: `min(since + TTA, the
     /// instant its last referencer still owed an answer was answered)`,
     /// so `since` itself when the only referencer is the clock owner.
@@ -822,6 +962,18 @@ impl DgcState {
     /// Protocol counters.
     pub fn stats(&self) -> &DgcStats {
         &self.stats
+    }
+}
+
+/// `from`'s farewell to `to` at `now`, for a reference last passed on at
+/// `passed_on`.
+fn farewell(from: AoId, now: Time, to: AoId, passed_on: Option<Time>) -> Action {
+    Action::SendFarewell {
+        to,
+        farewell: DgcFarewell {
+            sender: from,
+            age: passed_on.map(|at| now.since(at)),
+        },
     }
 }
 
@@ -1672,6 +1824,156 @@ mod tests {
         assert_eq!(snap.counter("dgc.dying.ended_capped"), 1);
         let wait = snap.histogram("dgc.collect.consensus_to_collected_ns");
         assert_eq!(wait.sum, t(1).as_nanos() + cfg().tta.as_nanos());
+    }
+
+    fn bye(sender: AoId, age: Option<Dur>) -> DgcFarewell {
+        DgcFarewell { sender, age }
+    }
+
+    /// An idle endpoint, past creation + TTA, whose one referencer ao2
+    /// last beat at t=70.
+    fn held_by_ao2() -> DgcState {
+        let mut s = DgcState::new(ao(1), t(0), cfg());
+        s.on_became_idle(t(0));
+        s.on_message(t(70), &msg(ao(2), NamedClock::initial(ao(2))));
+        s
+    }
+
+    #[test]
+    fn a_farewell_never_passed_on_ends_the_acyclic_wait_at_once() {
+        let mut s = held_by_ao2();
+        assert_eq!(s.acyclic_deadline(), None, "ao2 may beat again");
+        let clock = s.clock();
+        assert!(s.on_farewell(t(71), &bye(ao(2), None)));
+        assert_eq!(s.referencer_count(), 0);
+        assert!(s.clock() > clock, "a lost referencer bumps the clock");
+        // ao2's messages no longer count: only creation + TTA does.
+        assert_eq!(s.acyclic_deadline(), Some(t(61) + Dur::from_nanos(1)));
+        let mut out: Vec<Action> = Vec::new();
+        s.on_owed_into(t(71), true, &mut SweepScratch::new(), &mut out);
+        assert_eq!(
+            out,
+            vec![Action::Terminate {
+                reason: TerminateReason::Acyclic
+            }]
+        );
+    }
+
+    #[test]
+    fn an_aged_farewell_holds_its_sender_until_the_horizon() {
+        // 2·MaxComm = 1 s; passed on 300 ms before the farewell left.
+        let horizon = Time::from_nanos(71_700_000_000);
+        let mut s = held_by_ao2();
+        s.on_farewell(t(71), &bye(ao(2), Some(Dur::from_millis(300))));
+        assert_eq!(s.referencer_count(), 1);
+        assert_eq!(s.acyclic_deadline(), Some(horizon));
+        let before = Time::from_nanos(horizon.as_nanos() - 1);
+        assert!(!terminates(&s.on_tick(before, true)));
+        assert_eq!(s.referencer_count(), 1);
+        assert_eq!(
+            s.on_tick(horizon, true),
+            vec![Action::Terminate {
+                reason: TerminateReason::Acyclic
+            }]
+        );
+    }
+
+    #[test]
+    fn a_message_after_a_farewell_makes_its_sender_a_referencer_again() {
+        // The stale heartbeat left before the farewell and arrives after
+        // it (a reordering link): the wait is TTA after it, as before.
+        for age in [None, Some(Dur::from_millis(300))] {
+            let mut s = held_by_ao2();
+            s.on_farewell(t(71), &bye(ao(2), age));
+            s.on_message(t(72), &msg(ao(2), NamedClock::initial(ao(2))));
+            assert_eq!(s.referencer_count(), 1, "{age:?}");
+            assert_eq!(s.acyclic_deadline(), None, "{age:?}");
+            assert!(!terminates(&s.on_tick(t(72 + 61), true)), "{age:?}");
+            assert!(terminates(&s.on_tick(t(72 + 62), true)), "{age:?}");
+        }
+    }
+
+    #[test]
+    fn farewells_reaching_no_referencer_are_counted_dropped() {
+        let registry = dgc_obs::Registry::default();
+        let mut s = held_by_ao2();
+        s.set_obs(DgcObs::new(&registry));
+        assert!(
+            !s.on_farewell(t(71), &bye(ao(3), None)),
+            "never a referencer"
+        );
+        assert!(s.on_farewell(t(71), &bye(ao(2), None)));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("dgc.farewell.dropped"), 1);
+        assert_eq!(snap.counter("dgc.referencer.ended_farewell"), 1);
+    }
+
+    #[test]
+    fn an_acyclic_leaver_says_farewell_to_every_target_with_its_age() {
+        let mut s = DgcState::new(ao(1), t(0), cfg());
+        s.on_became_idle(t(0));
+        for target in [2, 3, 4] {
+            s.on_stub_deserialized(ao(target));
+        }
+        s.on_tick(t(1), true);
+        s.on_passed_on(t(10), ao(2));
+        // ao4's stub is collected: its farewell is owed at once.
+        assert!(s.on_stubs_collected(ao(4)));
+        let farewell = |to: u32, age: Option<u64>| Action::SendFarewell {
+            to: ao(to),
+            farewell: bye(ao(1), age.map(Dur::from_secs)),
+        };
+        let mut out: Vec<Action> = Vec::new();
+        s.on_owed_into(t(20), true, &mut SweepScratch::new(), &mut out);
+        assert_eq!(out, vec![farewell(4, None)]);
+        assert_eq!(
+            s.on_tick(t(62), true),
+            vec![
+                farewell(2, Some(52)),
+                farewell(3, None),
+                Action::Terminate {
+                    reason: TerminateReason::Acyclic
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cyclic_leaver_says_farewell_only_to_the_edges_it_dropped() {
+        let mut s = detector_with_two_referencers();
+        let mine = s.clock();
+        s.on_message(t(3), &msg(ao(2), mine));
+        s.on_message(t(3), &msg(ao(3), mine));
+        assert_eq!(
+            s.on_tick(t(3), true),
+            vec![Action::Terminate {
+                reason: TerminateReason::CyclicDetected
+            }]
+        );
+        // An edge dropped just before the consensus still hears of it.
+        let config = DgcConfig {
+            propagate_consensus: false,
+            ..cfg()
+        };
+        let mut s = DgcState::new(ao(1), t(0), config);
+        s.on_stub_deserialized(ao(5));
+        s.on_stub_deserialized(ao(6));
+        s.on_tick(t(1), true);
+        assert!(s.on_stubs_collected(ao(6)));
+        let mine = s.clock();
+        s.on_message(t(2), &msg(ao(2), mine));
+        assert_eq!(
+            s.on_tick(t(2), true),
+            vec![
+                Action::SendFarewell {
+                    to: ao(6),
+                    farewell: bye(ao(1), None)
+                },
+                Action::Terminate {
+                    reason: TerminateReason::CyclicDetected
+                }
+            ]
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::id::AoId;
 use crate::message::DgcResponse;
+use crate::units::Time;
 
 /// What we know about one referenced active object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +37,18 @@ pub struct ReferencedInfo {
     /// True if we still owe this target one DGC message (deserialization
     /// happened after the last message sent to it).
     pub must_send_once: bool,
+    /// When this activity last passed the target's reference on to
+    /// another activity, if it ever did.
+    pub passed_on: Option<Time>,
 }
 
 /// Table of all referenced active objects: a flat arena sorted by id.
 #[derive(Debug, Clone, Default)]
 pub struct ReferencedTable {
     entries: Vec<(AoId, ReferencedInfo)>,
+    /// Edges lost to stub collection whose farewell is not yet sent,
+    /// with their last pass-on, in the order they left.
+    leaving: Vec<(AoId, Option<Time>)>,
 }
 
 impl ReferencedTable {
@@ -70,6 +77,7 @@ impl ReferencedTable {
                             last_response: None,
                             reachable: false,
                             must_send_once: false,
+                            passed_on: None,
                         },
                     ),
                 );
@@ -81,13 +89,16 @@ impl ReferencedTable {
         let was_new = !entry.reachable && entry.last_response.is_none() && !entry.must_send_once;
         entry.reachable = true;
         entry.must_send_once = true;
+        // Held again before its farewell left: no farewell.
+        self.leaving.retain(|&(id, _)| id != target);
         was_new
     }
 
     /// The local collector reports that **all** stubs for `target` died
     /// (the weak-referenced tag was collected). The edge survives only if
     /// a first DGC message is still owed. Returns `true` if the edge was
-    /// removed now (a "loss of a referenced").
+    /// removed now (a "loss of a referenced"); its target is then owed a
+    /// farewell, as it is once the promised message has gone.
     pub fn on_stubs_collected(&mut self, target: AoId) -> bool {
         match self.position(target) {
             Err(_) => false,
@@ -99,11 +110,42 @@ impl ReferencedTable {
                     // Keep the edge until the promised message is sent.
                     false
                 } else {
-                    self.entries.remove(i);
+                    let (_, info) = self.entries.remove(i);
+                    self.leaving.push((target, info.passed_on));
                     true
                 }
             }
         }
+    }
+
+    /// Records that this activity passed `target`'s reference on to
+    /// another activity at `now`. Returns `false` if `target` is not
+    /// tracked.
+    pub fn passed_on(&mut self, target: AoId, now: Time) -> bool {
+        match self.position(target) {
+            Ok(i) => {
+                // dgc-analysis: allow(hot-path-panic): index is a binary-search Ok(i) into the same vec
+                self.entries[i].1.passed_on = Some(now);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The lost edges owed a farewell, with their last pass-on, in the
+    /// order they left; each is owed once.
+    pub fn drain_leaving(&mut self) -> std::vec::Drain<'_, (AoId, Option<Time>)> {
+        self.leaving.drain(..)
+    }
+
+    /// The activity leaves: every tracked edge goes, and each is owed a
+    /// farewell after those already owed.
+    pub fn leave_all(&mut self) {
+        let edges = self
+            .entries
+            .drain(..)
+            .map(|(id, info)| (id, info.passed_on));
+        self.leaving.extend(edges);
     }
 
     /// Records a DGC response from `target`. Returns `false` if we no
@@ -120,8 +162,10 @@ impl ReferencedTable {
     }
 
     /// Removes the edge to `target` unconditionally (send failure: the
-    /// target terminated). Returns `true` if it existed.
+    /// target terminated), farewell included. Returns `true` if the edge
+    /// existed.
     pub fn remove(&mut self, target: AoId) -> bool {
+        self.leaving.retain(|&(id, _)| id != target);
         match self.position(target) {
             Ok(i) => {
                 self.entries.remove(i);
@@ -157,14 +201,17 @@ impl ReferencedTable {
     }
 
     fn targets_into(&mut self, owed_only: bool, targets: &mut Vec<AoId>, dropped: &mut Vec<AoId>) {
+        let leaving = &mut self.leaving;
         self.entries.retain_mut(|(id, info)| {
             if info.must_send_once || (info.reachable && !owed_only) {
                 targets.push(*id);
                 info.must_send_once = false;
                 if !info.reachable {
                     // The promised message is being sent now; afterwards
-                    // the edge is gone (stub already collected).
+                    // the edge is gone (stub already collected), and its
+                    // farewell follows the message.
                     dropped.push(*id);
+                    leaving.push((*id, info.passed_on));
                     return false;
                 }
             }
@@ -197,14 +244,17 @@ impl ReferencedTable {
         dropped: &mut Vec<AoId>,
         mut emit: impl FnMut(AoId, Option<&DgcResponse>),
     ) {
+        let leaving = &mut self.leaving;
         self.entries.retain_mut(|(id, info)| {
             if info.reachable || info.must_send_once {
                 emit(*id, info.last_response.as_ref());
                 info.must_send_once = false;
                 if !info.reachable {
                     // The promised message is being sent now; afterwards
-                    // the edge is gone (stub already collected).
+                    // the edge is gone (stub already collected), and its
+                    // farewell follows the message.
                     dropped.push(*id);
+                    leaving.push((*id, info.passed_on));
                     return false;
                 }
             }
@@ -400,6 +450,31 @@ mod tests {
         t.on_stubs_collected(ao(1));
         assert!(t.on_stub_deserialized(ao(1)), "revived edge counts as new");
         assert!(t.get(ao(1)).unwrap().reachable);
+    }
+
+    #[test]
+    fn a_lost_edge_owes_one_farewell_with_its_last_pass_on() {
+        let mut t = ReferencedTable::new();
+        let passed = Time::from_secs(3);
+        for target in [1, 2, 3] {
+            t.on_stub_deserialized(ao(target));
+        }
+        t.broadcast_targets();
+        assert!(t.passed_on(ao(1), passed));
+        assert!(!t.passed_on(ao(9), passed), "untracked");
+        assert!(t.on_stubs_collected(ao(1)));
+        assert!(t.on_stubs_collected(ao(2)));
+        // Held again before its farewell left: no farewell.
+        t.on_stub_deserialized(ao(2));
+        // A send failure: the target is gone, nobody to tell.
+        t.remove(ao(3));
+        let owed: Vec<_> = t.drain_leaving().collect();
+        assert_eq!(owed, vec![(ao(1), Some(passed))]);
+        assert_eq!(t.drain_leaving().count(), 0, "owed once");
+        t.leave_all();
+        assert!(t.is_empty());
+        let owed: Vec<_> = t.drain_leaving().collect();
+        assert_eq!(owed, vec![(ao(2), None)]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! its last DGC message (clock + consensus bit) and when it was received,
 //! so that Algorithm 1 can evaluate the recursive agreement and so that
 //! silent referencers can be expired after TTA (the "loss of a
-//! referencer" event of §3.2, Fig. 5).
+//! referencer" event of §3.2, Fig. 5). A referencer that said farewell
+//! is expired at its farewell horizon instead, and no longer holds the
+//! §3.1 acyclic wait by its messages ([`ReferencerTable::acyclic_wait`]).
 //!
 //! ## Storage
 //!
@@ -31,7 +33,8 @@ pub struct ReferencerInfo {
     pub clock: NamedClock,
     /// Consensus bit of its last DGC message.
     pub consensus: bool,
-    /// Arrival time of its last DGC message.
+    /// Arrival time of its last DGC message — or, once it said
+    /// `farewell`, its farewell horizon: the instant it is forgotten.
     pub last_message: Time,
     /// The TTB it advertised, used for the per-referencer expiry when
     /// heartbeat periods differ (§7.1 extension).
@@ -40,9 +43,24 @@ pub struct ReferencerInfo {
     /// §4.3 dying wait ([`ReferencerTable::begin_wait`]); `false` while
     /// the endpoint is active.
     pub told: bool,
+    /// It said farewell ([`ReferencerTable::farewell`]) and has sent no
+    /// DGC message since: `last_message` is its horizon.
+    pub farewell: bool,
 }
 
 impl ReferencerInfo {
+    /// True once this referencer is to be forgotten at `now`: its
+    /// farewell horizon is reached, or it has been silent for longer
+    /// than its [`expiry`](Self::expiry).
+    #[inline]
+    fn expired(&self, now: Time, tta: Dur, max_comm: Dur) -> bool {
+        if self.farewell {
+            now >= self.last_message
+        } else {
+            now.since(self.last_message) > self.expiry(tta, max_comm)
+        }
+    }
+
     /// The expiry window for this referencer:
     /// `max(TTA, 2·advertised_ttb + max_comm)`.
     #[inline]
@@ -53,6 +71,28 @@ impl ReferencerInfo {
                 .saturating_add(max_comm),
         )
     }
+}
+
+/// What one expiry pass removed, beyond the ids it reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Expiry {
+    /// How many of the removed referencers had said farewell.
+    pub farewells: usize,
+    /// The last message of the removed silent referencers, if any.
+    pub last_heard: Option<Time>,
+}
+
+/// What holds the §3.1 acyclic wait among the current referencers
+/// ([`ReferencerTable::acyclic_wait`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AcyclicWait {
+    /// The last message of any referencer that has not said farewell.
+    pub last_heard: Option<Time>,
+    /// The silence that must follow it: the largest expiry among those
+    /// referencers, TTA if there are none.
+    pub timeout: Dur,
+    /// The latest farewell horizon still pending.
+    pub horizon: Option<Time>,
 }
 
 /// Table of all known referencers: a flat arena sorted by id.
@@ -89,6 +129,7 @@ impl ReferencerTable {
             last_message: now,
             advertised_ttb,
             told: false,
+            farewell: false,
         };
         match self.position(sender) {
             Ok(i) => {
@@ -118,9 +159,10 @@ impl ReferencerTable {
     }
 
     /// Removes referencers whose last message is older than their expiry
-    /// (`max(TTA, 2·advertised_ttb + max_comm)`) and returns their ids —
-    /// each removal is a "loss of a referencer" that must bump the
-    /// activity clock (§3.2, Fig. 5).
+    /// (`max(TTA, 2·advertised_ttb + max_comm)`), or whose farewell
+    /// horizon is reached, and returns their ids — each removal is a
+    /// "loss of a referencer" that must bump the activity clock (§3.2,
+    /// Fig. 5).
     pub fn expire_silent(&mut self, now: Time, tta: Dur, max_comm: Dur) -> Vec<AoId> {
         let mut expired = Vec::new();
         self.expire_silent_into(now, tta, max_comm, &mut expired);
@@ -129,34 +171,77 @@ impl ReferencerTable {
 
     /// [`Self::expire_silent`] into a caller-owned scratch buffer
     /// (appended, id order) — the sweep-loop form that allocates
-    /// nothing when the buffer's capacity is warm.
+    /// nothing when the buffer's capacity is warm. Returns how many of
+    /// them said farewell, and the last message of the others.
     pub fn expire_silent_into(
         &mut self,
         now: Time,
         tta: Dur,
         max_comm: Dur,
         expired: &mut Vec<AoId>,
-    ) {
+    ) -> Expiry {
+        let mut expiry = Expiry::default();
         self.entries.retain(|(id, info)| {
-            if now.since(info.last_message) > info.expiry(tta, max_comm) {
-                expired.push(*id);
-                false
-            } else {
-                true
+            if !info.expired(now, tta, max_comm) {
+                return true;
             }
+            expired.push(*id);
+            if info.farewell {
+                expiry.farewells += 1;
+            } else {
+                expiry.last_heard = expiry.last_heard.max(Some(info.last_message));
+            }
+            false
         });
+        expiry
     }
 
     /// Forgets a referencer explicitly (used when the runtime learns the
     /// referencer terminated). Returns `true` if it was present.
     pub fn remove(&mut self, id: AoId) -> bool {
-        match self.position(id) {
-            Ok(i) => {
-                self.entries.remove(i);
+        self.take(id).is_some()
+    }
+
+    /// [`Self::remove`], returning what was known about the referencer.
+    pub fn take(&mut self, id: AoId) -> Option<ReferencerInfo> {
+        let i = self.position(id).ok()?;
+        Some(self.entries.remove(i).1)
+    }
+
+    /// Records `id`'s farewell: it is forgotten at `horizon`, and its
+    /// messages so far no longer hold the acyclic wait. A later message
+    /// from it revokes the farewell ([`Self::record_message`]). `false`
+    /// if `id` is not a known referencer.
+    pub fn farewell(&mut self, id: AoId, horizon: Time) -> bool {
+        let slot = self.position(id).ok();
+        match slot.and_then(|i| self.entries.get_mut(i)) {
+            Some((_, info)) => {
+                info.farewell = true;
+                info.last_message = horizon;
                 true
             }
-            Err(_) => false,
+            None => false,
         }
+    }
+
+    /// The §3.1 acyclic wait the current referencers impose: the last
+    /// message of those that have not said farewell with the silence it
+    /// needs, and the latest pending farewell horizon.
+    pub fn acyclic_wait(&self, tta: Dur, max_comm: Dur) -> AcyclicWait {
+        let mut wait = AcyclicWait {
+            last_heard: None,
+            timeout: tta,
+            horizon: None,
+        };
+        for (_, info) in &self.entries {
+            if info.farewell {
+                wait.horizon = wait.horizon.max(Some(info.last_message));
+            } else {
+                wait.last_heard = wait.last_heard.max(Some(info.last_message));
+                wait.timeout = wait.timeout.max(info.expiry(tta, max_comm));
+            }
+        }
+        wait
     }
 
     /// Begins a §4.3 dying wait: every referencer except `exempt` (the
@@ -179,17 +264,6 @@ impl ReferencerTable {
             Some((_, info)) => !std::mem::replace(&mut info.told, true),
             None => false,
         }
-    }
-
-    /// Largest per-referencer expiry among current referencers, used to
-    /// widen the acyclic self-timeout when referencers advertise TTBs
-    /// larger than ours.
-    pub fn max_expiry(&self, tta: Dur, max_comm: Dur) -> Dur {
-        self.entries
-            .iter()
-            .map(|(_, info)| info.expiry(tta, max_comm))
-            .max()
-            .unwrap_or(tta)
     }
 
     /// Look up one referencer.
@@ -300,12 +374,33 @@ mod tests {
     }
 
     #[test]
-    fn max_expiry_covers_slowest_referencer() {
+    fn acyclic_wait_covers_slowest_referencer() {
         let mut t = ReferencerTable::new();
         let tta = Dur::from_secs(61);
-        assert_eq!(t.max_expiry(tta, Dur::ZERO), tta);
+        let empty = AcyclicWait {
+            last_heard: None,
+            timeout: tta,
+            horizon: None,
+        };
+        assert_eq!(t.acyclic_wait(tta, Dur::ZERO), empty);
         t.record_message(ao(1), clk(0, 1), false, Time::ZERO, Dur::from_secs(300));
-        assert_eq!(t.max_expiry(tta, Dur::from_secs(1)), Dur::from_secs(601));
+        t.record_message(ao(2), clk(0, 2), false, Time::from_secs(5), TTB);
+        let wait = t.acyclic_wait(tta, Dur::from_secs(1));
+        assert_eq!(wait.timeout, Dur::from_secs(601));
+        assert_eq!(wait.last_heard, Some(Time::from_secs(5)));
+        // A referencer that said farewell holds the wait by its horizon
+        // only, not by its messages or its TTB.
+        assert!(t.farewell(ao(1), Time::from_secs(9)));
+        assert!(t.farewell(ao(2), Time::from_secs(7)));
+        let wait = t.acyclic_wait(tta, Dur::from_secs(1));
+        assert_eq!(
+            wait,
+            AcyclicWait {
+                horizon: Some(Time::from_secs(9)),
+                ..empty
+            }
+        );
+        assert!(!t.farewell(ao(3), Time::from_secs(9)), "unknown");
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! | `dgc.collect.idle_to_consensus_ns` | histogram | last busy→idle → consensus |
 //! | `dgc.collect.consensus_to_collected_ns` | histogram | dying wait (§4.3): until every referencer was told, TTA at most |
 //! | `dgc.dying.ended_told` / `.ended_capped` | counter | dying waits ended by the last referencer told / by the TTA cap |
+//! | `dgc.farewell.sent` | counter | farewells sent: one per target a leaving endpoint or a dropped edge held |
+//! | `dgc.farewell.dropped` | counter | farewells that reached no referencer entry: the target is gone (counted by the host), or does not list the sender |
+//! | `dgc.referencer.ended_farewell` / `.ended_silent` | counter | referencers forgotten at their farewell horizon / after silence (TTA, or their own expiry) |
 //! | `dgc.ttb_round_ns` | histogram | spacing of Algorithm-2 beats |
 
 use dgc_obs::{Counter, Histogram, Registry};
@@ -59,6 +62,14 @@ pub struct DgcObs {
     /// Dying waits that ended at the TTA cap: some referencer never
     /// beat again (it learned the outcome elsewhere, or went silent).
     pub dying_ended_capped: Counter,
+    /// Farewells sent.
+    pub farewell_sent: Counter,
+    /// Farewells that reached no referencer entry.
+    pub farewell_dropped: Counter,
+    /// Referencers forgotten at their farewell horizon.
+    pub referencer_ended_farewell: Counter,
+    /// Referencers forgotten after silence.
+    pub referencer_ended_silent: Counter,
     /// Observed spacing between consecutive Algorithm-2 beats.
     pub ttb_round: Histogram,
 }
@@ -80,6 +91,10 @@ impl DgcObs {
             consensus_to_collected: registry.histogram("dgc.collect.consensus_to_collected_ns"),
             dying_ended_told: registry.counter("dgc.dying.ended_told"),
             dying_ended_capped: registry.counter("dgc.dying.ended_capped"),
+            farewell_sent: registry.counter("dgc.farewell.sent"),
+            farewell_dropped: registry.counter("dgc.farewell.dropped"),
+            referencer_ended_farewell: registry.counter("dgc.referencer.ended_farewell"),
+            referencer_ended_silent: registry.counter("dgc.referencer.ended_silent"),
             ttb_round: registry.histogram("dgc.ttb_round_ns"),
         }
     }

@@ -13,11 +13,15 @@
 //! ```text
 //! message  := tag(1) sender(8) clock(16) flags(1) sender_ttb(8)
 //! response := tag(1) responder(8) clock(16) flags(1) depth?(4)
+//! farewell := tag(1) sender(8) flags(1) age?(8)     age in nanoseconds
 //! clock    := value(8) owner(8)
 //! aoid     := node(4) index(4)
 //! ```
 //!
-//! This fixed 34/26(30)-byte unit layout is what the **simulator**
+//! A farewell's age is present (and its `HAS_AGE` flag set) when the
+//! sender ever passed the reference on.
+//!
+//! This fixed 34/26(30)/10(18)-byte unit layout is what the **simulator**
 //! charges: it models the paper's measurement, one RMI call per unit
 //! plus the calibrated [`RMI_CALL_ENVELOPE`]. The socket transport
 //! (`dgc_rt_net::frame`) does not put these encodings on the wire; it
@@ -30,16 +34,18 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::clock::NamedClock;
 use crate::id::AoId;
-use crate::message::{DgcMessage, DgcResponse};
+use crate::message::{DgcFarewell, DgcMessage, DgcResponse};
 use crate::units::Dur;
 
 const TAG_MESSAGE: u8 = 0xD1;
 const TAG_RESPONSE: u8 = 0xD2;
+const TAG_FAREWELL: u8 = 0xD3;
 
 const FLAG_CONSENSUS: u8 = 0b0000_0001;
 const FLAG_HAS_PARENT: u8 = 0b0000_0010;
 const FLAG_CONSENSUS_REACHED: u8 = 0b0000_0100;
 const FLAG_HAS_DEPTH: u8 = 0b0000_1000;
+const FLAG_HAS_AGE: u8 = 0b0001_0000;
 
 /// Errors produced when decoding a wire buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,6 +231,44 @@ pub fn get_response(buf: &mut Bytes) -> Result<DgcResponse, DecodeError> {
     })
 }
 
+/// Appends an encoded farewell to `buf` (tag included).
+pub fn put_farewell(buf: &mut impl BufMut, f: &DgcFarewell) {
+    buf.put_u8(TAG_FAREWELL);
+    put_aoid(buf, f.sender);
+    match f.age {
+        Some(age) => {
+            buf.put_u8(FLAG_HAS_AGE);
+            buf.put_u64(age.as_nanos());
+        }
+        None => buf.put_u8(0),
+    }
+}
+
+/// Reads one farewell from the front of `buf`, leaving any trailing
+/// bytes unread.
+pub fn get_farewell(buf: &mut Bytes) -> Result<DgcFarewell, DecodeError> {
+    if buf.remaining() < 1 {
+        return Err(DecodeError::Truncated);
+    }
+    let tag = buf.get_u8();
+    if tag != TAG_FAREWELL {
+        return Err(DecodeError::BadTag(tag));
+    }
+    let sender = get_aoid(buf)?;
+    if buf.remaining() < 1 {
+        return Err(DecodeError::Truncated);
+    }
+    let age = if buf.get_u8() & FLAG_HAS_AGE != 0 {
+        if buf.remaining() < 8 {
+            return Err(DecodeError::Truncated);
+        }
+        Some(Dur::from_nanos(buf.get_u64()))
+    } else {
+        None
+    };
+    Ok(DgcFarewell { sender, age })
+}
+
 /// Encodes a DGC message.
 pub fn encode_message(m: &DgcMessage) -> Bytes {
     let mut buf = BytesMut::with_capacity(34);
@@ -260,6 +304,15 @@ pub fn response_wire_size(with_depth: bool) -> u64 {
         30
     } else {
         26
+    }
+}
+
+/// Wire size in bytes of an encoded farewell.
+pub fn farewell_wire_size(aged: bool) -> u64 {
+    if aged {
+        18
+    } else {
+        10
     }
 }
 
@@ -350,6 +403,25 @@ mod tests {
             let d = decode_response(encode_response(&r)).unwrap();
             assert_eq!(d.has_parent, hp);
             assert_eq!(d.consensus_reached, cr);
+        }
+    }
+
+    #[test]
+    fn farewell_round_trip_at_its_charged_size() {
+        for age in [None, Some(Dur::ZERO), Some(Dur::from_millis(150))] {
+            let f = DgcFarewell {
+                sender: ao(3, 9),
+                age,
+            };
+            let mut buf = BytesMut::new();
+            put_farewell(&mut buf, &f);
+            let encoded = buf.freeze();
+            assert_eq!(encoded.len() as u64, farewell_wire_size(age.is_some()));
+            assert_eq!(get_farewell(&mut encoded.clone()), Ok(f));
+            for cut in 0..encoded.len() {
+                let mut short = encoded.slice(0..cut);
+                assert_eq!(get_farewell(&mut short), Err(DecodeError::Truncated));
+            }
         }
     }
 

@@ -45,6 +45,7 @@ impl ReferencerTable {
                     last_message: now,
                     advertised_ttb,
                     told: false,
+                    farewell: false,
                 },
             )
             .is_none()
@@ -84,7 +85,9 @@ impl ReferencerTable {
         self.entries.remove(&id).is_some()
     }
 
-    /// See [`dgc_core::referencers::ReferencerTable::max_expiry`].
+    /// The largest per-referencer expiry: the timeout of
+    /// [`dgc_core::referencers::ReferencerTable::acyclic_wait`] on a table
+    /// without farewells.
     pub fn max_expiry(&self, tta: Dur, max_comm: Dur) -> Dur {
         self.entries
             .values()
@@ -138,6 +141,7 @@ impl ReferencedTable {
             last_response: None,
             reachable: false,
             must_send_once: false,
+            passed_on: None,
         });
         let was_new = !entry.reachable && entry.last_response.is_none() && !entry.must_send_once;
         entry.reachable = true;

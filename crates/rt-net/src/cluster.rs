@@ -521,6 +521,13 @@ impl Cluster {
         self.with_live(from.node, |nd| nd.drop_ref(from, to));
     }
 
+    /// Records that `from` passed its reference to `to` on to another
+    /// activity now (see [`NetNode::passed_on`]): for an application
+    /// that carries references in its opaque payloads.
+    pub fn passed_on(&self, from: AoId, to: AoId) {
+        self.with_live(from.node, |nd| nd.passed_on(from, to));
+    }
+
     /// Sends an opaque application unit (see [`NetNode::send_app`]):
     /// the egress flush trigger everything else piggybacks on.
     pub fn send_app(&self, from: AoId, to: AoId, reply: bool, payload: Vec<u8>) {

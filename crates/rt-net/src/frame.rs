@@ -25,6 +25,7 @@
 //! item     := head body                 head = kind | flags, one byte
 //!
 //! kind (bits 0-2)   body, `[x]` = absent when its flag is set
+//!   0 Farewell      [from] [to] v(age)
 //!   1 Dgc           [from] [to] [clock] [ttb]
 //!   2 Resp          [from] [to] [clock] {depth}
 //!   3 SendFailure   [target] [holder]       target as `from`, holder as `to`
@@ -35,7 +36,7 @@
 //!
 //! {depth}           present in every Resp of a 0xF5 batch, absent in 0xF1
 //!
-//! flags (bits 3-7)  3 SAME_FROM   4 SAME_TO       (kinds 1 2 3 5 6 7)
+//! flags (bits 3-7)  3 SAME_FROM   4 SAME_TO       (kinds 0 1 2 3 5 6 7)
 //!                   5 SAME_CLOCK                  (Dgc, Resp)
 //!                   6 SAME_TTB    7 consensus     (Dgc)
 //!                   6 has_parent  7 consensus_reached   (Resp)
@@ -48,7 +49,12 @@
 //! clock    := v(value) owner
 //! ttb      := v(nanoseconds)
 //! depth    := v(0) for none | v(depth + 1)
+//! age      := v(0) for never passed on | v(microseconds + 1)
 //! ```
+//!
+//! A farewell's sender is always its `from`. Its age travels in whole
+//! microseconds, rounded down: a younger age only makes the receiver
+//! wait longer.
 //!
 //! **Within an item**, the sender of a `Dgc` (responder of a `Resp`) is
 //! `from` unless the kind says otherwise, and an id is written against a
@@ -113,11 +119,12 @@ use dgc_membership::Digest;
 
 /// Protocol version carried by [`Frame::Hello`]; bumped on any layout
 /// change so mismatched nodes fail the handshake instead of
-/// misinterpreting frames. Version 5: context-compressed batch items
+/// misinterpreting frames. Version 6: context-compressed batch items
 /// (varints, intra-item elision, previous-item delta) behind a varint
 /// item count, with a response's depth carried only in batches tagged
-/// `0xF5` — those that hold a response with a depth.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// `0xF5` — those that hold a response with a depth — and the farewell
+/// item (kind 0).
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Frame tag bytes (disjoint from `dgc_core::wire`'s unit tags).
 const TAG_HELLO: u8 = 0xF0;
@@ -136,6 +143,7 @@ pub const AUTH_MAC_LEN: usize = 32;
 
 /// Item kinds: the low three bits of an item's head byte.
 const KIND_MASK: u8 = 0b0000_0111;
+const ITEM_FAREWELL: u8 = 0;
 const ITEM_DGC: u8 = 1;
 const ITEM_RESP: u8 = 2;
 const ITEM_FAIL: u8 = 3;
@@ -199,6 +207,16 @@ pub enum Item {
         /// The protocol unit.
         response: DgcResponse,
     },
+    /// `from` no longer references `to`: a farewell (never answered).
+    Farewell {
+        /// The departing referencer.
+        from: AoId,
+        /// The activity it referenced, hosted on the receiving node.
+        to: AoId,
+        /// Time since `from` last passed `to`'s reference on, if it
+        /// ever did; whole microseconds on the wire.
+        age: Option<Dur>,
+    },
     /// The destination activity of an earlier message no longer exists;
     /// `holder` should drop its reference to `target` (the transport
     /// analogue of an RMI call failing with `NoSuchObjectException`).
@@ -243,7 +261,10 @@ impl Item {
     /// The node the item must be routed to.
     pub fn destination_node(&self) -> u32 {
         match self {
-            Item::Dgc { to, .. } | Item::Resp { to, .. } | Item::App { to, .. } => to.node,
+            Item::Dgc { to, .. }
+            | Item::Resp { to, .. }
+            | Item::Farewell { to, .. }
+            | Item::App { to, .. } => to.node,
             Item::SendFailure { holder, .. } => holder.node,
             Item::Gossip { to, .. } => *to,
         }
@@ -252,7 +273,7 @@ impl Item {
     /// The egress class the item is metered and flushed under.
     pub fn class(&self) -> EgressClass {
         match self {
-            Item::Dgc { .. } => EgressClass::DgcMessage,
+            Item::Dgc { .. } | Item::Farewell { .. } => EgressClass::DgcMessage,
             Item::Resp { .. } => EgressClass::DgcResponse,
             Item::SendFailure { .. } => EgressClass::Control,
             Item::Gossip { .. } => EgressClass::Gossip,
@@ -452,6 +473,10 @@ fn put_item(buf: &mut impl BufMut, prev: &mut Prev, item: &Item) {
                 put_varint(buf, response.depth.map_or(0, |d| u64::from(d) + 1));
             }
         }
+        Item::Farewell { from, to, age } => {
+            put_head(buf, prev, ITEM_FAREWELL, *from, *to);
+            put_varint(buf, age.map_or(0, |a| a.as_nanos() / 1_000 + 1));
+        }
         Item::SendFailure { holder, target } => put_head(buf, prev, ITEM_FAIL, *target, *holder),
         Item::Gossip { from, to, digest } => {
             buf.put_u8(ITEM_GOSSIP);
@@ -527,7 +552,7 @@ fn get_item(buf: &mut Bytes, prev: &mut Prev) -> Result<Item, DecodeError> {
     let kind = head & KIND_MASK;
     let known_flags = match kind {
         ITEM_DGC | ITEM_DGC_DETACHED | ITEM_RESP | ITEM_RESP_DETACHED => !KIND_MASK,
-        ITEM_FAIL => SAME_FROM | SAME_TO,
+        ITEM_FAIL | ITEM_FAREWELL => SAME_FROM | SAME_TO,
         ITEM_APP => SAME_FROM | SAME_TO | APP_REPLY,
         ITEM_GOSSIP => 0,
         _ => return Err(DecodeError::BadTag(head)),
@@ -578,6 +603,15 @@ fn get_item(buf: &mut Bytes, prev: &mut Prev) -> Result<Item, DecodeError> {
                 depth,
             };
             Item::Resp { from, to, response }
+        }
+        ITEM_FAREWELL => {
+            let age = match get_varint(buf)?.checked_sub(1) {
+                None => None,
+                Some(us) => Some(Dur::from_nanos(
+                    us.checked_mul(1_000).ok_or(DecodeError::Overflow)?,
+                )),
+            };
+            Item::Farewell { from, to, age }
         }
         ITEM_FAIL => Item::SendFailure {
             holder: to,
@@ -973,7 +1007,7 @@ mod tests {
         5 + count.0 as usize
     }
 
-    /// The v5 layout, pinned for both batch tags: an accidental change
+    /// The v6 layout, pinned for both batch tags: an accidental change
     /// to the codec must fail here (and then bump [`PROTOCOL_VERSION`]),
     /// not on a peer.
     #[test]
@@ -1016,6 +1050,46 @@ mod tests {
         // No response has a depth: none carries the field.
         let depthless = encode_payload(&Frame::Batch(without_depth(&items)));
         assert_eq!(depthless.as_slice(), &golden(0xF1, &[])[..]);
+    }
+
+    /// The farewell item, pinned: its head, the addressing every item
+    /// shares, and the age in whole microseconds plus one — rounded down,
+    /// so a decoded age is never older than the one sent.
+    #[test]
+    fn farewell_encoding_is_pinned() {
+        let (from, to) = (AoId::new(0, 1), AoId::new(1, 0));
+        let sent = Dur::from_nanos(1_500_999);
+        let items = vec![
+            Item::Farewell {
+                from,
+                to,
+                age: None,
+            },
+            Item::Farewell {
+                from,
+                to,
+                age: Some(sent),
+            },
+        ];
+        let encoded = encode_payload(&Frame::Batch(items));
+        // Tag, count; head, from (0,1), to (1,0), "never"; head with
+        // SAME_FROM | SAME_TO, 1,500 µs + 1 as a varint.
+        let golden = [
+            0xF1, 2, 0x00, 0x04, 0x00, 0x02, 0x01, 0x00, 0x18, 0xDD, 0x0B,
+        ];
+        assert_eq!(encoded.as_slice(), &golden[..]);
+        let Ok(Frame::Batch(decoded)) = decode_payload(encoded) else {
+            panic!("a pinned batch decodes");
+        };
+        let age = Dur::from_nanos(1_500_000);
+        assert_eq!(
+            decoded[1],
+            Item::Farewell {
+                from,
+                to,
+                age: Some(age)
+            }
+        );
     }
 
     /// The shape a TTB sweep emits and the reason for the delta coding:
@@ -1175,14 +1249,14 @@ mod tests {
     #[test]
     fn unknown_head_bits_are_bad_tags() {
         let bad_heads = [
-            0x00,                       // kind 0 does not exist
-            SAME_FROM,                  // ... whatever flags it carries
-            ITEM_FAIL | SAME_CLOCK,     // a SendFailure has no clock
-            ITEM_FAIL | DGC_CONSENSUS,  //
-            ITEM_GOSSIP | SAME_FROM,    // gossip carries no flag at all
-            ITEM_GOSSIP | APP_REPLY,    //
-            ITEM_APP | RESP_HAS_PARENT, // bits 6 and 7 mean nothing on App
-            ITEM_APP | DGC_CONSENSUS,   //
+            ITEM_FAREWELL | SAME_CLOCK,    // a farewell has no clock
+            ITEM_FAREWELL | DGC_CONSENSUS, // ... nor any bit of its own
+            ITEM_FAIL | SAME_CLOCK,        // a SendFailure has no clock
+            ITEM_FAIL | DGC_CONSENSUS,     //
+            ITEM_GOSSIP | SAME_FROM,       // gossip carries no flag at all
+            ITEM_GOSSIP | APP_REPLY,       //
+            ITEM_APP | RESP_HAS_PARENT,    // bits 6 and 7 mean nothing on App
+            ITEM_APP | DGC_CONSENSUS,      //
         ];
         for head in bad_heads {
             let body = [head, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00];
@@ -1193,7 +1267,7 @@ mod tests {
     #[test]
     fn out_of_range_fields_are_overflows() {
         let too_wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
-        let cases: [(u8, Vec<u8>); 6] = [
+        let cases: [(u8, Vec<u8>); 7] = [
             // id: index past u32 (code = (2^32 << 1 | 1) + 1).
             (
                 TAG_BATCH,
@@ -1222,6 +1296,16 @@ mod tests {
                 [
                     &[ITEM_RESP, 0x04, 0x00, 0x02, 0x01, 0x00, 0x00][..],
                     &[0x81, 0x80, 0x80, 0x80, 0x10],
+                ]
+                .concat(),
+            ),
+            // farewell: an age whose nanoseconds pass u64 (µs + 1 =
+            // 2^63 + 1).
+            (
+                TAG_BATCH,
+                [
+                    &[ITEM_FAREWELL, 0x04, 0x00, 0x02, 0x01][..],
+                    &[0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
                 ]
                 .concat(),
             ),

@@ -51,7 +51,7 @@ use dgc_core::egress::{EgressObs, Flush, FlushReason, Outbox};
 use dgc_core::id::AoId;
 use dgc_core::kernel::NodeKernel;
 pub use dgc_core::kernel::Terminated;
-use dgc_core::message::Action;
+use dgc_core::message::{Action, DgcFarewell};
 use dgc_core::sweep::SweepPools;
 use dgc_core::telemetry::DgcObs;
 use dgc_core::units::{Dur, Time};
@@ -257,6 +257,14 @@ pub enum Event {
     },
     /// The application dropped the reference `from → to`.
     DropRef {
+        /// Referencer (hosted here).
+        from: AoId,
+        /// Referenced activity.
+        to: AoId,
+    },
+    /// The application passed `from`'s reference to `to` on to another
+    /// activity, inside a payload it sent.
+    PassedOn {
         /// Referencer (hosted here).
         from: AoId,
         /// Referenced activity.
@@ -538,8 +546,18 @@ impl NetNode {
     }
 
     /// Drops the reference edge `from → to`; `from` must be hosted here.
+    /// `to` hears `from`'s farewell.
     pub fn drop_ref(&self, from: AoId, to: AoId) {
         let _ = self.tx.send(Event::DropRef { from, to });
+    }
+
+    /// Records that `from` (hosted here) passed its reference to `to` on
+    /// to another activity now. App payloads are opaque to this runtime,
+    /// so it never learns of a pass-on by itself: an application that
+    /// carries references in payloads calls this as it sends one, and
+    /// `from`'s farewell to `to` then carries the age of that instant.
+    pub fn passed_on(&self, from: AoId, to: AoId) {
+        let _ = self.tx.send(Event::PassedOn { from, to });
     }
 
     /// Sends an opaque application unit from `from` (hosted here) to
@@ -983,7 +1001,9 @@ impl Worker {
                 self.ledger.on_flushed(TenantId(*tenant));
             }
             match &qi.item {
-                Item::Dgc { .. } | Item::App { reply: false, .. } => forward.push(qi.item),
+                Item::Dgc { .. } | Item::Farewell { .. } | Item::App { reply: false, .. } => {
+                    forward.push(qi.item)
+                }
                 Item::Resp { .. }
                 | Item::SendFailure { .. }
                 | Item::Gossip { .. }
@@ -1089,10 +1109,13 @@ impl Worker {
                     });
                     self.stats.on_send_failures(1);
                 }
-                // Responses, digests and relayed failure notifications
-                // have no local caller to notify; the loss still counts
-                // so a degraded link shows in the stats.
-                Item::Resp { .. } | Item::SendFailure { .. } | Item::Gossip { .. } => {
+                // Responses, farewells, digests and relayed failure
+                // notifications have no local caller to notify; the loss
+                // still counts so a degraded link shows in the stats.
+                Item::Resp { .. }
+                | Item::Farewell { .. }
+                | Item::SendFailure { .. }
+                | Item::Gossip { .. } => {
                     self.stats.on_send_failures(1);
                 }
             }
@@ -1178,6 +1201,11 @@ impl Worker {
                 to,
                 response,
             }),
+            Action::SendFarewell { to, farewell } => self.route(Item::Farewell {
+                from: who,
+                to,
+                age: farewell.age,
+            }),
             Action::Terminate { reason } => {
                 self.trace(TraceLevel::Info, "terminate", || {
                     format!("ao {who} ({reason:?})")
@@ -1222,6 +1250,13 @@ impl Worker {
                 }
             }
             Item::SendFailure { holder, target } => self.kernel.on_send_failure(holder, target),
+            Item::Farewell { from, to, age } => {
+                let farewell = DgcFarewell { sender: from, age };
+                // A farewell to a gone target is dropped, not failed.
+                if !self.kernel.on_farewell(now, to, &farewell) {
+                    self.dgc_obs.farewell_dropped.incr();
+                }
+            }
             Item::Gossip { from, digest, .. } => self.handle_gossip(from, digest),
             Item::App {
                 from,
@@ -1503,7 +1538,8 @@ impl Worker {
                     self.kernel.add_ref(self.now(), from, to);
                 }
             }
-            Event::DropRef { from, to } => self.kernel.drop_ref(from, to),
+            Event::DropRef { from, to } => self.kernel.drop_ref(self.now(), from, to),
+            Event::PassedOn { from, to } => self.kernel.passed_on(self.now(), from, to),
         }
         true
     }

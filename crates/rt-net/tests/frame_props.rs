@@ -79,18 +79,26 @@ fn arb_digest() -> impl Strategy<Value = dgc_membership::Digest> {
         })
 }
 
+/// A farewell's age as the wire carries it — whole microseconds — or
+/// "never".
+fn arb_age() -> impl Strategy<Value = Option<Dur>> {
+    proptest::option::of(arb_u64())
+        .prop_map(|age| age.map(|ns| Dur::from_nanos(ns / 1_000 * 1_000)))
+}
+
 /// Any item. Three in four `Dgc`/`Resp` units are sent by the item's own
 /// `from` and carry a clock they own, as in production; the rest name a
 /// detached sender or a foreign clock owner.
 fn arb_item() -> impl Strategy<Value = Item> {
     (
-        0u8..5,
+        0u8..6,
         (arb_aoid(), arb_aoid(), arb_aoid(), arb_aoid()),
         (0u8..4, 0u8..4),
         (arb_u64(), arb_u64(), proptest::option::of(arb_u32())),
         (any::<bool>(), any::<bool>()),
         arb_digest(),
         proptest::collection::vec(any::<u8>(), 0..64),
+        arb_age(),
     )
         .prop_map(
             |(
@@ -101,6 +109,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
                 (a, b),
                 digest,
                 payload,
+                age,
             )| {
                 let unit_id = if attach != 0 { x } else { detached };
                 let clock = NamedClock {
@@ -137,6 +146,11 @@ fn arb_item() -> impl Strategy<Value = Item> {
                         from: x.node,
                         to: y.node,
                         digest,
+                    },
+                    4 => Item::Farewell {
+                        from: x,
+                        to: y,
+                        age,
                     },
                     _ => Item::App {
                         from: x,
@@ -329,6 +343,62 @@ proptest! {
         let mut dec = FrameDecoder::new();
         dec.push(&after);
         prop_assert_eq!(dec.next_frame().unwrap(), Some(Frame::Batch(items)));
+    }
+
+    /// Farewells — "never" and aged — round-trip beside the other items
+    /// in both batch tags: `0xF1`, and `0xF5` once a response carries a
+    /// depth (which a farewell never does).
+    #[test]
+    fn farewells_round_trip_in_both_batch_tags(
+        items in proptest::collection::vec(arb_item(), 0..16),
+        ages in proptest::collection::vec(arb_age(), 1..8),
+        depth in proptest::option::of(arb_u32()),
+    ) {
+        let mut items = items;
+        for item in &mut items {
+            if let Item::Resp { response, .. } = item {
+                response.depth = None;
+            }
+        }
+        let from = AoId::new(1, 2);
+        items.extend(ages.iter().enumerate().map(|(i, &age)| Item::Farewell {
+            from,
+            to: AoId::new(2, i as u32),
+            age,
+        }));
+        items.push(Item::Resp {
+            from: AoId::new(2, 0),
+            to: from,
+            response: DgcResponse {
+                responder: AoId::new(2, 0),
+                clock: NamedClock::initial(AoId::new(2, 0)),
+                has_parent: false,
+                consensus_reached: false,
+                depth,
+            },
+        });
+        let encoded = encode_batch_frame(&items);
+        prop_assert_eq!(encoded[4], if depth.is_some() { 0xF5 } else { 0xF1 });
+        let mut dec = FrameDecoder::new();
+        dec.push(&encoded);
+        prop_assert_eq!(dec.next_frame().unwrap(), Some(Frame::Batch(items)));
+    }
+
+    /// The item decoder's kind 0 (a farewell) on arbitrary bytes: any
+    /// flags in its head, any body behind it, even a first item with
+    /// nothing to elide against — a frame or an error, never a panic,
+    /// and a farewell only when its head carries no flag it lacks.
+    #[test]
+    fn arbitrary_farewell_bytes_are_total(
+        flags in 0u8..32,
+        body in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut payload = vec![0xF1, 1, flags << 3];
+        payload.extend(&body);
+        if let Ok(Frame::Batch(items)) = decode_payload(bytes::Bytes::from(payload)) {
+            prop_assert!(flags & !0b11 == 0, "flags {:#b}", flags);
+            prop_assert!(matches!(items.as_slice(), [Item::Farewell { .. }]));
+        }
     }
 
     /// Frame independence: the delta context resets at every frame, so

@@ -129,3 +129,45 @@ fn registry_mirrors_conserve_transport_and_egress_counters() {
     );
     cluster.shutdown();
 }
+
+/// Farewell conservation on a fault-free chain: every farewell sent
+/// either ends a referencer at its target (`dgc.referencer.ended_farewell`)
+/// or is dropped there (`dgc.farewell.dropped`: the target is gone, or
+/// never listed the sender). Along an idle chain across three nodes each
+/// member but the tail says one farewell, and each ends its target's
+/// one referencer: nothing is dropped, and no referencer ends by silence.
+#[test]
+fn farewells_along_a_chain_each_end_one_referencer() {
+    const NODES: u32 = 3;
+    let cluster = Cluster::listen_local(NODES, NetConfig::new(dgc())).unwrap();
+    let chain: Vec<_> = (0..4).map(|i| cluster.add_activity(i % NODES)).collect();
+    for pair in chain.windows(2) {
+        cluster.add_ref(pair[0], pair[1]);
+    }
+    for m in &chain {
+        cluster.set_idle(*m, true);
+    }
+    assert!(
+        cluster.wait_until(Duration::from_secs(20), |t| t.len() == chain.len()),
+        "the chain must collect; saw {:?}",
+        cluster.terminated()
+    );
+    let counts = |snap: &dgc_obs::Snapshot| {
+        [
+            "dgc.farewell.sent",
+            "dgc.referencer.ended_farewell",
+            "dgc.farewell.dropped",
+            "dgc.referencer.ended_silent",
+            "dgc.collected.acyclic",
+        ]
+        .map(|name| snap.counter(name))
+    };
+    let settled = poll_until(Duration::from_secs(5), || {
+        counts(&cluster.obs_merged()) == [3, 3, 0, 0, 4]
+    });
+    let snap = cluster.obs_merged();
+    assert!(settled, "{:?}\n{}", counts(&snap), snap.render_tree());
+    let [sent, ended, dropped, ..] = counts(&snap);
+    assert_eq!(sent, ended + dropped);
+    cluster.shutdown();
+}

@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
 use dgc_core::units::Dur;
-use dgc_core::wire::put_varint;
 use dgc_plane::{AuthKey, AuthMsg, Authenticator, Step};
 use dgc_rt_net::frame::{
     encode_batch_frame, encode_frame, Frame, FrameDecoder, Item, PROTOCOL_VERSION,
@@ -261,11 +260,12 @@ fn batch_before_auth_is_rejected() {
     node.shutdown();
 }
 
-/// A peer still speaking the previous wire version is turned away at
-/// its `Hello` — counted as a decode error and disconnected — so the
-/// batch behind it, laid out the old way, is never parsed as the
-/// current layout. (Authentication is off here: nothing but the version
-/// check stands between that batch and the app plane.)
+/// A peer still speaking the previous wire version (v5, without the
+/// farewell item) is turned away at its `Hello` — counted as a decode
+/// error and disconnected — so the batch behind it is never parsed. That
+/// batch holds one `App` item, which v6 lays out exactly as v5 did: only
+/// the version check keeps it out. (Authentication is off here: nothing
+/// else stands between that batch and the app plane.)
 #[test]
 fn previous_protocol_version_is_refused() {
     let mut config = cfg();
@@ -279,15 +279,8 @@ fn previous_protocol_version_is_refused() {
             version: PROTOCOL_VERSION - 1,
         }))
         .unwrap();
-    // One v4 `App` item behind the fixed-width 4-byte count that version
-    // wrote: head, from (7,0), `to` (index, node), tenant 0, len 5, bytes.
-    let mut v4 = vec![0xF1, 0, 0, 0, 1, 0x05, 0x02, 0x07];
-    put_varint(&mut v4, ((u64::from(target.index) << 1) | 1) + 1);
-    put_varint(&mut v4, u64::from(target.node));
-    v4.extend([0x00, 0x05]);
-    v4.extend(b"stale");
-    stale.write_all(&(v4.len() as u32).to_be_bytes()).unwrap();
-    stale.write_all(&v4).unwrap();
+    assert_eq!(PROTOCOL_VERSION - 1, 5);
+    stale.write_all(&app_batch(7, target, b"stale")).unwrap();
     stale.flush().unwrap();
     assert!(
         poll_until(Duration::from_secs(5), || node.stats().decode_errors >= 1),

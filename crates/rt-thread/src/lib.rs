@@ -28,7 +28,7 @@ use dgc_core::config::DgcConfig;
 use dgc_core::id::AoId;
 use dgc_core::kernel::NodeKernel;
 pub use dgc_core::kernel::Terminated;
-use dgc_core::message::{Action, DgcMessage, DgcResponse};
+use dgc_core::message::{Action, DgcFarewell, DgcMessage, DgcResponse};
 use dgc_core::sweep::SweepPools;
 use dgc_core::units::{Dur, Time};
 
@@ -46,6 +46,10 @@ enum NodeMsg {
     SendFailure {
         holder: AoId,
         target: AoId,
+    },
+    Farewell {
+        to: AoId,
+        farewell: DgcFarewell,
     },
     AddActivity {
         id: AoId,
@@ -129,6 +133,9 @@ impl NodeWorker {
                     },
                 );
             }
+            Action::SendFarewell { to, farewell } => {
+                self.route(to, NodeMsg::Farewell { to, farewell });
+            }
             Action::Terminate { reason } => {
                 self.terminated.lock().push(Terminated { ao: who, reason });
             }
@@ -143,7 +150,7 @@ impl NodeWorker {
             NodeMsg::AddActivity { id } => self.kernel.spawn(id, now, self.config, None),
             NodeMsg::SetIdle { ao, idle } => self.kernel.set_idle(now, ao, idle),
             NodeMsg::AddRef { from, to } => self.kernel.add_ref(now, from, to),
-            NodeMsg::DropRef { from, to } => self.kernel.drop_ref(from, to),
+            NodeMsg::DropRef { from, to } => self.kernel.drop_ref(now, from, to),
             NodeMsg::Dgc { from, to, message } => {
                 match self.kernel.on_message(now, to, &message) {
                     Some(out) => self.emit_all(out),
@@ -163,6 +170,10 @@ impl NodeWorker {
                 }
             }
             NodeMsg::SendFailure { holder, target } => self.kernel.on_send_failure(holder, target),
+            // A farewell to a terminated target is dropped.
+            NodeMsg::Farewell { to, farewell } => {
+                self.kernel.on_farewell(now, to, &farewell);
+            }
         }
         true
     }

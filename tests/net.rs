@@ -129,6 +129,37 @@ fn acyclic_garbage_is_collected_and_roots_survive() {
     cluster.shutdown();
 }
 
+/// A farewell over sockets carries the age of its sender's last pass-on,
+/// in whole microseconds rounded down. `x`'s only referencer passes `x`
+/// on and drops it at once, so `x` outlives the farewell by 2·MaxComm
+/// less that age: it cannot go before 40 ms after the pass-on, however
+/// the threads are scheduled. Were the age lost, the farewell would free
+/// `x` on receipt, a millisecond or so later.
+#[test]
+fn a_farewell_over_tcp_carries_its_pass_on_age() {
+    let cluster = Cluster::listen_local(2, cfg()).expect("bind cluster");
+    let holder = cluster.add_activity(0); // never idled: it holds `x`
+    let x = cluster.add_activity(1);
+    cluster.add_ref(holder, x);
+    cluster.set_idle(x, true);
+    // Well past x's creation + TTA: only the holder keeps it.
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!cluster.is_terminated(x), "held by its busy referencer");
+    let passed = std::time::Instant::now();
+    cluster.passed_on(holder, x);
+    cluster.drop_ref(holder, x);
+    assert!(
+        cluster.wait_until(Duration::from_secs(5), |t| t.iter().any(|d| d.ao == x)),
+        "x must fall once its horizon passes"
+    );
+    let lived = passed.elapsed();
+    assert!(
+        lived >= Duration::from_millis(40),
+        "x went {lived:?} after the pass-on, inside 2·MaxComm"
+    );
+    cluster.shutdown();
+}
+
 #[test]
 fn ttb_and_tta_run_at_millisecond_scale() {
     // The whole point of the transport runtime: wall-clock protocol
