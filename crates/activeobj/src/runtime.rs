@@ -1042,6 +1042,8 @@ impl Grid {
         act.was_idle = idle;
         self.kernels[ao.node as usize].set_idle(now, ao, idle);
         if idle {
+            // Going idle may make it due before its next beat.
+            self.schedule_wake(ProcId(ao.node));
             self.idle_count += 1;
             self.trace_event(TraceLevel::Debug, "idle", || format!("{ao}"));
         } else {
@@ -2497,15 +2499,15 @@ mod tests {
     /// `chains_idled_at_creation_end_at_message_speed_after_the_head`:
     /// one member per process over 1 ms links, pinned busy while the
     /// chain is wired and released at once. The head, referenced by
-    /// nobody, goes on its process's first grid beat past creation + TTA
-    /// — 600 ms, process 0's grid being the multiples of TTB — and says
-    /// farewell to the next member, which never passed the reference on:
-    /// its table empties on receipt, past creation + TTA, and it goes
-    /// then, 1 ms later, and so on down the chain. The harness runs the
-    /// same grid and pins the same 601 / 603 ms.
+    /// nobody, goes at the end of its creation guard,
+    /// `min(TTA, 2·MaxComm + TTB)` = 500 ms, 1 ns past it and not on its
+    /// next grid beat (600 ms), and says farewell to the next member,
+    /// which never passed the reference on: its table empties on receipt,
+    /// past its own guard, and it goes then, 1 ms later, and so on down
+    /// the chain. The harness pins the same 501 / 503 ms + 1 ns.
     #[test]
     fn chains_idled_at_creation_end_at_message_speed_after_the_head() {
-        for (n, lifetime_ms) in [(2u32, 601), (4, 603)] {
+        for (n, lifetime_ms) in [(2u32, 501), (4, 503)] {
             let topo = Topology::single_site(n, SimDuration::from_millis(1));
             let grid_config = GridConfig::new(topo)
                 .collector(CollectorKind::Complete(fast_cfg()))
@@ -2535,11 +2537,34 @@ mod tests {
             let expected: Vec<(AoId, SimDuration)> = (0..n)
                 .map(|k| {
                     let ms = u64::from(lifetime_ms - (n - 1) + k);
-                    (ids[k as usize], SimDuration::from_millis(ms))
+                    let at = SimDuration::from_millis(ms) + SimDuration::from_nanos(1);
+                    (ids[k as usize], at)
                 })
                 .collect();
             assert_eq!(at, expected, "{n}-chain: head first, one hop each");
         }
+    }
+
+    /// An unreferenced activity pinned busy past its creation guard
+    /// (500 ms) goes the moment the pin is released at 550 ms: going idle
+    /// makes it due at once, and the process wakes for it then, not at
+    /// its next grid beat (600 ms).
+    #[test]
+    fn an_unreferenced_activity_goes_when_released_past_its_guard() {
+        let topo = Topology::single_site(1, SimDuration::from_millis(1));
+        let grid_config = GridConfig::new(topo)
+            .collector(CollectorKind::Complete(fast_cfg()))
+            .seed(7);
+        let mut g = Grid::new(grid_config);
+        let x = g.spawn(ProcId(0), Box::new(Inert));
+        g.set_busy(x, true);
+        g.run_until(SimTime::from_millis(550));
+        assert!(g.is_alive(x), "pinned busy");
+        g.set_busy(x, false);
+        g.run_until(SimTime::from_secs(1));
+        let gone: Vec<(AoId, SimTime)> = g.collected().iter().map(|c| (c.ao, c.at)).collect();
+        assert_eq!(gone, vec![(x, SimTime::from_millis(550))]);
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
     }
 
     /// The timing of the ring and chain twins: TTB 100 ms, TTA 500 ms,
@@ -2553,12 +2578,12 @@ mod tests {
     }
 
     /// The farewell's age term. Root D (process 0) holds idle X
-    /// (process 1). Past X's creation + TTA, D sends X's reference to
+    /// (process 1). Past X's creation guard, D sends X's reference to
     /// root C (process 2) over a 150 ms link, then drops its own stub.
     /// Its farewell crosses the 1 ms link to X long before C's first
     /// beat can, so it carries the age since the pass-on, and X forgets D
-    /// only at `receipt + 2·MaxComm − age` — after C's first beat, which
-    /// left on the request's arrival, has made C a referencer. Were the
+    /// only at `receipt + 2·MaxComm + TTB − age` — after C's first beat,
+    /// which left on the request's arrival, has made C a referencer. Were the
     /// age "never", X would go on receipt while its reference is still in
     /// flight, and the oracle would flag it.
     #[test]
@@ -2594,6 +2619,166 @@ mod tests {
         assert!(g.is_alive(x), "C holds X from its first beat on");
         let snap = g.obs(ProcId(1)).snapshot();
         assert_eq!(snap.counter("dgc.referencer.ended_farewell"), 1, "D's");
+        assert_eq!(snap.counter("dgc.referencer.ended_silent"), 0);
+    }
+
+    /// A farewell horizon survives one lost unit. Root D (process 0)
+    /// holds idle X (process 1). At 5.4 s D passes X's reference to root
+    /// C (process 3) over a 455 ms link and drops its own stub; its
+    /// farewell reaches X 1 ms later with an age of about 0. C's stub
+    /// lands at ~5.855 s and its eager first message to X is the one
+    /// unit a drop window on 3 → 1 eats. C's next beat lands at ~6.855 s.
+    /// The horizon `receipt + 2·MaxComm + TTB − age` (~7.4 s) outlasts
+    /// it, so X never goes while C holds it. Without the TTB term the
+    /// horizon is ~6.4 s and X is collected at its next pop, a
+    /// `SafetyViolation`.
+    #[test]
+    fn a_farewell_horizon_survives_a_lost_first_beat() {
+        use dgc_core::faults::{FaultProfile, Window};
+        let dgc = DgcConfig::builder()
+            .ttb(Dur::from_secs(1))
+            .tta(Dur::from_secs(4))
+            .max_comm(Dur::from_millis(500))
+            .build();
+        dgc.validate().expect("§4.2 holds");
+        let profile = FaultProfile::none().drop_frames(
+            Some(3),
+            Some(1),
+            Window::from_millis(5_800, 6_000),
+            1_000,
+        );
+        let topo = one_proc_sites(4, &[(0, 3, SimDuration::from_millis(455))]);
+        let config = GridConfig::new(topo)
+            .collector(CollectorKind::Complete(dgc))
+            .seed(7)
+            .fault_profile(&profile);
+        let mut g = Grid::new(config);
+        let d = g.spawn_root(ProcId(0), Box::new(Inert));
+        let x = g.spawn(ProcId(1), Box::new(Inert));
+        let c = g.spawn_root(ProcId(3), Box::new(Inert));
+        g.make_ref(d, x);
+        g.run_until(SimTime::from_millis(5_400));
+        g.send_from(d, c, PING, 8, vec![x]);
+        g.drop_ref(d, x);
+        g.run_until(SimTime::from_secs(20));
+        assert!(g.dropped_messages() >= 1, "C's first message was lost");
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+        assert!(g.is_alive(x), "C holds X from its second beat on");
+    }
+
+    /// `n` sites of one process each, 1 ms apart but for the symmetric
+    /// `slow` links.
+    fn one_proc_sites(n: usize, slow: &[(usize, usize, SimDuration)]) -> Topology {
+        use dgc_simnet::topology::Site;
+        let sites = (0..n)
+            .map(|p| Site {
+                name: format!("s{p}"),
+                procs: 1,
+                local_latency: SimDuration::from_millis(1),
+            })
+            .collect();
+        let latency = (0..n)
+            .map(|a| {
+                (0..n)
+                    .map(|b| {
+                        let link = slow
+                            .iter()
+                            .find(|l| (l.0, l.1) == (a, b) || (l.1, l.0) == (a, b));
+                        match link {
+                            _ if a == b => SimDuration::from_millis(0),
+                            Some(&(_, _, at)) => at,
+                            None => SimDuration::from_millis(1),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Topology::new(sites, latency)
+    }
+
+    /// The creation guard covers a copy the creator passes on before X
+    /// has heard from it. Root C (process 0) creates idle X (process 2)
+    /// at 1,010 ms, sends X's reference to root D (process 1) and drops
+    /// its own stub, all at once. C's eager first message to X is the one
+    /// unit a drop window on 0 → 2 eats. C's local collector runs every
+    /// 5 ms, so its farewell follows before any beat, and X, which does
+    /// not list C, drops it. D's stub lands at 1,209 ms over a 199 ms link
+    /// and its eager first message crosses another 199 ms link to X at
+    /// 1,408 ms, inside X's guard of `min(TTA, 2·MaxComm + TTB)` = 500 ms
+    /// (1,510 ms). A guard of `TTB + MaxComm` would end at 1,310 ms, and
+    /// X would be collected while D's first message is in flight.
+    #[test]
+    fn the_creation_guard_covers_a_copy_passed_on_at_creation() {
+        use dgc_core::faults::{FaultProfile, Window};
+        let slow = SimDuration::from_millis(199);
+        let topo = one_proc_sites(3, &[(0, 1, slow), (1, 2, slow)]);
+        let profile = FaultProfile::none().drop_frames(
+            Some(0),
+            Some(2),
+            Window::from_millis(1_010, 1_011),
+            1_000,
+        );
+        let mut config = GridConfig::new(topo)
+            .collector(CollectorKind::Complete(fast_cfg()))
+            .seed(7)
+            .fault_profile(&profile);
+        config.local_gc_period = SimDuration::from_millis(5);
+        let mut g = Grid::new(config);
+        let c = g.spawn_root(ProcId(0), Box::new(Inert));
+        let d = g.spawn_root(ProcId(1), Box::new(Inert));
+        g.run_until(SimTime::from_millis(1_010));
+        let x = g.spawn(ProcId(2), Box::new(Inert));
+        g.make_ref(c, x);
+        g.send_from(c, d, PING, 8, vec![x]);
+        g.drop_ref(c, x);
+        g.run_until(SimTime::from_secs(5));
+        assert_eq!(g.dropped_messages(), 1, "only C's first message was lost");
+        let snap = g.obs(ProcId(2)).snapshot();
+        assert_eq!(
+            snap.counter("dgc.farewell.dropped"),
+            1,
+            "C was never listed"
+        );
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+        assert!(g.is_alive(x), "D holds X from its first message on");
+    }
+
+    /// The creation guard survives one lost unit. Root C (process 0)
+    /// creates idle X (process 1) at 5,010 ms and registers its stub at
+    /// once; C's eager first message to X is the one unit a drop window
+    /// on 0 → 1 eats. C's next beat, on process 0's grid at 6,000 ms,
+    /// lands at 6,001 ms, inside X's guard of 2·MaxComm + TTB (6,210 ms).
+    /// A guard of MaxComm alone would end at 5,110 ms and X would be
+    /// collected while C holds it.
+    #[test]
+    fn the_creation_guard_survives_a_lost_first_message() {
+        use dgc_core::faults::{FaultProfile, Window};
+        let dgc = DgcConfig::builder()
+            .ttb(Dur::from_secs(1))
+            .tta(Dur::from_millis(2_200))
+            .max_comm(Dur::from_millis(100))
+            .build();
+        dgc.validate().expect("§4.2 holds");
+        let profile = FaultProfile::none().drop_frames(
+            Some(0),
+            Some(1),
+            Window::from_millis(5_010, 5_020),
+            1_000,
+        );
+        let config = GridConfig::new(Topology::single_site(2, SimDuration::from_millis(1)))
+            .collector(CollectorKind::Complete(dgc))
+            .seed(7)
+            .fault_profile(&profile);
+        let mut g = Grid::new(config);
+        let c = g.spawn_root(ProcId(0), Box::new(Inert));
+        g.run_until(SimTime::from_millis(5_010));
+        let x = g.spawn(ProcId(1), Box::new(Inert));
+        g.make_ref(c, x);
+        g.run_until(SimTime::from_secs(10));
+        assert_eq!(g.dropped_messages(), 1, "only C's first message was lost");
+        assert!(g.violations().is_empty(), "{:?}", g.violations());
+        assert!(g.is_alive(x), "C's next beat lands inside X's guard");
+        let snap = g.obs(ProcId(1)).snapshot();
         assert_eq!(snap.counter("dgc.referencer.ended_silent"), 0);
     }
 
@@ -2636,7 +2821,7 @@ mod tests {
     /// A referencer removed by a node's departure is not a farewell: its
     /// messages still hold the acyclic wait, for TTA after the last one,
     /// as without farewells. Busy w (process 2) holds idle u (process
-    /// 1), well past u's creation + TTA; process 2 leaves at 100 s — its
+    /// 1), well past u's creation guard; process 2 leaves at 100 s — its
     /// activities are killed, which sends nothing — and process 1 buries
     /// it at once. w's last beat left at 97.082 s on process 2's grid
     /// (offset `frac(2·φ⁻¹)·TTB`), so u waits until past 158.08 s, not

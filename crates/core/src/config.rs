@@ -109,13 +109,19 @@ impl DgcConfig {
             .saturating_add(Dur::from_nanos(1))
     }
 
+    /// The largest TTB the timing mode can produce: `ttb`, or `max_ttb`
+    /// under adaptive timing (whichever is larger).
+    pub(crate) fn worst_ttb(&self) -> Dur {
+        match self.timing {
+            TimingMode::Static => self.ttb,
+            TimingMode::Adaptive { max_ttb, .. } => max_ttb.max(self.ttb),
+        }
+    }
+
     /// Checks the §3.1 safety formula `TTA > 2·TTB + MaxComm`, using the
     /// *largest* TTB the timing mode can produce.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let worst_ttb = match self.timing {
-            TimingMode::Static => self.ttb,
-            TimingMode::Adaptive { max_ttb, .. } => max_ttb.max(self.ttb),
-        };
+        let worst_ttb = self.worst_ttb();
         if self.tta > worst_ttb.saturating_mul(2).saturating_add(self.max_comm) {
             Ok(())
         } else {

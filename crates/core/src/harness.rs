@@ -344,16 +344,16 @@ mod tests {
     }
 
     /// Chains idle from the moment they are wired, with the ring test's
-    /// timing. Nobody references the head, so it waits out TTA from its
-    /// creation: its node's grid beats on multiples of TTB, 500 ms is
-    /// not *past* creation + TTA, and it goes at 600 ms, saying farewell
-    /// to the next member. That member never passed the reference on, so
-    /// the farewell empties its table at once; past creation + TTA, it is
-    /// due at that instant and goes on receipt, 1 ms later — and so on
-    /// down the chain: `600 + (n − 1)` ms. (Without farewells each later
-    /// member waited TTA after its referencer's last beat and went on its
-    /// own node's next beat: 1,061.8 / 1,985.4 ms.) The simulator twin
-    /// in `runtime.rs` pins the same 601 / 603 ms.
+    /// timing. Nobody references the head, so it waits out its creation
+    /// guard, `min(TTA, 2·MaxComm + TTB)` = 500 ms: idle and held by
+    /// nobody, it is indexed at that deadline, not at its next grid beat
+    /// (600 ms), and goes 1 ns past it, saying farewell to the next
+    /// member. That member
+    /// never passed the reference on, so the farewell empties its table
+    /// at once; past its own creation guard, it is due at that instant
+    /// and goes on receipt, 1 ms later — and so on down the chain:
+    /// `500 + (n − 1)` ms + 1 ns. The simulator twin in `runtime.rs`
+    /// pins the same lifetimes.
     #[test]
     fn chains_idled_at_creation_end_at_message_speed_after_the_head() {
         let config = DgcConfig::builder()
@@ -361,7 +361,7 @@ mod tests {
             .tta(Dur::from_millis(500))
             .max_comm(Dur::from_millis(200))
             .build();
-        for (n, lifetime_ms) in [(2, 601), (4, 603)] {
+        for (n, lifetime_ms) in [(2, 501), (4, 503)] {
             let mut h = Harness::new(Dur::from_millis(1));
             let created = h.now();
             let ids = h.add_many(n, config);
@@ -379,7 +379,10 @@ mod tests {
                 .map(|t| t.at.since(created))
                 .collect();
             let expected: Vec<Dur> = (0..n as u64)
-                .map(|k| Dur::from_millis(lifetime_ms - (n as u64 - 1) + k))
+                .map(|k| {
+                    let ms = Dur::from_millis(lifetime_ms - (n as u64 - 1) + k);
+                    ms.saturating_add(Dur::from_nanos(1))
+                })
                 .collect();
             assert_eq!(at, expected, "{n}-chain: head first, one hop each");
             assert!(h

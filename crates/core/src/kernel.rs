@@ -77,16 +77,26 @@
 //! one-target path as a new edge's first message, so farewells leave
 //! only through `tick_due`. Each carries the age of the sender's last
 //! [`NodeKernel::passed_on`] of that reference. The target forgets the
-//! sender at `receipt + max(0, 2·MaxComm − age)` rather than TTA after
-//! its last message ([`DgcState::on_farewell`]); a farewell that leaves
-//! an idle target listing only referencers that said farewell moves its
-//! index entry to the instant its acyclic wait ends
+//! sender at `receipt + max(0, 2·MaxComm + TTB − age)` rather than TTA
+//! after its last message ([`DgcState::on_farewell`]); a farewell that
+//! leaves an idle target listing only referencers that said farewell
+//! moves its index entry to the instant its acyclic wait ends
 //! ([`DgcState::acyclic_deadline`]) — now, when the table is empty and
-//! TTA has passed since creation — and that pop collects it. So each
+//! its creation guard has passed — and that pop collects it. So each
 //! later hop of a garbage chain costs one message, not a TTA. A
 //! farewell from a referencer a dying endpoint still waits on tells it,
 //! as a message would. A farewell to an absent target is dropped: it
 //! owes the sender nothing, not even a send failure.
+//!
+//! **An idle endpoint that only farewells and time hold is indexed at
+//! its acyclic deadline.** Its entry sits at `min(cadence,
+//! acyclic_deadline)` after every pop, when it goes idle
+//! ([`NodeKernel::set_idle`]) and when a hold is released
+//! ([`NodeKernel::set_held`]); so a fresh, unreferenced idle activity —
+//! the head of a garbage chain — goes when its creation guard ends, not
+//! on its next grid beat. A pop before the cadence goes through
+//! [`DgcState::on_owed_into`], as a farewell's does, and keeps the
+//! cadence.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -177,18 +187,18 @@ fn reschedule(timers: &mut BTreeSet<(Time, AoId)>, id: AoId, ep: &mut Endpoint, 
     timers.insert((at, id));
 }
 
-/// Moves an idle active endpoint's index entry to the instant its
-/// acyclic wait ends — `now` if it has — when only farewells and time
-/// hold it and that is before its next pop; the cadence stays.
+/// The instant an idle active endpoint's acyclic wait ends — `now` if
+/// it has — when only farewells and time hold it; `None` otherwise.
+fn acyclic_due(ep: &Endpoint, now: Time) -> Option<Time> {
+    let end = ep.state.acyclic_deadline().filter(|_| ep.collectable())?;
+    Some(end.max(now))
+}
+
+/// Moves an endpoint's index entry to its [`acyclic_due`] instant when
+/// that is before its next pop; the cadence stays.
 fn follow_acyclic(timers: &mut BTreeSet<(Time, AoId)>, now: Time, id: AoId, ep: &mut Endpoint) {
-    if !ep.collectable() {
-        return;
-    }
-    if let Some(end) = ep.state.acyclic_deadline() {
-        let end = end.max(now);
-        if end < ep.due {
-            reschedule(timers, id, ep, end);
-        }
+    if let Some(end) = acyclic_due(ep, now).filter(|&end| end < ep.due) {
+        reschedule(timers, id, ep, end);
     }
 }
 
@@ -367,13 +377,16 @@ impl NodeKernel {
     }
 
     /// Declares `id` idle or busy; a busy→idle transition bumps the
-    /// activity clock exactly as the middleware would.
+    /// activity clock exactly as the middleware would. An endpoint left
+    /// idle and held only by farewells and time becomes due when its
+    /// acyclic wait ends, if that is before its cadence.
     pub fn set_idle(&mut self, now: Time, id: AoId, idle: bool) {
         if let Some(ep) = self.table.get_mut(id) {
             if idle && !ep.idle {
                 ep.state.on_became_idle(now);
             }
             ep.idle = idle;
+            follow_acyclic(&mut self.timers, now, id, ep);
         }
     }
 
@@ -382,13 +395,15 @@ impl NodeKernel {
     /// call it. A held activity counts as busy for collection: it is
     /// never collected and blocks every consensus through it. Its own
     /// busy→idle transitions still bump its clock, and so does a release
-    /// that leaves it idle.
+    /// that leaves it idle; such a release indexes it as
+    /// [`set_idle`](Self::set_idle) does.
     pub fn set_held(&mut self, now: Time, id: AoId, held: bool) {
         if let Some(ep) = self.table.get_mut(id) {
             if ep.held && !held && ep.idle {
                 ep.state.on_became_idle(now);
             }
             ep.held = held;
+            follow_acyclic(&mut self.timers, now, id, ep);
         }
     }
 
@@ -501,12 +516,13 @@ impl NodeKernel {
     /// that is due early — for a new edge, a lost edge's farewell, or the
     /// end of an acyclic wait a farewell shortened — sends what it owes
     /// or terminates ([`DgcState::on_owed_into`]) and keeps its cadence.
-    /// Each survivor is re-indexed at its cadence, the terminated ones are
-    /// removed. The returned pools hold every emitted unit in exactly
-    /// the order a sequential sweep would have produced — all of a
-    /// sweep's units reach the host before it routes any, which is what
-    /// lets its egress coalesce a whole sweep into one frame. Drain
-    /// them, then [`recycle`](Self::recycle).
+    /// Each survivor is re-indexed at its cadence, or at the end of its
+    /// acyclic wait if that comes first and only farewells and time hold
+    /// it; the terminated ones are removed. The returned pools hold every
+    /// emitted unit in exactly the order a sequential sweep would have
+    /// produced — all of a sweep's units reach the host before it routes
+    /// any, which is what lets its egress coalesce a whole sweep into one
+    /// frame. Drain them, then [`recycle`](Self::recycle).
     pub fn tick_due(&mut self, now: Time) -> SweepPools {
         let mut out = std::mem::take(&mut self.pools);
         self.due.clear();
@@ -532,7 +548,7 @@ impl NodeKernel {
                 let idle = ep.collectable();
                 ep.state.on_owed_into(now, idle, scratch, units);
             }
-            ep.due = ep.cadence;
+            ep.due = acyclic_due(ep, now).map_or(ep.cadence, |end| end.min(ep.cadence));
         });
         for ep in due {
             let id = ep.state.id();
@@ -706,7 +722,7 @@ mod tests {
     }
 
     /// A farewell that empties an idle target's referencer table, past
-    /// its creation + TTA, makes it due at that instant, and the pop
+    /// its creation guard, makes it due at that instant, and the pop
     /// there collects it — not its next beat.
     #[test]
     fn a_farewell_that_empties_an_idle_table_collects_at_once() {
@@ -739,6 +755,37 @@ mod tests {
                 }
             )));
         assert!(!k.hosts(target));
+    }
+
+    /// A fresh, idle, unreferenced endpoint is indexed at the end of its
+    /// creation guard, `2·MaxComm + TTB` after it was spawned, whenever
+    /// that comes before its cadence — and the pop there, between two
+    /// grid beats, collects it.
+    #[test]
+    fn a_fresh_idle_endpoint_pops_at_its_deadline_not_its_cadence() {
+        let mut k = NodeKernel::new(1);
+        let spawned = Time::ZERO + Dur::from_millis(50);
+        k.spawn(ao(0), spawned, cfg(), None);
+        k.set_idle(spawned, ao(0), true);
+        let window = cfg().max_comm.saturating_mul(2).saturating_add(TTB);
+        let deadline = spawned + window + Dur::from_nanos(1);
+        // The first grid beat (100 ms) comes first and finds it alive.
+        assert_eq!(k.next_tick(), Some(Time::ZERO + TTB));
+        assert!(tick(&mut k, Time::ZERO + TTB).is_empty());
+        // Next: the deadline (190 ms + 1 ns), not the 200 ms beat.
+        assert_eq!(k.next_tick(), Some(deadline));
+        assert!(tick(&mut k, Time::from_nanos(deadline.as_nanos() - 1)).is_empty());
+        let units = tick(&mut k, deadline);
+        assert_eq!(
+            units,
+            vec![SweepUnit {
+                from: ao(0),
+                action: Action::Terminate {
+                    reason: TerminateReason::Acyclic
+                },
+            }]
+        );
+        assert_eq!((k.hosted(), k.next_tick()), (0, None));
     }
 
     #[test]
@@ -1259,8 +1306,9 @@ mod tests {
 
     /// A held activity counts as busy for collection: idle and
     /// unreferenced it outlives TTA many times over, yet going idle
-    /// still bumps its clock. Released while idle, it bumps once more
-    /// and takes the acyclic path on its next beat.
+    /// still bumps its clock. Released while idle, long past its
+    /// creation guard, it bumps once more, is due at once and takes the
+    /// acyclic path on that pop.
     #[test]
     fn a_held_activity_is_collected_only_once_released() {
         let mut k = NodeKernel::new(1);
@@ -1275,7 +1323,8 @@ mod tests {
         }
         k.set_held(now, ao(0), false);
         assert_eq!(k.stats().bumps_became_idle, 2);
-        let due = k.next_tick().expect("hosted until its next beat");
+        let due = k.next_tick().expect("hosted until its next pop");
+        assert_eq!(due, now, "due at the release, not its next beat");
         assert!(tick(&mut k, due).iter().any(|u| matches!(
             u.action,
             Action::Terminate {
@@ -1375,7 +1424,9 @@ mod tests {
 
     /// The old linear-scan kernel, kept as the index's reference model:
     /// every tick filters all endpoints and the next tick is a `min`. It
-    /// keeps its own §4.3 books rather than asking `dying_deadline`.
+    /// keeps its own §4.3 books rather than asking `dying_deadline`, and
+    /// holds an idle endpoint's next pop at `min(cadence,
+    /// acyclic_deadline)`.
     #[derive(Default)]
     struct ScanModel {
         endpoints: BTreeMap<AoId, Endpoint>,
@@ -1483,6 +1534,9 @@ mod tests {
                     ep.state.on_became_idle(now);
                 }
                 ep.idle = idle;
+                if let Some(end) = ep.state.acyclic_deadline().filter(|_| ep.idle) {
+                    ep.due = ep.due.min(end.max(now));
+                }
             }
         }
 
@@ -1508,6 +1562,9 @@ mod tests {
                         .on_owed_into(now, ep.idle, &mut self.scratch, &mut units);
                 }
                 ep.due = ep.cadence;
+                if let Some(end) = ep.state.acyclic_deadline().filter(|_| ep.idle) {
+                    ep.due = ep.due.min(end.max(now));
+                }
             }
             self.endpoints.retain(|_, ep| !ep.state.is_dead());
             let endpoints = &self.endpoints;
@@ -1578,6 +1635,9 @@ mod tests {
         use proptest::test_runner::TestCaseError;
 
         /// One scripted step: `(op, activity, other, advance ms)`.
+        /// Ops: 0 spawn, 1 add a reference, 2 pass one on, 3 drop one,
+        /// 4 set idle or busy, 5..8 advance and tick, 8..11 wake when due,
+        /// 11 spawn a fresh, idle, unreferenced endpoint.
         type Step = (u8, u32, u32, u64);
 
         /// Runs `script` on a kernel with `shards` and on the model,
@@ -1610,8 +1670,14 @@ mod tests {
                         k.set_idle(now, ao(a), b % 2 == 0);
                         model.set_idle(now, ao(a), b % 2 == 0);
                     }
+                    11 => {
+                        k.spawn(ao(a), now, cfg(), None);
+                        k.set_idle(now, ao(a), true);
+                        model.spawn(ao(a), now, grid_beat(0, now, TTB), cfg());
+                        model.set_idle(now, ao(a), true);
+                    }
                     _ => {
-                        // 5..8 advance by the step's amount; 8.. wake
+                        // 5..8 advance by the step's amount; 8..11 wake
                         // exactly when the next endpoint is due, as a
                         // host does.
                         now = match k.next_tick() {
@@ -1653,7 +1719,7 @@ mod tests {
             fn the_index_matches_a_linear_scan(
                 ring in 0u32..6,
                 settle in 0usize..12,
-                script in proptest::collection::vec((0u8..11, 0u32..6, 0u32..9, 0u64..300), 1..80),
+                script in proptest::collection::vec((0u8..12, 0u32..6, 0u32..9, 0u64..300), 1..80),
             ) {
                 let members = if ring < 2 { 0 } else { ring };
                 let wire = (0..members).flat_map(|m| {

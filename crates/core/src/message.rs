@@ -60,10 +60,11 @@ pub struct DgcResponse {
 /// A farewell, sent once by a referencer that stops referencing the
 /// receiver — it terminated, or its local collector dropped its last stub
 /// for the receiver. The receiver forgets the sender at
-/// `receipt + max(0, 2·MaxComm − age)` instead of TTA after its last
-/// message: every copy of the reference the sender passed on landed
-/// within MaxComm, and the new holder's first message within another
-/// (see DESIGN.md, "Farewells").
+/// `receipt + max(0, 2·MaxComm + TTB − age)` instead of TTA after its
+/// last message: every copy of the reference the sender passed on landed
+/// within MaxComm, and the new holder's first message within another —
+/// or, if that one is lost, its next beat within a TTB more (see
+/// DESIGN.md, "Farewells").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DgcFarewell {
     /// The departing referencer.

@@ -3,8 +3,11 @@
 //! One [`DgcState`] lives next to every active object. It is **sans-io**:
 //! handlers mutate local state and return [`Action`]s; a runtime performs
 //! the sends, reports deliveries, and destroys the object when told to.
-//! The same state machine is driven by the deterministic simulator
-//! (`dgc-activeobj`) and by the real-thread runtime (`dgc-rt-thread`).
+//! Every host drives the same state machine through one
+//! [`NodeKernel`](crate::kernel::NodeKernel): the in-memory
+//! [`Harness`](crate::harness::Harness), the deterministic simulator
+//! (`dgc-activeobj`'s `Grid`), the thread runtime (`dgc-rt-thread`) and
+//! the socket runtime (`dgc-rt-net`).
 //!
 //! The four algorithms of §3.3 map to:
 //!
@@ -63,20 +66,22 @@ pub struct DgcState {
     tree_depth: Option<u32>,
     referencers: ReferencerTable,
     referenced: ReferencedTable,
-    /// While active, the last instant that holds the §3.1 acyclic wait
-    /// beyond the referencer table's own entries: the creation time, so a
-    /// never-referenced object still waits TTA, or the last message of a
-    /// referencer that left the table without a farewell (silence, node
-    /// death), whichever is later. While dying it is when the last
-    /// referencer owed an answer was answered (the Dying entry if none
-    /// was owed).
+    /// While active, the latest last message of a referencer that left
+    /// the table without a farewell (silence, node death): it holds the
+    /// §3.1 acyclic wait for that referencer's full timeout (G2).
+    /// `Time::ZERO` until one leaves so; a departure whose last message
+    /// came at instant zero is kept 1 ns late, which only waits longer.
+    /// While dying it is when the last referencer owed an answer was
+    /// answered (the Dying entry if none was owed).
     last_message_timestamp: Time,
     phase: Phase,
     current_ttb: Dur,
     stats: DgcStats,
-    // Telemetry: creation/idle/beat timestamps feeding the collection
-    // latency histograms when a registry is attached via `set_obs`.
+    /// Creation instant: the start of the creation guard (G1,
+    /// [`Self::acyclic_end`]) and of the spawn → collected histogram.
     created_at: Time,
+    // Telemetry: idle/beat timestamps feeding the collection latency
+    // histograms when a registry is attached via `set_obs`.
     last_idle_at: Option<Time>,
     last_tick_at: Option<Time>,
     obs: Option<DgcObs>,
@@ -97,7 +102,7 @@ impl DgcState {
             tree_depth: None,
             referencers: ReferencerTable::new(),
             referenced: ReferencedTable::new(),
-            last_message_timestamp: now,
+            last_message_timestamp: Time::ZERO,
             phase: Phase::Active,
             current_ttb,
             stats: DgcStats::default(),
@@ -198,7 +203,7 @@ impl DgcState {
             if let Some(info) = self.referencers.take(r) {
                 // Its messages still hold the acyclic wait: a departure
                 // is not a farewell.
-                self.last_message_timestamp = self.last_message_timestamp.max(info.last_message);
+                self.hold_departed(info.last_message);
                 self.bump_clock(ClockBumpReason::LostReferencer);
             }
         }
@@ -292,7 +297,7 @@ impl DgcState {
             &mut scratch.expired,
         );
         if let Some(heard) = expiry.last_heard {
-            self.last_message_timestamp = self.last_message_timestamp.max(heard);
+            self.hold_departed(heard);
         }
         if !scratch.expired.is_empty() {
             if let Some(obs) = &self.obs {
@@ -315,8 +320,9 @@ impl DgcState {
         if idle {
             // Cyclic garbage (§3.2): we own the final activity clock and
             // every referencer agreed on it. The non-empty guard keeps
-            // freshly created objects on the acyclic path, whose TTA
-            // covers in-flight first messages (see DESIGN.md).
+            // freshly created objects on the acyclic path, whose creation
+            // guard covers the creator's in-flight first message and the
+            // copies it passes on (DESIGN.md §2.1).
             if self.clock.is_owned_by(self.id)
                 && !self.referencers.is_empty()
                 && self.referencers.agree(self.clock)
@@ -464,21 +470,34 @@ impl DgcState {
     /// The first instant at which the §3.1 acyclic guard passes, absent
     /// further input. It needs all of:
     ///
-    /// * more than TTA since creation;
-    /// * more than its expiry (TTA, or the referencer's `2·TTB +
+    /// * (G1) more than `min(TTA, 2·MaxComm + TTB)` since creation, TTB
+    ///   the largest the timing mode allows ([`word_window`]);
+    /// * (G2) more than its expiry (TTA, or the referencer's `2·TTB +
     ///   MaxComm` if larger) since the last message of every referencer
     ///   that has not said farewell — including referencers that left the
     ///   table by silence or node death, as without farewells;
-    /// * every farewell horizon reached.
+    /// * (G3) every farewell horizon reached.
     ///
-    /// Without farewells this is exactly the TTA-of-silence rule.
+    /// Once a referencer has spoken, G2 alone is the paper's
+    /// TTA-of-silence rule.
     fn acyclic_end(&self) -> Time {
         let wait = self
             .referencers
             .acyclic_wait(self.config.tta, self.config.max_comm);
-        let heard = wait.last_heard.unwrap_or(Time::ZERO);
-        let quiet = heard.max(self.last_message_timestamp) + wait.timeout + Dur::from_nanos(1);
+        let guard = word_window(&self.config).min(self.config.tta);
+        let created = self.created_at + guard + Dur::from_nanos(1);
+        let departed = Some(self.last_message_timestamp).filter(|&at| at != Time::ZERO);
+        let quiet = wait.last_heard.max(departed).map_or(created, |heard| {
+            created.max(heard + wait.timeout + Dur::from_nanos(1))
+        });
         wait.horizon.map_or(quiet, |h| h.max(quiet))
+    }
+
+    /// Keeps the last message of a referencer that left without a
+    /// farewell holding the acyclic wait (G2).
+    fn hold_departed(&mut self, last_message: Time) {
+        let at = last_message.max(Time::from_nanos(1));
+        self.last_message_timestamp = self.last_message_timestamp.max(at);
     }
 
     /// The two-phase tail of a broadcast: the edges in `scratch.dropped`
@@ -599,12 +618,14 @@ impl DgcState {
 
     /// Handles a farewell from `farewell.sender`, which no longer
     /// references this endpoint. Never answered. While active, a known
-    /// referencer is forgotten at its horizon `now + max(0, 2·MaxComm −
-    /// age)` — at once when the sender never passed the reference on —
-    /// and its messages stop holding the acyclic wait; a later message
-    /// from it makes it a referencer again. While dying, it tells the
-    /// sender like a message would. Returns `false` when the farewell
-    /// reached no referencer entry (counted as `dgc.farewell.dropped`).
+    /// referencer is forgotten at its horizon `now + max(0, 2·MaxComm +
+    /// TTB − age)` — the copy it passed on lands within MaxComm, then its
+    /// holder's first word within `TTB + MaxComm`, one loss tolerated —
+    /// and at once when the sender never passed the reference on; its
+    /// messages stop holding the acyclic wait, and a later message from it
+    /// makes it a referencer again. While dying, it tells the sender like
+    /// a message would. Returns `false` when the farewell reached no
+    /// referencer entry (counted as `dgc.farewell.dropped`).
     pub fn on_farewell(&mut self, now: Time, farewell: &DgcFarewell) -> bool {
         let known = match &mut self.phase {
             Phase::Dead => false,
@@ -620,7 +641,7 @@ impl DgcState {
             }
             Phase::Active => {
                 let wait = farewell.age.map_or(Dur::ZERO, |age| {
-                    let window = self.config.max_comm.saturating_mul(2);
+                    let window = word_window(&self.config);
                     Dur::from_nanos(window.as_nanos().saturating_sub(age.as_nanos()))
                 });
                 if wait == Dur::ZERO {
@@ -965,6 +986,21 @@ impl DgcState {
     }
 }
 
+/// How long after a copy of a reference leaves its holder's first word
+/// has surely landed, one lost unit tolerated: the copy lands within
+/// MaxComm, its holder's eager first message within MaxComm more, and if
+/// that one is lost its next beat within a TTB more (the largest the
+/// timing mode allows). A farewell horizon waits this long after the
+/// sender's last pass-on; the creation guard (G1) waits it after
+/// creation, when the creator may pass its first copy on, TTA at most
+/// (DESIGN.md §2.1, §3.1).
+fn word_window(config: &DgcConfig) -> Dur {
+    config
+        .max_comm
+        .saturating_mul(2)
+        .saturating_add(config.worst_ttb())
+}
+
 /// `from`'s farewell to `to` at `now`, for a reference last passed on at
 /// `passed_on`.
 fn farewell(from: AoId, now: Time, to: AoId, passed_on: Option<Time>) -> Action {
@@ -1027,13 +1063,18 @@ mod tests {
         );
     }
 
+    /// A referencer that falls silent holds an idle endpoint for TTA
+    /// after its last message, the paper's §3.1 rule.
     #[test]
     fn acyclic_timeout_terminates_idle_object() {
         let mut s = DgcState::new(ao(1), t(0), cfg());
-        // Just under TTA: alive.
-        assert!(s.on_tick(t(61), true).is_empty());
-        // Beyond TTA: terminate.
-        let actions = s.on_tick(t(62), true);
+        s.on_message(t(1), &msg(ao(2), NamedClock::initial(ao(2))));
+        let end = t(1) + cfg().tta + Dur::from_nanos(1);
+        // Up to TTA after the message: alive, and ao2 still listed.
+        assert!(s.on_tick(t(62), true).is_empty());
+        assert_eq!(s.referencer_count(), 1);
+        // Beyond TTA: ao2 expires and the endpoint terminates.
+        let actions = s.on_tick(end, true);
         assert_eq!(
             actions,
             vec![Action::Terminate {
@@ -1043,6 +1084,50 @@ mod tests {
         assert!(s.is_dead());
         // Dead state ignores further input.
         assert!(s.on_tick(t(100), true).is_empty());
+    }
+
+    /// The creation guard: a fresh, idle endpoint that no referencer has
+    /// spoken to waits `2·MaxComm + TTB` from its creation — a copy its
+    /// creator passes on lands, then its holder's first word, or its next
+    /// beat if that one is lost — and goes 1 ns later. It never waits
+    /// longer than TTA.
+    #[test]
+    fn a_fresh_endpoint_waits_out_its_creators_first_copy() {
+        let created = t(5);
+        let guard = created + Dur::from_secs(31);
+        let mut s = DgcState::new(ao(1), created, cfg());
+        s.on_became_idle(created);
+        assert_eq!(s.acyclic_deadline(), Some(guard + Dur::from_nanos(1)));
+        assert!(s.on_tick(guard, true).is_empty(), "alive at the guard");
+        assert_eq!(
+            s.on_tick(guard + Dur::from_nanos(1), true),
+            vec![Action::Terminate {
+                reason: TerminateReason::Acyclic
+            }]
+        );
+        // Adaptive timing waits out the largest TTB it can announce.
+        let adaptive = DgcConfig {
+            timing: TimingMode::Adaptive {
+                min_ttb: Dur::from_secs(10),
+                max_ttb: Dur::from_secs(40),
+            },
+            tta: Dur::from_secs(81),
+            ..cfg()
+        };
+        adaptive.validate().expect("safe");
+        let s = DgcState::new(ao(1), created, adaptive);
+        let end = created + Dur::from_secs(41) + Dur::from_nanos(1);
+        assert_eq!(s.acyclic_deadline(), Some(end));
+        // A TTA shorter than the window caps the guard.
+        let slow_links = DgcConfig {
+            tta: Dur::from_secs(95),
+            max_comm: Dur::from_secs(34),
+            ..cfg()
+        };
+        slow_links.validate().expect("safe");
+        let s = DgcState::new(ao(1), created, slow_links);
+        let end = created + Dur::from_secs(95) + Dur::from_nanos(1);
+        assert_eq!(s.acyclic_deadline(), Some(end));
     }
 
     #[test]
@@ -1830,8 +1915,8 @@ mod tests {
         DgcFarewell { sender, age }
     }
 
-    /// An idle endpoint, past creation + TTA, whose one referencer ao2
-    /// last beat at t=70.
+    /// An idle endpoint, past its creation guard, whose one referencer
+    /// ao2 last beat at t=70.
     fn held_by_ao2() -> DgcState {
         let mut s = DgcState::new(ao(1), t(0), cfg());
         s.on_became_idle(t(0));
@@ -1847,8 +1932,10 @@ mod tests {
         assert!(s.on_farewell(t(71), &bye(ao(2), None)));
         assert_eq!(s.referencer_count(), 0);
         assert!(s.clock() > clock, "a lost referencer bumps the clock");
-        // ao2's messages no longer count: only creation + TTA does.
-        assert_eq!(s.acyclic_deadline(), Some(t(61) + Dur::from_nanos(1)));
+        // ao2's messages no longer count: only the creation guard,
+        // 2·MaxComm + TTB, does.
+        let guard = Time::from_nanos(31_000_000_001);
+        assert_eq!(s.acyclic_deadline(), Some(guard));
         let mut out: Vec<Action> = Vec::new();
         s.on_owed_into(t(71), true, &mut SweepScratch::new(), &mut out);
         assert_eq!(
@@ -1859,10 +1946,13 @@ mod tests {
         );
     }
 
+    /// The horizon covers the copy's transit, its holder's first word
+    /// and one lost unit: `2·MaxComm + TTB − age` after receipt.
     #[test]
     fn an_aged_farewell_holds_its_sender_until_the_horizon() {
-        // 2·MaxComm = 1 s; passed on 300 ms before the farewell left.
-        let horizon = Time::from_nanos(71_700_000_000);
+        // 2·MaxComm + TTB = 31 s; passed on 300 ms before the farewell
+        // left.
+        let horizon = Time::from_nanos(101_700_000_000);
         let mut s = held_by_ao2();
         s.on_farewell(t(71), &bye(ao(2), Some(Dur::from_millis(300))));
         assert_eq!(s.referencer_count(), 1);

@@ -502,6 +502,14 @@ impl Cluster {
     }
 
     /// Creates an activity on `node` (initially busy); returns its id.
+    ///
+    /// Register the creator's reference ([`add_ref`](Self::add_ref), from
+    /// the activity that asked for the spawn) along with it: the collector
+    /// waits `min(TTA, 2·MaxComm + TTB)` after creation — the creator's
+    /// first message, or, if that one is lost, its next beat or the
+    /// first message of a holder it passed the reference on to — for
+    /// some holder to speak, and an idle activity that no holder has
+    /// registered by then is garbage.
     pub fn add_activity(&self, node: u32) -> AoId {
         self.with_live(node, |nd| nd.add_activity())
     }

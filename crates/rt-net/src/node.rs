@@ -528,6 +528,14 @@ impl NetNode {
     }
 
     /// Creates an activity on this node (initially busy); returns its id.
+    ///
+    /// Register the creator's reference ([`add_ref`](Self::add_ref) on
+    /// the creator's node, from the activity that asked for the spawn)
+    /// along with it: the collector waits `min(TTA, 2·MaxComm + TTB)`
+    /// after creation — the creator's first message, or, if that one is
+    /// lost, its next beat or the first message of a holder it passed
+    /// the reference on to — for some holder to speak, and an idle
+    /// activity that no holder has registered by then is garbage.
     pub fn add_activity(&self) -> AoId {
         let index = self.next_index.fetch_add(1, Ordering::Relaxed);
         let id = AoId::new(self.node_id, index);

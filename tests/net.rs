@@ -9,6 +9,7 @@
 use std::time::Duration;
 
 use grid_dgc::dgc::config::DgcConfig;
+use grid_dgc::dgc::faults::{FaultProfile, Window};
 use grid_dgc::dgc::message::TerminateReason;
 use grid_dgc::dgc::units::Dur;
 use grid_dgc::rt_net::{Cluster, NetConfig};
@@ -131,10 +132,10 @@ fn acyclic_garbage_is_collected_and_roots_survive() {
 
 /// A farewell over sockets carries the age of its sender's last pass-on,
 /// in whole microseconds rounded down. `x`'s only referencer passes `x`
-/// on and drops it at once, so `x` outlives the farewell by 2·MaxComm
-/// less that age: it cannot go before 40 ms after the pass-on, however
-/// the threads are scheduled. Were the age lost, the farewell would free
-/// `x` on receipt, a millisecond or so later.
+/// on and drops it at once, so `x` outlives the farewell by 2·MaxComm +
+/// TTB less that age: it cannot go before 65 ms after the pass-on,
+/// however the threads are scheduled. Were the age lost, the farewell
+/// would free `x` on receipt, a millisecond or so later.
 #[test]
 fn a_farewell_over_tcp_carries_its_pass_on_age() {
     let cluster = Cluster::listen_local(2, cfg()).expect("bind cluster");
@@ -142,7 +143,7 @@ fn a_farewell_over_tcp_carries_its_pass_on_age() {
     let x = cluster.add_activity(1);
     cluster.add_ref(holder, x);
     cluster.set_idle(x, true);
-    // Well past x's creation + TTA: only the holder keeps it.
+    // Well past x's creation guard: only the holder keeps it.
     std::thread::sleep(Duration::from_millis(200));
     assert!(!cluster.is_terminated(x), "held by its busy referencer");
     let passed = std::time::Instant::now();
@@ -154,8 +155,46 @@ fn a_farewell_over_tcp_carries_its_pass_on_age() {
     );
     let lived = passed.elapsed();
     assert!(
-        lived >= Duration::from_millis(40),
-        "x went {lived:?} after the pass-on, inside 2·MaxComm"
+        lived >= Duration::from_millis(65),
+        "x went {lived:?} after the pass-on, inside 2·MaxComm + TTB"
+    );
+    cluster.shutdown();
+}
+
+/// The creation guard over sockets tolerates one lost unit. A chaos
+/// proxy drops every frame node 0 sends node 1 in the first 200 ms, the
+/// creator's eager first message to a fresh chain member among them.
+/// Node 0 beats on multiples of TTB (500 ms) from its start, so the
+/// creator's next beat leaves at 500 ms, after the window, and lands
+/// inside the member's guard of `min(TTA, 2·MaxComm + TTB)` = 800 ms:
+/// the member is never collected. Without the TTB term the guard would
+/// end at 300 ms, before that beat.
+#[test]
+fn a_lost_first_frame_leaves_the_chain_member_alive() {
+    let config = NetConfig::new(
+        DgcConfig::builder()
+            .ttb(Dur::from_millis(500))
+            .tta(Dur::from_millis(1_200))
+            .max_comm(Dur::from_millis(150))
+            .build(),
+    );
+    let profile =
+        FaultProfile::none().drop_frames(Some(0), Some(1), Window::from_millis(0, 200), 1_000);
+    let cluster = Cluster::listen_local_chaos(2, config, profile).expect("bind cluster");
+    let creator = cluster.add_activity(0); // never idled: it holds the member
+    let member = cluster.add_activity(1);
+    cluster.add_ref(creator, member);
+    cluster.set_idle(member, true);
+    std::thread::sleep(Duration::from_millis(1_500));
+    assert!(
+        cluster.chaos_stats().dropped >= 1,
+        "the first frame was lost: {:?}",
+        cluster.chaos_stats()
+    );
+    assert!(
+        !cluster.is_terminated(member),
+        "the creator's next beat holds the member: {:?}",
+        cluster.terminated()
     );
     cluster.shutdown();
 }

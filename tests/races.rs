@@ -121,25 +121,34 @@ fn hot_potato_reference_survives_rapid_exchange() {
     let dummy = g.spawn_root(ProcId(0), Box::new(Inert));
     g.make_ref(dummy, target);
     g.make_ref(dummy, first);
+    let seeded = g.now();
     g.send_from(dummy, first, 7, 16, vec![target]);
     g.drop_ref(dummy, target);
 
     // The potato hops every ~ms, so the relay ends within milliseconds
-    // of the seed send. Every heartbeat target hears comes at or after
-    // that send, so it is alive a full TTA later, whatever the beat
-    // phases.
-    g.run_for(SimDuration::from_nanos(dgc().tta.as_nanos()));
+    // of the seed send. Every holder but the last passed the reference
+    // on at or after that send, so its farewell holds target until
+    // 2·MaxComm + TTB after its pass-on: target is alive that long after
+    // the seed, whatever the beat phases.
+    let dgc = dgc();
+    let horizon = dgc.max_comm.saturating_mul(2).saturating_add(dgc.ttb);
+    g.run_until(seeded + SimDuration::from_nanos(horizon.as_nanos()));
     assert!(
         g.is_alive(target),
         "in-flight references must keep the target alive"
     );
     // After the relay finishes (last holder dropped it), it is acyclic
-    // garbage.
+    // garbage, freed by the farewells' horizons, not by TTA of silence.
     g.run_for(SimDuration::from_secs(400));
     let record = g.collected().iter().find(|c| c.ao == target);
     assert_eq!(
         record.map(|c| c.reason),
         Some(Some(TerminateReason::Acyclic))
+    );
+    let lived = record.map(|c| c.at - seeded);
+    assert!(
+        lived.is_some_and(|d| d < SimDuration::from_nanos(dgc.tta.as_nanos())),
+        "{lived:?}"
     );
     assert!(g.violations().is_empty(), "{:?}", g.violations());
 }
