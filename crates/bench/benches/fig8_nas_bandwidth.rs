@@ -46,7 +46,7 @@ fn main() {
     paper.print();
     println!(
         "\nShape check: EP overhead must dwarf CG/FT overhead (the DGC cost is\n\
-         independent of the communication pattern; see EXPERIMENTS.md for the\n\
-         envelope calibration notes)."
+         independent of the communication pattern; the per-call envelope is\n\
+         dgc_core::wire::RMI_CALL_ENVELOPE)."
     );
 }

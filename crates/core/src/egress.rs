@@ -31,6 +31,7 @@
 //! §3.2 transport assumption both runtimes rely on.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 use dgc_obs::{Counter, Histogram, LocalHistogram, Registry};
 
@@ -144,15 +145,64 @@ pub enum FlushReason {
     Forced,
 }
 
-/// One frame's worth of units for one destination, in enqueue order.
+/// A destination's queue inside an [`Outbox`]: what an enqueue appends
+/// to and what a flush takes away whole.
+///
+/// The outbox keeps the policy, the byte and item counts, the deadline
+/// and the stats; the queue only holds the units, in whatever form the
+/// runtime wants them to wait in. The default, `Vec<QueuedItem<T>>`,
+/// keeps them as they came; a socket runtime can encode each unit into
+/// its frame as it arrives, so a flush is already wire bytes.
+pub trait EgressQueue<T>: Default {
+    /// What one flush of this queue hands the runtime.
+    type Batch;
+    /// Appends one unit.
+    fn push(&mut self, unit: QueuedItem<T>);
+    /// Units queued.
+    fn len(&self) -> usize;
+    /// True while nothing is queued.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Takes everything queued, oldest first, leaving the queue empty.
+    fn take(&mut self) -> Self::Batch;
+    /// Takes everything queued back as units, leaving the queue empty:
+    /// the cold path of a departed destination ([`Outbox::drop_dest`]).
+    fn drain(&mut self) -> Vec<QueuedItem<T>>;
+}
+
+impl<T> EgressQueue<T> for Vec<QueuedItem<T>> {
+    type Batch = Vec<QueuedItem<T>>;
+
+    fn push(&mut self, unit: QueuedItem<T>) {
+        Vec::push(self, unit);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn take(&mut self) -> Vec<QueuedItem<T>> {
+        std::mem::take(self)
+    }
+
+    fn drain(&mut self) -> Vec<QueuedItem<T>> {
+        std::mem::take(self)
+    }
+}
+
+/// One frame's worth of units for one destination, in enqueue order:
+/// a destination queue's [`EgressQueue::Batch`] (by default the units
+/// themselves).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Flush<T> {
+pub struct Flush<T, B = Vec<QueuedItem<T>>> {
     /// Destination node.
     pub dest: u32,
     /// What fired it.
     pub reason: FlushReason,
     /// The units, oldest first.
-    pub items: Vec<QueuedItem<T>>,
+    pub items: B,
+    _unit: PhantomData<fn() -> T>,
 }
 
 impl<T> Flush<T> {
@@ -253,12 +303,14 @@ impl EgressObs {
 }
 
 #[derive(Debug)]
-struct DestQueue<T> {
+struct DestQueue<Q> {
     /// The destination this slot currently serves (stale in freed
     /// slots, which always have empty `items`).
     dest: u32,
-    items: Vec<QueuedItem<T>>,
+    items: Q,
     bytes: u64,
+    /// How many of `items` are application units.
+    apps: u64,
     /// When the oldest queued item must flush.
     deadline: Time,
     /// When the oldest queued item was enqueued (linger histogram).
@@ -267,7 +319,10 @@ struct DestQueue<T> {
 
 /// The per-destination outbox. `T` is the runtime's unit type (a frame
 /// item on sockets, a scheduled event payload in the simulator); the
-/// outbox never looks inside it.
+/// outbox never looks inside it. `Q` is the form a destination's units
+/// wait in (see [`EgressQueue`]); whatever it is, the outbox charges
+/// each unit the `size` it was enqueued with against `max_bytes`, so
+/// flush decisions do not depend on it.
 ///
 /// Queues live in a dense slot `Vec` — one slot per destination, found
 /// through a `dest → slot` index with a one-entry cache in front (a
@@ -278,9 +333,9 @@ struct DestQueue<T> {
 /// [`Outbox::poll`] and [`Outbox::flush_all`] emit in ascending
 /// destination order, exactly as the `BTreeMap`-backed original did.
 #[derive(Debug)]
-pub struct Outbox<T> {
+pub struct Outbox<T, Q = Vec<QueuedItem<T>>> {
     policy: FlushPolicy,
-    slots: Vec<DestQueue<T>>,
+    slots: Vec<DestQueue<Q>>,
     /// Destination → slot index. Lookups iterate nothing, so the map's
     /// (hash) iteration order never influences behavior.
     index: HashMap<u32, usize>,
@@ -299,6 +354,7 @@ pub struct Outbox<T> {
     unsynced_flushes: u32,
     local_flush_linger: LocalHistogram,
     local_flush_items: LocalHistogram,
+    _unit: PhantomData<fn(T)>,
 }
 
 /// How many flushes may pass between registry syncs while the outbox
@@ -306,9 +362,9 @@ pub struct Outbox<T> {
 /// burst, large enough to amortize the shared-atomic traffic to noise.
 pub const SYNC_EVERY_FLUSHES: u32 = 64;
 
-impl<T> Outbox<T> {
+impl<T, Q: EgressQueue<T>> Outbox<T, Q> {
     /// An empty outbox under `policy`.
-    pub fn new(policy: FlushPolicy) -> Outbox<T> {
+    pub fn new(policy: FlushPolicy) -> Outbox<T, Q> {
         Outbox {
             policy,
             slots: Vec::new(),
@@ -322,6 +378,7 @@ impl<T> Outbox<T> {
             unsynced_flushes: 0,
             local_flush_linger: LocalHistogram::new(),
             local_flush_items: LocalHistogram::new(),
+            _unit: PhantomData,
         }
     }
 
@@ -351,6 +408,7 @@ impl<T> Outbox<T> {
                 debug_assert!(q.items.is_empty(), "freed slot must be drained");
                 q.dest = dest;
                 q.bytes = 0;
+                q.apps = 0;
                 q.deadline = now + self.policy.max_delay;
                 q.first_at = now;
                 s
@@ -358,8 +416,9 @@ impl<T> Outbox<T> {
             None => {
                 self.slots.push(DestQueue {
                     dest,
-                    items: Vec::new(),
+                    items: Q::default(),
                     bytes: 0,
+                    apps: 0,
                     deadline: now + self.policy.max_delay,
                     first_at: now,
                 });
@@ -426,7 +485,7 @@ impl<T> Outbox<T> {
         class: EgressClass,
         size: u64,
         item: T,
-    ) -> Option<Flush<T>> {
+    ) -> Option<Flush<T, Q::Batch>> {
         let s = self.slot_for(dest, now);
         // dgc-analysis: allow(hot-path-panic): slot index comes from the free list / slot map, in bounds by construction
         let q = &mut self.slots[s];
@@ -436,6 +495,7 @@ impl<T> Outbox<T> {
         }
         q.items.push(QueuedItem { class, size, item });
         q.bytes += size;
+        q.apps += u64::from(class.is_app());
         self.pending += 1;
         self.stats.enqueued_items += 1;
         self.stats.enqueued_bytes += size;
@@ -453,7 +513,7 @@ impl<T> Outbox<T> {
 
     /// Flushes every destination whose oldest unit has waited out
     /// `max_delay`, in ascending destination order.
-    pub fn poll(&mut self, now: Time) -> Vec<Flush<T>> {
+    pub fn poll(&mut self, now: Time) -> Vec<Flush<T, Q::Batch>> {
         let mut due: Vec<u32> = self
             .slots
             .iter()
@@ -477,12 +537,12 @@ impl<T> Outbox<T> {
     }
 
     /// Forces `dest`'s queue out (shutdown, graceful leave).
-    pub fn flush(&mut self, dest: u32) -> Option<Flush<T>> {
+    pub fn flush(&mut self, dest: u32) -> Option<Flush<T, Q::Batch>> {
         self.take(None, dest, FlushReason::Forced)
     }
 
     /// Forces every queue out, destination order.
-    pub fn flush_all(&mut self) -> Vec<Flush<T>> {
+    pub fn flush_all(&mut self) -> Vec<Flush<T, Q::Batch>> {
         let mut dests: Vec<u32> = self
             .slots
             .iter()
@@ -515,9 +575,10 @@ impl<T> Outbox<T> {
         }
         // dgc-analysis: allow(hot-path-panic): slot index comes from the free list / slot map, in bounds by construction
         let q = &mut self.slots[s];
-        let items = std::mem::take(&mut q.items);
+        let items = q.items.drain();
         let bytes = q.bytes;
         q.bytes = 0;
+        q.apps = 0;
         self.free.push(s);
         self.pending -= items.len() as u64;
         self.stats.dropped_items += items.len() as u64;
@@ -548,7 +609,12 @@ impl<T> Outbox<T> {
         self.stats
     }
 
-    fn take(&mut self, now: Option<Time>, dest: u32, reason: FlushReason) -> Option<Flush<T>> {
+    fn take(
+        &mut self,
+        now: Option<Time>,
+        dest: u32,
+        reason: FlushReason,
+    ) -> Option<Flush<T, Q::Batch>> {
         let s = self.slot_of(dest)?;
         // dgc-analysis: allow(hot-path-panic): slot index comes from the free list / slot map, in bounds by construction
         let q = &mut self.slots[s];
@@ -556,14 +622,14 @@ impl<T> Outbox<T> {
             return None;
         }
         let first_at = q.first_at;
-        let items = std::mem::take(&mut q.items);
-        q.bytes = 0;
-        self.pending -= items.len() as u64;
+        let count = q.items.len() as u64;
+        let items = q.items.take();
+        let flushed_bytes = std::mem::take(&mut q.bytes);
+        let rode_along = count - std::mem::take(&mut q.apps);
+        self.pending -= count;
         self.stats.flushes += 1;
-        self.stats.items += items.len() as u64;
-        let flushed_bytes = items.iter().map(|i| i.size).sum::<u64>();
+        self.stats.items += count;
         self.stats.bytes += flushed_bytes;
-        let rode_along = items.iter().filter(|i| !i.class.is_app()).count() as u64;
         match reason {
             FlushReason::AppSend => {
                 self.stats.app_flushes += 1;
@@ -574,7 +640,7 @@ impl<T> Outbox<T> {
             FlushReason::Forced => self.stats.forced_flushes += 1,
         }
         if self.obs.is_some() {
-            self.local_flush_items.record(items.len() as u64);
+            self.local_flush_items.record(count);
             // How long the oldest unit waited for company; forced
             // flushes carry no "now" and skip the sample.
             if let Some(now) = now {
@@ -593,6 +659,7 @@ impl<T> Outbox<T> {
             dest,
             reason,
             items,
+            _unit: PhantomData,
         })
     }
 }

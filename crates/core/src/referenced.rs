@@ -69,6 +69,9 @@ impl ReferencedTable {
         let i = match self.position(target) {
             Ok(i) => i,
             Err(i) => {
+                // One slot at a time: most activities reference one or
+                // two others, and Vec's first growth would give four.
+                self.entries.reserve_exact(1);
                 self.entries.insert(
                     i,
                     (
@@ -92,6 +95,12 @@ impl ReferencedTable {
         // Held again before its farewell left: no farewell.
         self.leaving.retain(|&(id, _)| id != target);
         was_new
+    }
+
+    /// Slots allocated for edges: equal to [`Self::len`] after any run
+    /// of inserts, since the table grows one slot at a time.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// The local collector reports that **all** stubs for `target` died

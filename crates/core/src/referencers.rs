@@ -138,6 +138,9 @@ impl ReferencerTable {
                 false
             }
             Err(i) => {
+                // One slot at a time: most activities have one or two
+                // referencers, and Vec's first growth would give four.
+                self.entries.reserve_exact(1);
                 self.entries.insert(i, (sender, info));
                 true
             }
@@ -194,6 +197,12 @@ impl ReferencerTable {
             false
         });
         expiry
+    }
+
+    /// Slots allocated for referencers: equal to [`Self::len`] after
+    /// any run of inserts, since the table grows one slot at a time.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// Forgets a referencer explicitly (used when the runtime learns the

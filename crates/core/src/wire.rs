@@ -322,7 +322,8 @@ pub fn farewell_wire_size(aged: bool) -> u64 {
 /// The paper's measured per-beat DGC cost on the NAS runs is far larger
 /// than the raw fields of the message, because each DGC call travels as a
 /// Java-RMI remote invocation. `RMI_CALL_ENVELOPE` is our calibrated
-/// stand-in; EXPERIMENTS.md documents the calibration.
+/// stand-in: the `fig8_nas_bandwidth` bench prints the DGC bytes it
+/// yields beside the paper's fig. 8 figures.
 pub const RMI_CALL_ENVELOPE: u64 = 240;
 
 #[cfg(test)]

@@ -242,6 +242,24 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Both tables grow one slot per new entry: after any run of
+    /// inserts, repeats included, nothing is allocated beyond what is
+    /// held (Vec's first growth alone would reserve four).
+    #[test]
+    fn tables_grow_one_slot_per_entry(ids in proptest::collection::vec(0u32..40, 1..30)) {
+        let mut referencers = referencers::ReferencerTable::new();
+        let mut referenced = referenced::ReferencedTable::new();
+        for id in ids {
+            let id = AoId::new(id % 3, id);
+            referencers.record_message(id, clk(0, 0), false, Time::ZERO, Dur::from_millis(10));
+            referenced.on_stub_deserialized(id);
+            prop_assert_eq!(referencers.capacity(), referencers.len());
+            prop_assert_eq!(referenced.capacity(), referenced.len());
+        }
+    }
+}
+
 /// One protocol-level event for the `on_tick` ≡ `on_tick_into` stream
 /// equivalence below.
 #[derive(Debug, Clone)]

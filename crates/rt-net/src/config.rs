@@ -53,9 +53,9 @@ pub struct NetConfig {
     /// `DGC_SWEEP_SHARDS` when set, so every runner honours the knob
     /// without plumbing.
     pub sweep_shards: usize,
-    /// Most items a single link will hold queued (wire frames included)
-    /// before it sheds its oldest batches: a slow or dead peer must not
-    /// hoard unbounded memory. Shed application payloads surface as
+    /// Most items a single link will hold queued before it sheds its
+    /// oldest frames (never its newest one): a slow or dead peer must
+    /// not hoard unbounded memory. Shed application payloads surface as
     /// failed sends; background units regenerate on protocol cadence.
     pub max_link_pending: usize,
     /// When set, every link runs the `dgc-plane` pre-shared-key

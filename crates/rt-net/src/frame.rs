@@ -101,6 +101,25 @@
 //! inside a batch. `digest` is the self-delimiting encoding of
 //! [`dgc_membership::wire`], carried verbatim.
 //!
+//! **A unit is encoded once, when it is enqueued.** A node's egress
+//! queue toward a peer is a [`PeerFrames`]: two open frames
+//! ([`FrameBuilder`]), one per routing path, each appending a unit with
+//! the same context-compressed encoding [`encode_batch_frame`] uses. A
+//! flush seals them into [`SealedFrame`]s — byte for byte what
+//! `encode_batch_frame` builds for the same units, cut where
+//! [`split_len`] cuts — and the link layer writes those bytes as they
+//! are. Because the context resets at every frame, a sealed frame is its
+//! own salvage: a dead connection's frames are re-sent or rerouted whole,
+//! and only the cold failure paths decode one back into units
+//! ([`SealedFrame::into_items`]). On the way in, a `BatchReader` walks a
+//! payload one item at a time: the link layer checks a frame whole
+//! before any of its items acts, and the node loop dispatches from a
+//! second walk. No batch of decoded units is held on either side.
+//! [`Item::wire_size`] — the context-free size of a unit — still bounds
+//! what it adds to a frame: the egress plane charges it against its byte
+//! bound, and `split_len` cuts on it, so when a flush fires and where a
+//! frame ends do not depend on the encoding context.
+//!
 //! Two byte accountings exist and model different things. The simulator
 //! charges each unit the fixed [`dgc_core::wire`] encoding plus a
 //! calibrated envelope: one Java-RMI call, as the paper measured.
@@ -109,7 +128,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use dgc_core::clock::NamedClock;
-use dgc_core::egress::EgressClass;
+use dgc_core::egress::{EgressClass, EgressQueue, QueuedItem};
 use dgc_core::id::AoId;
 use dgc_core::message::{DgcMessage, DgcResponse};
 use dgc_core::units::Dur;
@@ -270,6 +289,19 @@ impl Item {
         }
     }
 
+    /// Whether the item rides the link this node dialed toward its
+    /// destination — DGC messages, farewells, application requests —
+    /// rather than the reply path of the socket the peer opened to us:
+    /// responses, failure notices, gossip, application replies (§2.2).
+    /// Every item of one class takes the same path, so per-class FIFO
+    /// survives the split.
+    pub fn travels_forward(&self) -> bool {
+        matches!(
+            self,
+            Item::Dgc { .. } | Item::Farewell { .. } | Item::App { reply: false, .. }
+        )
+    }
+
     /// The egress class the item is metered and flushed under.
     pub fn class(&self) -> EgressClass {
         match self {
@@ -344,7 +376,7 @@ pub enum Frame {
 /// The context one frame builds up: the value of each delta-coded field
 /// in the most recent item that carried it, and whether the frame's
 /// responses carry a depth (its tag). Starts empty at every frame.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Prev {
     from: Option<AoId>,
     to: Option<AoId>,
@@ -702,6 +734,13 @@ fn get_array<const N: usize>(buf: &mut Bytes) -> Result<[u8; N], DecodeError> {
 /// after a structurally complete frame is an error (`BadTag`), since a
 /// length-prefixed link never legitimately concatenates payloads.
 pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
+    if let Some(batch) = BatchReader::open(buf.clone())? {
+        let mut items = Vec::with_capacity((batch.remaining() as usize).min(MAX_ITEMS_PER_FRAME));
+        for item in batch {
+            items.push(item?);
+        }
+        return Ok(Frame::Batch(items));
+    }
     if buf.remaining() < 1 {
         return Err(DecodeError::Truncated);
     }
@@ -713,23 +752,6 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
             let version = buf.get_u8();
             let node = buf.get_u32();
             Frame::Hello { node, version }
-        }
-        tag @ (TAG_BATCH | TAG_BATCH_DEPTH) => {
-            let count = get_varint_u32(&mut buf)?;
-            if count > MAX_BATCH_ITEMS {
-                return Err(DecodeError::BadTag(tag));
-            }
-            // Every item is at least its head byte: a count the payload
-            // cannot hold is refused before anything is allocated for it.
-            if count as usize > buf.remaining() {
-                return Err(DecodeError::Truncated);
-            }
-            let mut items = Vec::with_capacity((count as usize).min(MAX_ITEMS_PER_FRAME));
-            let mut prev = Prev::new(tag == TAG_BATCH_DEPTH);
-            for _ in 0..count {
-                items.push(get_item(&mut buf, &mut prev)?);
-            }
-            Frame::Batch(items)
         }
         TAG_AUTH_INIT => Frame::AuthInit {
             nonce: get_array(&mut buf)?,
@@ -747,6 +769,103 @@ pub fn decode_payload(mut buf: Bytes) -> Result<Frame, DecodeError> {
         return Err(DecodeError::BadTag(0));
     }
     Ok(frame)
+}
+
+/// The items of one batch payload, decoded one at a time against the
+/// frame's context. The read path dispatches straight from it, so no
+/// batch of decoded items is ever held; [`decode_payload`] collects it.
+/// After the last item it checks the payload is used up: trailing bytes
+/// are an error (`BadTag(0)`), as in [`decode_payload`]. After an error
+/// it yields nothing more.
+#[derive(Debug)]
+pub(crate) struct BatchReader {
+    buf: Bytes,
+    prev: Prev,
+    left: u32,
+}
+
+impl BatchReader {
+    /// Reads a payload's batch header — tag and item count. `Ok(None)`
+    /// when the payload is not a batch (a handshake frame).
+    pub(crate) fn open(mut payload: Bytes) -> Result<Option<BatchReader>, DecodeError> {
+        let tag = match payload.as_slice().first() {
+            Some(&tag @ (TAG_BATCH | TAG_BATCH_DEPTH)) => tag,
+            _ => return Ok(None),
+        };
+        payload.get_u8();
+        let count = get_varint_u32(&mut payload)?;
+        if count > MAX_BATCH_ITEMS {
+            return Err(DecodeError::BadTag(tag));
+        }
+        // Every item is at least its head byte: a count the payload
+        // cannot hold is refused before anything is allocated for it.
+        if count as usize > payload.remaining() {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(Some(BatchReader {
+            buf: payload,
+            prev: Prev::new(tag == TAG_BATCH_DEPTH),
+            left: count,
+        }))
+    }
+
+    /// Items not yet read.
+    pub(crate) fn remaining(&self) -> u32 {
+        self.left
+    }
+
+    /// Decodes every item and keeps none: the item count when the whole
+    /// payload is a well-formed batch.
+    pub(crate) fn validate(self) -> Result<u32, DecodeError> {
+        let count = self.left;
+        for item in self {
+            item?;
+        }
+        Ok(count)
+    }
+}
+
+impl Iterator for BatchReader {
+    type Item = Result<Item, DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            if self.buf.is_empty() {
+                return None;
+            }
+            self.buf = Bytes::new();
+            return Some(Err(DecodeError::BadTag(0)));
+        }
+        self.left -= 1;
+        let item = get_item(&mut self.buf, &mut self.prev);
+        if item.is_err() {
+            self.left = 0;
+            self.buf = Bytes::new();
+        }
+        Some(item)
+    }
+}
+
+/// One frame off the wire as the read path takes it: a batch checked
+/// whole but still in its bytes, or a decoded handshake frame.
+pub(crate) enum Incoming {
+    /// A well-formed batch payload and its item count.
+    Batch { payload: Bytes, items: u32 },
+    /// `Hello` or an `Auth*` frame.
+    Control(Frame),
+}
+
+/// Checks one payload off the wire: a batch is decoded through once and
+/// kept as bytes, so a corrupt frame is refused before any of its items
+/// acts; anything else is decoded.
+pub(crate) fn check_payload(payload: Bytes) -> Result<Incoming, DecodeError> {
+    match BatchReader::open(payload.clone())? {
+        Some(batch) => Ok(Incoming::Batch {
+            items: batch.validate()?,
+            payload,
+        }),
+        None => decode_payload(payload).map(Incoming::Control),
+    }
 }
 
 /// Backfills the 4-byte length placeholder a frame was encoded behind,
@@ -767,10 +886,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Encodes a batch frame (length prefix included) straight from a
-/// borrowed slice, so the link layer can frame its queues without
-/// cloning items into a `Frame`. Reserves the context-free bound
-/// [`FRAME_OVERHEAD`]` + Σ `[`Item::wire_size`] up front, so encoding
-/// never reallocates; the frame is usually several times smaller.
+/// borrowed slice, without cloning items into a `Frame`: the whole-batch
+/// form of what a [`FrameBuilder`] seals one item at a time, and the
+/// reference its frames are checked against. Reserves the context-free
+/// bound [`FRAME_OVERHEAD`]` + Σ `[`Item::wire_size`] up front, so
+/// encoding never reallocates; the frame is usually several times
+/// smaller.
 pub fn encode_batch_frame(items: &[Item]) -> Vec<u8> {
     let bound = FRAME_OVERHEAD + items.iter().map(Item::wire_size).sum::<u64>();
     let mut out = Vec::with_capacity(bound as usize);
@@ -805,7 +926,7 @@ pub const MAX_BYTES_PER_FRAME: u64 = (MAX_FRAME_LEN as u64) / 2;
 /// bytes by the context-free [`Item::wire_size`] bound, whichever bites
 /// first. Always at least 1 for a non-empty slice (a single item can
 /// never exceed the byte bound, so oversized queues always make
-/// progress). The link layer splits its write queues at exactly this
+/// progress). A [`FrameBuilder`] starts a new frame at exactly this
 /// boundary, and `frame_props` fuzzes it directly.
 pub fn split_len(items: &[Item]) -> usize {
     let mut end = 0;
@@ -819,6 +940,328 @@ pub fn split_len(items: &[Item]) -> usize {
         end += 1;
     }
     end
+}
+
+/// Room an open frame keeps in front of its items for the largest
+/// length prefix and batch header; sealing writes the real header
+/// right-aligned into it, so the items are never moved.
+const HEADER_ROOM: usize = FRAME_OVERHEAD as usize;
+
+/// A batch frame ready for the socket: exactly the bytes
+/// [`encode_batch_frame`] builds for its items, length prefix included.
+///
+/// Frames are self-contained — the encoding context resets at every
+/// frame — so a sealed frame is also its own salvage: a link that dies
+/// mid-write sends it again whole, a reroute moves it to the other path
+/// unchanged, and only the cold paths that must see the units again
+/// ([`SealedFrame::into_items`]) decode it.
+#[derive(Debug, Clone)]
+pub struct SealedFrame {
+    /// The frame is `buf[start..]`; the bytes before it are unused
+    /// header room.
+    buf: Vec<u8>,
+    start: usize,
+    items: u32,
+}
+
+impl SealedFrame {
+    /// A handshake frame (`Hello`, `Auth*`) on the same write path:
+    /// it carries no items.
+    pub(crate) fn handshake(frame: &Frame) -> SealedFrame {
+        SealedFrame {
+            buf: encode_frame(frame),
+            start: 0,
+            items: 0,
+        }
+    }
+
+    /// The wire bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.buf.get(self.start..).unwrap_or_default()
+    }
+
+    /// Items inside (0 for a handshake frame).
+    pub fn items(&self) -> u32 {
+        self.items
+    }
+
+    /// Decodes the frame back into its items: the cold paths
+    /// (reroute failure, a convicted peer, a departed destination).
+    pub fn into_items(self) -> Vec<Item> {
+        if self.items == 0 {
+            return Vec::new();
+        }
+        let end = self.buf.len();
+        match decode_payload(Bytes::from(self.buf).slice(self.start + 4..end)) {
+            Ok(Frame::Batch(items)) => items,
+            _ => {
+                debug_assert!(false, "a sealed frame always decodes");
+                Vec::new()
+            }
+        }
+    }
+}
+
+impl PartialEq for SealedFrame {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for SealedFrame {}
+
+/// A fixed-size sink for one frame header.
+struct HeaderBuf {
+    bytes: [u8; HEADER_ROOM],
+    len: usize,
+}
+
+impl BufMut for HeaderBuf {
+    fn put_slice(&mut self, src: &[u8]) {
+        if let Some(dst) = self.bytes.get_mut(self.len..self.len + src.len()) {
+            dst.copy_from_slice(src);
+        }
+        self.len += src.len();
+    }
+}
+
+/// An open batch frame. Each pushed item is encoded at once, with the
+/// same context-compressed encoding the batch encoder uses, and
+/// [`FrameBuilder::finish`] seals what was pushed into the frames that
+/// [`split_len`] and [`encode_batch_frame`] build from the same items,
+/// byte for byte: a new frame starts where `split_len` would cut, and a
+/// response with a depth arriving after depthless ones re-encodes the
+/// open frame under the `0xF5` tag.
+#[derive(Debug, Default)]
+pub struct FrameBuilder {
+    /// Header room, then the open frame's items; empty while no frame
+    /// is open.
+    buf: Vec<u8>,
+    prev: Prev,
+    /// Items in the open frame.
+    count: u32,
+    /// The open frame's `Σ wire_size`, what `split_len` cuts on.
+    bound: u64,
+    /// Whether the open frame holds a `Resp`.
+    resp: bool,
+    /// Frames closed at a split, oldest first.
+    sealed: Vec<SealedFrame>,
+    /// Items in `sealed`.
+    sealed_items: usize,
+    /// Bytes of the last frame sealed: the next one reserves as much.
+    last_len: usize,
+}
+
+impl FrameBuilder {
+    /// Empty builder.
+    pub fn new() -> FrameBuilder {
+        FrameBuilder::default()
+    }
+
+    /// `items` sealed into frames, as a flush of a queue they were
+    /// pushed to in this order would hand them over.
+    pub fn seal_items(items: &[Item]) -> Vec<SealedFrame> {
+        let mut frames = FrameBuilder::new();
+        for item in items {
+            frames.push(item, item.wire_size());
+        }
+        frames.finish()
+    }
+
+    /// Appends `item`, whose [`Item::wire_size`] is `size`.
+    pub fn push(&mut self, item: &Item, size: u64) {
+        debug_assert_eq!(size, item.wire_size(), "size is the item's wire_size");
+        if self.count as usize >= MAX_ITEMS_PER_FRAME
+            || (self.count > 0 && self.bound + size > MAX_BYTES_PER_FRAME)
+        {
+            self.seal_open();
+        }
+        if self.buf.is_empty() {
+            self.buf
+                .reserve(self.last_len.max(HEADER_ROOM + size as usize));
+            self.buf.resize(HEADER_ROOM, 0);
+        }
+        if let Item::Resp { response, .. } = item {
+            if response.depth.is_some() && !self.prev.depth {
+                if self.resp {
+                    self.reencode_with_depth();
+                } else {
+                    self.prev.depth = true;
+                }
+            }
+            self.resp = true;
+        }
+        put_item(&mut self.buf, &mut self.prev, item);
+        self.count += 1;
+        self.bound += size;
+    }
+
+    /// Items pushed and not yet handed over by [`FrameBuilder::finish`].
+    pub fn len(&self) -> usize {
+        self.sealed_items + self.count as usize
+    }
+
+    /// True when nothing is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Seals the open frame and hands over every frame sealed since the
+    /// last call, oldest first. The builder is empty afterwards.
+    pub fn finish(&mut self) -> Vec<SealedFrame> {
+        self.seal_open();
+        self.sealed_items = 0;
+        std::mem::take(&mut self.sealed)
+    }
+
+    /// Writes the open frame's header into its room and moves it to
+    /// `sealed`.
+    fn seal_open(&mut self) {
+        if self.count == 0 {
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        let body = buf.len() - HEADER_ROOM;
+        let mut header = HeaderBuf {
+            bytes: [0; HEADER_ROOM],
+            len: 0,
+        };
+        header.put_u32(0);
+        header.put_u8(if self.prev.depth {
+            TAG_BATCH_DEPTH
+        } else {
+            TAG_BATCH
+        });
+        put_varint(&mut header, u64::from(self.count));
+        let len = (header.len - 4 + body) as u32;
+        if let Some(prefix) = header.bytes.get_mut(..4) {
+            prefix.copy_from_slice(&len.to_be_bytes());
+        }
+        let start = HEADER_ROOM - header.len;
+        if let (Some(dst), Some(src)) = (
+            buf.get_mut(start..HEADER_ROOM),
+            header.bytes.get(..header.len),
+        ) {
+            dst.copy_from_slice(src);
+        }
+        self.last_len = buf.len();
+        self.sealed.push(SealedFrame {
+            buf,
+            start,
+            items: self.count,
+        });
+        self.sealed_items += self.count as usize;
+        self.prev = Prev::default();
+        self.count = 0;
+        self.bound = 0;
+        self.resp = false;
+    }
+
+    /// The open frame's items, re-encoded with a depth in every `Resp`:
+    /// the first depth arrived after a depthless response. Rare — only
+    /// `ParentPolicy::MinDepth` sends depths, and then nearly all of
+    /// them carry one.
+    fn reencode_with_depth(&mut self) {
+        let body = Bytes::from(self.buf.get(HEADER_ROOM..).unwrap_or_default().to_vec());
+        let items = BatchReader {
+            buf: body,
+            prev: Prev::new(false),
+            left: self.count,
+        };
+        let mut buf = Vec::with_capacity(self.buf.capacity() + self.count as usize);
+        buf.resize(HEADER_ROOM, 0);
+        let mut prev = Prev::new(true);
+        for item in items {
+            match item {
+                Ok(item) => put_item(&mut buf, &mut prev, &item),
+                Err(_) => debug_assert!(false, "an open frame always decodes"),
+            }
+        }
+        self.buf = buf;
+        self.prev = prev;
+    }
+}
+
+/// The egress queue of one peer on a socket node: a pair of open
+/// frames, one per path of the §2.2 routing discipline
+/// ([`Item::travels_forward`]). Each unit is encoded into its frame as
+/// it is enqueued, so a flush hands the link layer sealed wire bytes
+/// and no unit waits as a decoded [`Item`]. The outbox still charges
+/// every unit its [`Item::wire_size`] against the policy's byte bound.
+#[derive(Debug, Default)]
+pub struct PeerFrames {
+    forward: FrameBuilder,
+    back: FrameBuilder,
+    /// Tenants of the queued application units, oldest first (the
+    /// per-tenant ledger counts them out at the flush).
+    app_tenants: Vec<u32>,
+}
+
+/// One flush of a [`PeerFrames`] queue.
+#[derive(Debug)]
+pub struct PeerBatch {
+    /// Frames for the link this node dialed, oldest first.
+    pub forward: Vec<SealedFrame>,
+    /// Frames for the reply path of the peer's socket, oldest first.
+    pub back: Vec<SealedFrame>,
+    /// Tenants of the application units inside, oldest first.
+    pub app_tenants: Vec<u32>,
+}
+
+impl PeerBatch {
+    /// Items across both paths.
+    pub fn items(&self) -> u64 {
+        self.forward
+            .iter()
+            .chain(&self.back)
+            .map(|f| u64::from(f.items()))
+            .sum()
+    }
+}
+
+impl EgressQueue<Item> for PeerFrames {
+    type Batch = PeerBatch;
+
+    fn push(&mut self, unit: QueuedItem<Item>) {
+        let item = &unit.item;
+        if let Item::App { tenant, .. } = item {
+            self.app_tenants.push(*tenant);
+        }
+        let open = if item.travels_forward() {
+            &mut self.forward
+        } else {
+            &mut self.back
+        };
+        open.push(item, unit.size);
+    }
+
+    fn len(&self) -> usize {
+        self.forward.len() + self.back.len()
+    }
+
+    fn take(&mut self) -> PeerBatch {
+        PeerBatch {
+            forward: self.forward.finish(),
+            back: self.back.finish(),
+            app_tenants: std::mem::take(&mut self.app_tenants),
+        }
+    }
+
+    /// The forward units, then the back ones, each oldest first.
+    fn drain(&mut self) -> Vec<QueuedItem<Item>> {
+        let batch = self.take();
+        batch
+            .forward
+            .into_iter()
+            .chain(batch.back)
+            .flat_map(SealedFrame::into_items)
+            .map(|item| QueuedItem {
+                class: item.class(),
+                size: item.wire_size(),
+                item,
+            })
+            .collect()
+    }
 }
 
 /// Incremental frame extractor: feed arbitrary byte chunks as they
@@ -864,6 +1307,12 @@ impl FrameDecoder {
     /// `Ok(None)` means "need more bytes"; an `Err` means the stream is
     /// corrupt and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
+        self.next_payload()?.map(decode_payload).transpose()
+    }
+
+    /// [`FrameDecoder::next_frame`] before decoding: the next complete
+    /// frame's payload, a window into the receive buffer.
+    pub(crate) fn next_payload(&mut self) -> Result<Option<Bytes>, DecodeError> {
         if self.carry.is_empty() {
             if self.acc.len() < 4 {
                 return Ok(None);
@@ -894,8 +1343,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         self.carry.split_to(4);
-        let payload = self.carry.split_to(len);
-        decode_payload(payload).map(Some)
+        Ok(Some(self.carry.split_to(len)))
     }
 
     /// Bytes buffered but not yet consumed as frames.

@@ -34,8 +34,15 @@
 //! payloads into shared frames — an app send flushes its destination
 //! immediately and carries the queued background units for free, while
 //! pure background traffic lingers at most the policy's `max_delay`.
-//! The link layer (`reactor.rs`) just writes what the outbox flushes:
-//! one flush, one frame.
+//! A unit is encoded once, as it is enqueued, into one of its peer's
+//! two open frames ([`PeerFrames`]: the forward path and the reply
+//! path); a flush seals them, and the link layer (`reactor.rs`) writes
+//! the sealed bytes as they are: one flush, one frame per path. The
+//! byte bound still counts each unit's [`Item::wire_size`], so when a
+//! flush fires does not depend on how the units wait. On the way in,
+//! the reactor checks each frame whole and the loop decodes and
+//! dispatches its items one at a time, so no batch of decoded units is
+//! held on either side.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -47,6 +54,7 @@ use parking_lot::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use dgc_core::egress::{EgressObs, Flush, FlushReason, Outbox};
 use dgc_core::id::AoId;
 use dgc_core::kernel::NodeKernel;
@@ -63,7 +71,7 @@ use dgc_plane::{
 };
 
 use crate::config::NetConfig;
-use crate::frame::{Frame, Item, GOSSIP_ANYCAST};
+use crate::frame::{BatchReader, Frame, Item, PeerBatch, PeerFrames, SealedFrame, GOSSIP_ANYCAST};
 use crate::reactor::{Notice, Reactor};
 use crate::stats::{NetStats, NetStatsSnapshot};
 
@@ -781,6 +789,12 @@ impl Drop for NetNode {
     }
 }
 
+/// The items of sealed frames, oldest first: the cold paths that must
+/// see units again (send failures) decode them here.
+fn unframe(frames: Vec<SealedFrame>) -> impl Iterator<Item = Item> {
+    frames.into_iter().flat_map(SealedFrame::into_items)
+}
+
 /// A `dgc-plane` handshake message as its wire frame.
 pub(crate) fn auth_frame(msg: &AuthMsg) -> Frame {
     match *msg {
@@ -850,9 +864,9 @@ struct Worker {
     /// Seed bootstrap state, while the node is still looking for a
     /// first peer.
     join: Option<JoinProbes>,
-    /// The egress plane: every outgoing unit queues here; the flush
-    /// policy decides when a destination's queue becomes a frame.
-    outbox: Outbox<Item>,
+    /// The egress plane: every outgoing unit is encoded into its peer's
+    /// open frames here; the flush policy decides when they are sealed.
+    outbox: Outbox<Item, PeerFrames>,
     /// The envelope middleware pipeline every app payload traverses —
     /// outgoing before the egress plane, incoming before delivery.
     /// Empty by default (pass-through); [`Event::SetPipeline`] installs
@@ -905,9 +919,10 @@ impl Worker {
     /// loops it back locally). An application unit triggers an
     /// immediate flush — the queued background units piggyback — while
     /// heartbeats, digests and control units wait out the policy's
-    /// `max_delay` for company. The egress byte bound is charged the
-    /// item's context-free [`Item::wire_size`]: an upper bound on what
-    /// it will cost inside whichever frame it ends up sharing.
+    /// `max_delay` for company. The item is encoded into its peer's open
+    /// frame here, once; the egress byte bound is charged its
+    /// context-free [`Item::wire_size`]: an upper bound on what it
+    /// costs inside the frame it shares.
     fn route(&mut self, item: Item) {
         let dest = item.destination_node();
         if dest == self.node_id {
@@ -976,57 +991,44 @@ impl Worker {
         }
     }
 
-    /// Turns one egress flush into link frames, preserving the §2.2
-    /// routing discipline per unit: DGC messages and app requests
-    /// prefer the forward (initiated) link; responses, reply payloads,
-    /// gossip and failure notifications prefer the reply path of the
-    /// socket the peer opened to us (the join-probe reply *must* ride
-    /// it: the joiner's listen addr may not have merged yet). Units of
-    /// one class always take the same path, so per-class FIFO survives
-    /// the split.
-    fn deliver_flush(&mut self, flush: Flush<Item>) {
+    /// Hands one egress flush to the link layer. The flush is already
+    /// two sets of sealed frames, split by the §2.2 routing discipline
+    /// ([`Item::travels_forward`]): DGC messages, farewells and app
+    /// requests prefer the forward (initiated) link; responses, reply
+    /// payloads, gossip and failure notifications prefer the reply path
+    /// of the socket the peer opened to us (the join-probe reply *must*
+    /// ride it: the joiner's listen addr may not have merged yet).
+    fn deliver_flush(&mut self, flush: Flush<Item, PeerBatch>) {
+        let batch = flush.items;
         self.trace(TraceLevel::Debug, "flush", || {
             format!(
                 "dest {} reason {:?} items {}",
                 flush.dest,
                 flush.reason,
-                flush.items.len()
+                batch.items()
             )
         });
         if flush.reason == FlushReason::AppSend {
-            let riders = flush.items.iter().filter(|i| !i.class.is_app()).count() as u64;
-            self.stats.on_piggybacked(riders);
+            self.stats
+                .on_piggybacked(batch.items() - batch.app_tenants.len() as u64);
+        }
+        for &tenant in &batch.app_tenants {
+            // The unit leaves the egress plane: per-tenant `flushed`.
+            // Whatever the link does to it afterwards is a send
+            // failure, not a return — the ledger's conservation law
+            // counts outbox custody only.
+            self.ledger.on_flushed(TenantId(tenant));
         }
         let dest = flush.dest;
-        let mut forward: Vec<Item> = Vec::new();
-        let mut back: Vec<Item> = Vec::new();
-        for qi in flush.items {
-            if let Item::App { tenant, .. } = &qi.item {
-                // The unit leaves the egress plane: per-tenant
-                // `flushed`. Whatever the link does to it afterwards
-                // is a send failure, not a return — the ledger's
-                // conservation law counts outbox custody only.
-                self.ledger.on_flushed(TenantId(*tenant));
-            }
-            match &qi.item {
-                Item::Dgc { .. } | Item::Farewell { .. } | Item::App { reply: false, .. } => {
-                    forward.push(qi.item)
-                }
-                Item::Resp { .. }
-                | Item::SendFailure { .. }
-                | Item::Gossip { .. }
-                | Item::App { reply: true, .. } => back.push(qi.item),
-            }
+        if !batch.back.is_empty() {
+            self.send_batch_reply(dest, batch.back);
         }
-        if !back.is_empty() {
-            self.send_batch_reply(dest, back);
-        }
-        if !forward.is_empty() {
-            self.send_batch_forward(dest, forward);
+        if !batch.forward.is_empty() {
+            self.send_batch_forward(dest, batch.forward);
         }
     }
 
-    fn send_batch_reply(&mut self, dest: u32, batch: Vec<Item>) {
+    fn send_batch_reply(&mut self, dest: u32, batch: Vec<SealedFrame>) {
         // No live inbound socket from that node: fall back to a
         // forward link if we can reach it at all.
         if let Err(batch) = self.reactor.queue_reply(dest, batch) {
@@ -1034,7 +1036,7 @@ impl Worker {
         }
     }
 
-    fn send_batch_forward(&mut self, dest: u32, batch: Vec<Item>) {
+    fn send_batch_forward(&mut self, dest: u32, batch: Vec<SealedFrame>) {
         if !self.reactor.has_link(dest) {
             let Some(addr) = self.peer_addrs.get(&dest).copied() else {
                 // Whether a missing address condemns the edges depends
@@ -1055,8 +1057,7 @@ impl Worker {
                     ),
                     None => true,
                 };
-                let failed: Vec<Item> = batch
-                    .into_iter()
+                let failed: Vec<Item> = unframe(batch)
                     .filter(|item| {
                         matches!(item, Item::App { .. })
                             || (condemned && matches!(item, Item::Dgc { .. }))
@@ -1071,20 +1072,21 @@ impl Worker {
             self.reactor.open_link(dest, addr);
         }
         if let Err(batch) = self.reactor.queue_forward(dest, batch) {
-            // No link took the batch: fall back to the socket the peer
+            // No link took the frames: fall back to the socket the peer
             // opened to us (the reverse direction may be perfectly
             // healthy), or fail fast so the caller learns.
             self.reroute_or_fail(dest, batch);
         }
     }
 
-    /// Last-resort delivery for a batch whose forward link is dead:
-    /// the peer's reply socket if one is live, the send-failure path
+    /// Last-resort delivery for frames whose forward link is dead: the
+    /// peer's reply socket if one is live, the send-failure path
     /// otherwise. Never tries the forward direction again — that is
-    /// what just failed.
-    fn reroute_or_fail(&mut self, dest: u32, batch: Vec<Item>) {
+    /// what just failed. Frames are self-contained, so they move to the
+    /// other path as they are.
+    fn reroute_or_fail(&mut self, dest: u32, batch: Vec<SealedFrame>) {
         if let Err(batch) = self.reactor.queue_reply(dest, batch) {
-            self.fail_items(batch);
+            self.fail_items(unframe(batch).collect());
         }
     }
 
@@ -1161,9 +1163,10 @@ impl Worker {
     /// and asymmetric failures are §2.2's normal case — then let
     /// membership adjudicate, or treat the verdict as terminal without
     /// it.
-    fn on_peer_unreachable(&mut self, node: u32, unsent: Vec<Item>) {
+    fn on_peer_unreachable(&mut self, node: u32, unsent: Vec<SealedFrame>) {
         self.trace(TraceLevel::Info, "link-terminal", || {
-            format!("node {node} unreachable, {} unsent", unsent.len())
+            let items: u32 = unsent.iter().map(SealedFrame::items).sum();
+            format!("node {node} unreachable, {items} unsent")
         });
         if !unsent.is_empty() {
             self.reroute_or_fail(node, unsent);
@@ -1221,6 +1224,18 @@ impl Worker {
                 self.terminated.lock().push(Terminated { ao: who, reason });
             }
             _ => {}
+        }
+    }
+
+    /// Dispatches the items of one batch frame, decoding them one at a
+    /// time. The reactor checked the whole frame before handing it over,
+    /// so a corrupt frame never gets this far.
+    fn handle_frame(&mut self, payload: Bytes) {
+        let Ok(Some(items)) = BatchReader::open(payload) else {
+            return;
+        };
+        for item in items.map_while(Result::ok) {
+            self.handle_item(item);
         }
     }
 
@@ -1629,20 +1644,24 @@ impl Worker {
             self.reactor.poll(timeout, &mut notices);
             for notice in notices.drain(..) {
                 match notice {
-                    Notice::Item(item) => self.handle_item(item),
+                    Notice::Frame(payload) => self.handle_frame(payload),
                     Notice::PeerUnreachable { node, unsent } => {
                         self.on_peer_unreachable(node, unsent)
                     }
                     Notice::Undeliverable {
                         node,
-                        items,
+                        frames,
                         reroute,
                     } => {
                         if reroute {
-                            self.reroute_or_fail(node, items);
+                            self.reroute_or_fail(node, frames);
                         } else {
-                            self.fail_items(items);
+                            self.fail_items(unframe(frames).collect());
                         }
+                    }
+                    Notice::Shed { frames } => {
+                        let apps = unframe(frames).filter(|i| matches!(i, Item::App { .. }));
+                        self.fail_items(apps.collect());
                     }
                 }
             }
@@ -1720,10 +1739,10 @@ mod tests {
         // The third failure backs off 40ms; the re-armed listener then
         // takes the connection and its hello names the reply route.
         let reply = || {
-            vec![Item::SendFailure {
+            crate::frame::FrameBuilder::seal_items(&[Item::SendFailure {
                 holder: AoId::new(3, 0),
                 target: AoId::new(7, 0),
-            }]
+            }])
         };
         let mut notices = Vec::new();
         let start = Instant::now();

@@ -19,9 +19,15 @@
 //!   write backs the link off exponentially while its items stay
 //!   parked; `fail_after_attempts` consecutive failures convict the
 //!   peer and hand everything still unsent back to the worker.
+//! * **Sealed frames only** — a link queues the frames the egress plane
+//!   sealed, as wire bytes, and writes each one as it is: frames are
+//!   self-contained, so a frame is also its own salvage when its
+//!   connection dies. On the read side each frame is checked whole and
+//!   handed to the worker still encoded ([`Notice::Frame`]).
 //! * **Bounded buffering** — a link holds at most `max_link_pending`
-//!   items; overflow sheds the oldest, and shed application payloads
-//!   surface as send failures (heartbeats and digests regenerate).
+//!   items (plus its newest frame); overflow sheds the oldest frames,
+//!   and the application payloads inside surface as send failures
+//!   (heartbeats and digests regenerate).
 //! * **Join probes** — [`Reactor::probe`] dials a seed with no link
 //!   state behind the connection: hello, handshake, one anycast digest,
 //!   then whatever gossip the seed sends back.
@@ -37,12 +43,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use dgc_plane::{Authenticator, Step};
 use polling::{Interest, PollEvent, Poller, Waker};
 
 use crate::config::NetConfig;
 use crate::frame::{
-    encode_batch_frame, encode_frame, split_len, Frame, FrameDecoder, Item, PROTOCOL_VERSION,
+    check_payload, Frame, FrameBuilder, FrameDecoder, Incoming, Item, SealedFrame, PROTOCOL_VERSION,
 };
 use crate::node::{auth_frame, frame_to_auth, fresh_nonce, AcceptBackoff};
 use crate::stats::NetStats;
@@ -71,27 +78,34 @@ const MAX_READS_PER_EVENT: usize = 16;
 
 /// What the reactor needs the worker to handle.
 pub(crate) enum Notice {
-    /// A decoded protocol unit addressed to this node.
-    Item(Item),
+    /// A batch frame from an authenticated peer, checked whole and
+    /// still encoded: the worker decodes and dispatches its items.
+    Frame(Bytes),
     /// `fail_after_attempts` consecutive failures convicted the peer;
     /// `unsent` is everything still queued for it.
     PeerUnreachable {
         /// The convicted peer.
         node: u32,
-        /// Items the link never managed to write.
-        unsent: Vec<Item>,
+        /// Frames the link never managed to write.
+        unsent: Vec<SealedFrame>,
     },
-    /// Items a dying or overloaded connection could not carry. With
-    /// `reroute` the worker may retry them over the peer's other path;
-    /// without it they fail outright (retrying could reorder around
-    /// what a reconnecting peer will deliver).
+    /// Frames a dying connection could not carry. With `reroute` the
+    /// worker may retry them over the peer's other path; without it
+    /// they fail outright (retrying could reorder around what a
+    /// reconnecting peer will deliver).
     Undeliverable {
-        /// The peer the items were addressed to.
+        /// The peer the frames were addressed to.
         node: u32,
-        /// The salvaged items.
-        items: Vec<Item>,
+        /// The salvaged frames.
+        frames: Vec<SealedFrame>,
         /// Whether rerouting over another path is safe.
         reroute: bool,
+    },
+    /// Frames a link shed at its `max_link_pending` bound: the
+    /// application payloads inside fail, the rest regenerate.
+    Shed {
+        /// The shed frames.
+        frames: Vec<SealedFrame>,
     },
 }
 
@@ -108,14 +122,82 @@ enum ConnKind {
     Outbound,
 }
 
-/// One frame mid-write: the encoded bytes, how far the socket got, and
-/// the items to salvage if the connection dies before completion.
+/// One frame mid-write and how far the socket got. A batch frame is
+/// salvaged whole if the connection dies before completion; a
+/// handshake frame (no items) is not.
 struct PendingFrame {
-    bytes: Vec<u8>,
+    frame: SealedFrame,
     written: usize,
-    /// Item count, for `on_frame_sent` accounting (0 for hellos).
-    items: u64,
-    salvage: Vec<Item>,
+}
+
+impl PendingFrame {
+    fn new(frame: SealedFrame) -> PendingFrame {
+        PendingFrame { frame, written: 0 }
+    }
+}
+
+/// Sealed frames waiting for a socket, counted in items — the unit
+/// `NetConfig::max_link_pending` bounds.
+#[derive(Default)]
+struct FrameQueue {
+    frames: VecDeque<SealedFrame>,
+    items: usize,
+}
+
+impl FrameQueue {
+    fn push(&mut self, frame: SealedFrame) {
+        self.items += frame.items() as usize;
+        self.frames.push_back(frame);
+    }
+
+    fn pop(&mut self) -> Option<SealedFrame> {
+        let frame = self.frames.pop_front()?;
+        self.items -= frame.items() as usize;
+        Some(frame)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Drops the oldest frames while more than `max` items wait, but
+    /// never the newest frame, so a link bounded below one flush still
+    /// carries its latest; returns what it dropped.
+    fn shed_over(&mut self, max: usize) -> Vec<SealedFrame> {
+        let mut shed = Vec::new();
+        while self.items > max && self.frames.len() > 1 {
+            shed.extend(self.pop());
+        }
+        shed
+    }
+}
+
+impl Extend<SealedFrame> for FrameQueue {
+    fn extend<I: IntoIterator<Item = SealedFrame>>(&mut self, frames: I) {
+        for frame in frames {
+            self.push(frame);
+        }
+    }
+}
+
+impl IntoIterator for FrameQueue {
+    type Item = SealedFrame;
+    type IntoIter = std::collections::vec_deque::IntoIter<SealedFrame>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.frames.into_iter()
+    }
+}
+
+/// Everything a dead connection still held for its peer, oldest first:
+/// the batch frames on the wire (a partly written one is sent again
+/// whole), then its queue.
+fn salvage(wire: VecDeque<PendingFrame>, queue: FrameQueue) -> Vec<SealedFrame> {
+    wire.into_iter()
+        .map(|p| p.frame)
+        .filter(|f| f.items() > 0)
+        .chain(queue)
+        .collect()
 }
 
 /// A registered nonblocking connection and its codec state.
@@ -127,8 +209,8 @@ struct Conn {
     /// an address, not a node).
     peer: Option<u32>,
     decoder: FrameDecoder,
-    /// Items accepted but not yet framed.
-    queue: VecDeque<Item>,
+    /// Batch frames accepted but not yet on the wire.
+    queue: FrameQueue,
     /// Frames in flight (at most a hello plus one data frame).
     wire: VecDeque<PendingFrame>,
     /// Interest currently registered with the poller.
@@ -159,7 +241,7 @@ impl Conn {
     }
 
     /// Whether the socket could take bytes right now: a frame is mid-
-    /// write, or items are queued *and* may be framed. Items parked
+    /// write, or batches are queued *and* may be written. Batches parked
     /// behind an unfinished handshake do not count — the socket is
     /// writable the whole time the peer's challenge is in flight, and
     /// asking for WRITE readiness then turns a level-triggered poll
@@ -181,7 +263,7 @@ enum LinkState {
 
 /// An outbound link: the state that outlives any one connection toward
 /// a peer — where to dial, how many attempts in a row have failed, and
-/// the items waiting for the next connection.
+/// the frames waiting for the next connection.
 struct OutLink {
     addr: SocketAddr,
     state: LinkState,
@@ -189,8 +271,8 @@ struct OutLink {
     failed_attempts: u32,
     /// Whether the link ever completed a connect (for reconnect stats).
     ever_connected: bool,
-    /// Items queued while no connection exists.
-    parked: VecDeque<Item>,
+    /// Frames queued while no connection exists.
+    parked: FrameQueue,
 }
 
 /// Owns the listener, every connection, all outbound link state, and
@@ -225,27 +307,13 @@ fn earlier(a: Option<Instant>, b: Instant) -> Option<Instant> {
 }
 
 /// Bounded buffering (`NetConfig::max_link_pending`), shared by parked
-/// and wired queues: drop the oldest items, but surface shed app
-/// payloads — the protocol regenerates heartbeats and digests, never
-/// application units.
-fn shed_overflow(queue: &mut VecDeque<Item>, max: usize, pending: &mut Vec<Notice>, node: u32) {
-    if queue.len() <= max {
-        return;
-    }
-    let mut shed_app = Vec::new();
-    while queue.len() > max {
-        if let Some(old) = queue.pop_front() {
-            if matches!(old, Item::App { .. }) {
-                shed_app.push(old);
-            }
-        }
-    }
-    if !shed_app.is_empty() {
-        pending.push(Notice::Undeliverable {
-            node,
-            items: shed_app,
-            reroute: false,
-        });
+/// and wired queues: drop the oldest frames, and hand them to the
+/// worker, which surfaces the app payloads inside — the protocol
+/// regenerates heartbeats and digests, never application units.
+fn shed_overflow(queue: &mut FrameQueue, max: usize, pending: &mut Vec<Notice>) {
+    let frames = queue.shed_over(max);
+    if !frames.is_empty() {
+        pending.push(Notice::Shed { frames });
     }
 }
 
@@ -308,17 +376,21 @@ impl Reactor {
                 },
                 failed_attempts: 0,
                 ever_connected: false,
-                parked: VecDeque::new(),
+                parked: FrameQueue::default(),
             },
         );
         self.dial(dest);
     }
 
-    /// Queues forward items (heartbeats, requests, anycast gossip) on
+    /// Queues forward frames (heartbeats, farewells, requests) on
     /// `dest`'s link and pushes whatever the socket will take right
-    /// now. `Err` hands the batch back: no link exists (the caller
-    /// reroutes or fails the items).
-    pub(crate) fn queue_forward(&mut self, dest: u32, batch: Vec<Item>) -> Result<(), Vec<Item>> {
+    /// now. `Err` hands the frames back: no link exists (the caller
+    /// reroutes or fails them).
+    pub(crate) fn queue_forward(
+        &mut self,
+        dest: u32,
+        batch: Vec<SealedFrame>,
+    ) -> Result<(), Vec<SealedFrame>> {
         let Some(link) = self.links.get_mut(&dest) else {
             return Err(batch);
         };
@@ -333,7 +405,6 @@ impl Reactor {
                     &mut conn.queue,
                     self.config.max_link_pending,
                     &mut self.pending,
-                    dest,
                 );
                 self.flush_token(token);
             }
@@ -343,7 +414,6 @@ impl Reactor {
                     &mut link.parked,
                     self.config.max_link_pending,
                     &mut self.pending,
-                    dest,
                 );
                 // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
                 if Instant::now() >= until {
@@ -354,10 +424,15 @@ impl Reactor {
         Ok(())
     }
 
-    /// Queues reply items (responses, reply payloads, failure notices)
-    /// on the inbound connection `dest`'s forward traffic arrived on.
-    /// `Err` hands the batch back: the peer has no live reply socket.
-    pub(crate) fn queue_reply(&mut self, dest: u32, batch: Vec<Item>) -> Result<(), Vec<Item>> {
+    /// Queues reply frames (responses, reply payloads, failure notices,
+    /// gossip) on the inbound connection `dest`'s forward traffic
+    /// arrived on. `Err` hands the frames back: the peer has no live
+    /// reply socket.
+    pub(crate) fn queue_reply(
+        &mut self,
+        dest: u32,
+        batch: Vec<SealedFrame>,
+    ) -> Result<(), Vec<SealedFrame>> {
         let Some(&token) = self.reply_routes.get(&dest) else {
             return Err(batch);
         };
@@ -370,7 +445,6 @@ impl Reactor {
             &mut conn.queue,
             self.config.max_link_pending,
             &mut self.pending,
-            dest,
         );
         self.flush_token(token);
         Ok(())
@@ -382,22 +456,19 @@ impl Reactor {
         let Some(link) = self.links.remove(&dest) else {
             return;
         };
-        let mut salvage: Vec<Item> = Vec::new();
+        let mut frames: Vec<SealedFrame> = Vec::new();
         if let LinkState::Wired { token } = link.state {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.poller.delete(&conn.stream, token);
                 let _ = conn.stream.shutdown(Shutdown::Both);
-                for f in conn.wire {
-                    salvage.extend(f.salvage);
-                }
-                salvage.extend(conn.queue);
+                frames = salvage(conn.wire, conn.queue);
             }
         }
-        salvage.extend(link.parked);
-        if !salvage.is_empty() {
+        frames.extend(link.parked);
+        if !frames.is_empty() {
             self.pending.push(Notice::Undeliverable {
                 node: dest,
-                items: salvage,
+                frames,
                 reroute: true,
             });
         }
@@ -414,15 +485,11 @@ impl Reactor {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.poller.delete(&conn.stream, token);
                 let _ = conn.stream.shutdown(Shutdown::Both);
-                let mut leftovers: Vec<Item> = Vec::new();
-                for f in conn.wire {
-                    leftovers.extend(f.salvage);
-                }
-                leftovers.extend(conn.queue);
-                if !leftovers.is_empty() {
+                let frames = salvage(conn.wire, conn.queue);
+                if !frames.is_empty() {
                     self.pending.push(Notice::Undeliverable {
                         node: dest,
-                        items: leftovers,
+                        frames,
                         reroute: false,
                     });
                 }
@@ -438,7 +505,9 @@ impl Reactor {
     /// closes. A probe that fails — refused, timed out, rejected — just
     /// closes; the worker's join timer dials the next one.
     pub(crate) fn probe(&mut self, addr: SocketAddr, digest: Item) {
-        let _ = self.connect(addr, None, VecDeque::from([digest]));
+        let mut queue = FrameQueue::default();
+        queue.extend(FrameBuilder::seal_items(&[digest]));
+        let _ = self.connect(addr, None, queue);
     }
 
     /// The earliest instant any reactor timer fires: connect/write
@@ -574,7 +643,7 @@ impl Reactor {
                         kind: ConnKind::Inbound,
                         peer: None,
                         decoder: FrameDecoder::new(),
-                        queue: VecDeque::new(),
+                        queue: FrameQueue::default(),
                         wire: VecDeque::new(),
                         interest: Interest::READ,
                         connecting: false,
@@ -661,7 +730,7 @@ impl Reactor {
     }
 
     /// Starts a nonblocking connect for `dest`'s link, moving its
-    /// parked items onto the new connection's queue. A synchronous
+    /// parked frames onto the new connection's queue. A synchronous
     /// failure takes the normal penalty path.
     fn dial(&mut self, dest: u32) {
         let Some(link) = self.links.get_mut(&dest) else {
@@ -675,7 +744,7 @@ impl Reactor {
                     link.state = LinkState::Wired { token };
                 }
             }
-            Err(parked) => self.penalize_link(dest, parked.into()),
+            Err(parked) => self.penalize_link(dest, parked.into_iter().collect()),
         }
     }
 
@@ -687,8 +756,8 @@ impl Reactor {
         &mut self,
         addr: SocketAddr,
         peer: Option<u32>,
-        queue: VecDeque<Item>,
-    ) -> Result<usize, VecDeque<Item>> {
+        queue: FrameQueue,
+    ) -> Result<usize, FrameQueue> {
         let Ok(stream) = polling::connect_nonblocking(&addr) else {
             return Err(queue);
         };
@@ -729,31 +798,24 @@ impl Reactor {
             Ok(()) => {
                 conn.connecting = false;
                 conn.connect_deadline = None;
-                let hello = encode_frame(&Frame::Hello {
+                let hello = SealedFrame::handshake(&Frame::Hello {
                     node: self.node_id,
                     version: PROTOCOL_VERSION,
                 });
-                conn.wire.push_front(PendingFrame {
-                    bytes: hello,
-                    written: 0,
-                    items: 0,
-                    salvage: Vec::new(),
-                });
+                conn.wire.push_front(PendingFrame::new(hello));
                 if let Some(key) = self.config.auth {
                     // Open the challenge/response right behind the
-                    // hello; queued items stay unframed until the
-                    // proof goes out (`flush_token` gates on
+                    // hello; queued batches stay off the wire until
+                    // the proof goes out (`flush_token` gates on
                     // `authenticated`).
                     let (machine, init) = Authenticator::initiator(key, fresh_nonce());
                     conn.machine = Some(machine);
                     // dgc-analysis: allow(wall-clock): the reactor times out real sockets in wall time
                     conn.handshake_deadline = Some(Instant::now() + self.config.handshake_timeout);
-                    conn.wire.push_back(PendingFrame {
-                        bytes: encode_frame(&auth_frame(&init)),
-                        written: 0,
-                        items: 0,
-                        salvage: Vec::new(),
-                    });
+                    conn.wire
+                        .push_back(PendingFrame::new(SealedFrame::handshake(&auth_frame(
+                            &init,
+                        ))));
                 }
                 if let Some(dest) = conn.peer {
                     if let Some(link) = self.links.get_mut(&dest) {
@@ -781,9 +843,9 @@ impl Reactor {
         }
     }
 
-    /// Drives `token`'s write side: frames items off its queue as the
-    /// wire drains, writes until `WouldBlock` or empty, and feeds fatal
-    /// errors to [`Reactor::conn_dead`]. Never blocks.
+    /// Drives `token`'s write side: moves the next queued frame onto the
+    /// wire as it drains, writes until `WouldBlock` or empty, and feeds
+    /// fatal errors to [`Reactor::conn_dead`]. Never blocks.
     fn flush_token(&mut self, token: usize) {
         let mut fatal = false;
         loop {
@@ -794,36 +856,32 @@ impl Reactor {
                 break;
             }
             if conn.wire.is_empty() {
-                // Items are framed only on authenticated connections;
+                // Batches go out only on authenticated connections;
                 // mid-handshake, the wire carries handshake frames and
                 // nothing else.
-                if conn.queue.is_empty() || !conn.authenticated {
+                if !conn.authenticated {
                     break;
                 }
-                let n = split_len(conn.queue.make_contiguous());
-                let items: Vec<Item> = conn.queue.drain(..n).collect();
-                let bytes = encode_batch_frame(&items);
-                conn.wire.push_back(PendingFrame {
-                    bytes,
-                    written: 0,
-                    items: n as u64,
-                    salvage: items,
-                });
+                let Some(frame) = conn.queue.pop() else {
+                    break;
+                };
+                conn.wire.push_back(PendingFrame::new(frame));
             }
             let f = conn.wire.front_mut().expect("wire was just checked/filled");
-            match conn.stream.write(&f.bytes[f.written..]) {
+            match conn.stream.write(&f.frame.as_bytes()[f.written..]) {
                 Ok(0) => {
                     fatal = true;
                     break;
                 }
                 Ok(n) => {
                     f.written += n;
-                    let complete = f.written == f.bytes.len();
+                    let complete = f.written == f.frame.as_bytes().len();
                     conn.stall_deadline = None;
                     if complete {
                         let done = conn.wire.pop_front().expect("front frame exists");
+                        let bytes = done.frame.as_bytes().len() as u64;
                         self.stats
-                            .on_frame_sent(done.items, done.bytes.len() as u64);
+                            .on_frame_sent(u64::from(done.frame.items()), bytes);
                         // Only a fully written frame proves the link
                         // works; a landed connect alone must not reset
                         // the count, or a peer that accepts and closes
@@ -859,7 +917,7 @@ impl Reactor {
     }
 
     /// Reads `token` until `WouldBlock` (bounded per event), feeding the
-    /// frame decoder and surfacing decoded items as notices.
+    /// frame decoder and surfacing each checked batch frame as a notice.
     fn read_ready(&mut self, token: usize) {
         let mut chunk = [0u8; READ_CHUNK];
         for _ in 0..MAX_READS_PER_EVENT {
@@ -887,9 +945,13 @@ impl Reactor {
             let mut dead = false;
             let mut kick = false;
             loop {
-                match conn.decoder.next_frame() {
+                let next = conn
+                    .decoder
+                    .next_payload()
+                    .and_then(|p| p.map(check_payload).transpose());
+                match next {
                     Ok(None) => break,
-                    Ok(Some(Frame::Hello { node, version })) => {
+                    Ok(Some(Incoming::Control(Frame::Hello { node, version }))) => {
                         if version != PROTOCOL_VERSION {
                             self.stats.on_decode_error();
                             dead = true;
@@ -915,11 +977,11 @@ impl Reactor {
                             }
                         }
                     }
-                    Ok(Some(
+                    Ok(Some(Incoming::Control(
                         frame @ (Frame::AuthInit { .. }
                         | Frame::AuthChallenge { .. }
                         | Frame::AuthProof { .. }),
-                    )) => {
+                    ))) => {
                         self.stats.on_frame_received(0);
                         let msg =
                             frame_to_auth(&frame).expect("auth frames convert to auth messages");
@@ -935,21 +997,17 @@ impl Reactor {
                         let machine = conn.machine.as_mut().expect("machine presence checked");
                         match machine.on_msg(&msg) {
                             Ok(Step::Send(reply)) => {
-                                conn.wire.push_back(PendingFrame {
-                                    bytes: encode_frame(&auth_frame(&reply)),
-                                    written: 0,
-                                    items: 0,
-                                    salvage: Vec::new(),
-                                });
+                                conn.wire
+                                    .push_back(PendingFrame::new(SealedFrame::handshake(
+                                        &auth_frame(&reply),
+                                    )));
                                 kick = true;
                             }
                             Ok(Step::SendAndDone(reply)) => {
-                                conn.wire.push_back(PendingFrame {
-                                    bytes: encode_frame(&auth_frame(&reply)),
-                                    written: 0,
-                                    items: 0,
-                                    salvage: Vec::new(),
-                                });
+                                conn.wire
+                                    .push_back(PendingFrame::new(SealedFrame::handshake(
+                                        &auth_frame(&reply),
+                                    )));
                                 conn.authenticated = true;
                                 conn.handshake_deadline = None;
                                 self.stats.on_auth_ok();
@@ -973,7 +1031,7 @@ impl Reactor {
                             }
                         }
                     }
-                    Ok(Some(Frame::Batch(items))) => {
+                    Ok(Some(Incoming::Batch { payload, items })) => {
                         if !conn.authenticated {
                             // No frame item is ever processed from a
                             // peer that has not proven the key.
@@ -981,10 +1039,11 @@ impl Reactor {
                             dead = true;
                             break;
                         }
-                        self.stats.on_frame_received(items.len() as u64);
-                        self.pending.extend(items.into_iter().map(Notice::Item));
+                        self.stats.on_frame_received(u64::from(items));
+                        self.pending.push(Notice::Frame(payload));
                     }
-                    Err(_) => {
+                    // Batches arrive as `Incoming::Batch`, never decoded.
+                    Ok(Some(Incoming::Control(Frame::Batch(_)))) | Err(_) => {
                         self.stats.on_decode_error();
                         dead = true;
                         break;
@@ -1003,7 +1062,7 @@ impl Reactor {
         }
     }
 
-    /// Removes `token`'s connection and routes its unsent items: a
+    /// Removes `token`'s connection and routes its unsent frames: a
     /// link's connection takes the penalty path (backoff, eventually
     /// conviction), inbound deaths surface queued replies as
     /// non-reroutable salvage, join probes just close (the next probe
@@ -1014,11 +1073,7 @@ impl Reactor {
         };
         let _ = self.poller.delete(&conn.stream, token);
         let _ = conn.stream.shutdown(Shutdown::Both);
-        let mut salvage: Vec<Item> = Vec::new();
-        for f in conn.wire {
-            salvage.extend(f.salvage);
-        }
-        salvage.extend(conn.queue);
+        let salvage = salvage(conn.wire, conn.queue);
         match conn.kind {
             ConnKind::Outbound => {
                 if let Some(dest) = conn.peer {
@@ -1036,7 +1091,7 @@ impl Reactor {
                         // reorder what the fresh socket will carry.
                         self.pending.push(Notice::Undeliverable {
                             node: peer,
-                            items: salvage,
+                            frames: salvage,
                             reroute: false,
                         });
                     }
@@ -1048,12 +1103,12 @@ impl Reactor {
     /// One failed connect or write on `dest`'s link (its connection, if
     /// any, is already gone): park the salvage, count the failure, and
     /// back off — or convict the peer at `fail_after_attempts`.
-    fn penalize_link(&mut self, dest: u32, salvage: Vec<Item>) {
+    fn penalize_link(&mut self, dest: u32, salvage: Vec<SealedFrame>) {
         let Some(link) = self.links.get_mut(&dest) else {
             if !salvage.is_empty() {
                 self.pending.push(Notice::Undeliverable {
                     node: dest,
-                    items: salvage,
+                    frames: salvage,
                     reroute: true,
                 });
             }
@@ -1064,11 +1119,10 @@ impl Reactor {
             &mut link.parked,
             self.config.max_link_pending,
             &mut self.pending,
-            dest,
         );
         link.failed_attempts = link.failed_attempts.saturating_add(1);
         if link.failed_attempts >= self.config.fail_after_attempts {
-            let unsent: Vec<Item> = std::mem::take(&mut link.parked).into_iter().collect();
+            let unsent: Vec<SealedFrame> = std::mem::take(&mut link.parked).into_iter().collect();
             self.links.remove(&dest);
             self.pending
                 .push(Notice::PeerUnreachable { node: dest, unsent });
@@ -1123,6 +1177,10 @@ mod tests {
         .unwrap()
     }
 
+    fn sealed(items: &[Item]) -> Vec<SealedFrame> {
+        FrameBuilder::seal_items(items)
+    }
+
     fn app_item(n: u32) -> Item {
         Item::App {
             from: AoId::new(1, 0),
@@ -1155,7 +1213,8 @@ mod tests {
 
         let mut r = test_reactor();
         r.open_link(2, addr);
-        r.queue_forward(2, vec![app_item(7), app_item(8)]).unwrap();
+        r.queue_forward(2, sealed(&[app_item(7), app_item(8)]))
+            .unwrap();
         let mut notices = Vec::new();
         let start = Instant::now();
         while !reader.is_finished() {
@@ -1212,7 +1271,7 @@ mod tests {
         let mut r =
             Reactor::new(1, listener, config, NetStats::shared(&Registry::default())).unwrap();
         r.open_link(2, addr);
-        r.queue_forward(2, vec![app_item(1)]).unwrap();
+        r.queue_forward(2, sealed(&[app_item(1)])).unwrap();
         let mut notices = Vec::new();
         let start = Instant::now();
         while seen_rx.try_recv().is_err() {
@@ -1248,10 +1307,13 @@ mod tests {
     fn missing_link_hands_the_batch_back() {
         let mut r = test_reactor();
         assert_eq!(
-            r.queue_forward(9, vec![app_item(1)]),
-            Err(vec![app_item(1)])
+            r.queue_forward(9, sealed(&[app_item(1)])),
+            Err(sealed(&[app_item(1)]))
         );
-        assert_eq!(r.queue_reply(9, vec![app_item(2)]), Err(vec![app_item(2)]));
+        assert_eq!(
+            r.queue_reply(9, sealed(&[app_item(2)])),
+            Err(sealed(&[app_item(2)]))
+        );
     }
 
     #[test]
@@ -1271,7 +1333,7 @@ mod tests {
         let mut r =
             Reactor::new(1, listener, config, NetStats::shared(&Registry::default())).unwrap();
         r.open_link(2, addr);
-        let _ = r.queue_forward(2, vec![app_item(1)]);
+        let _ = r.queue_forward(2, sealed(&[app_item(1)]));
         let mut notices = Vec::new();
         let start = Instant::now();
         loop {
@@ -1282,7 +1344,12 @@ mod tests {
                 .find(|n| matches!(n, Notice::PeerUnreachable { .. }))
             {
                 assert_eq!(*node, 2);
-                assert_eq!(unsent, &vec![app_item(1)]);
+                let items: Vec<Item> = unsent
+                    .iter()
+                    .cloned()
+                    .flat_map(SealedFrame::into_items)
+                    .collect();
+                assert_eq!(items, vec![app_item(1)]);
                 break;
             }
         }

@@ -6,12 +6,15 @@
 use proptest::prelude::*;
 
 use dgc_core::clock::NamedClock;
+use dgc_core::egress::{EgressQueue, FlushPolicy, Outbox};
 use dgc_core::id::AoId;
 use dgc_core::message::{DgcMessage, DgcResponse};
 use dgc_core::units::Dur;
+use dgc_core::units::Time;
 use dgc_core::wire::put_varint;
 use dgc_rt_net::frame::{
-    decode_payload, encode_batch_frame, encode_frame, encode_payload, FrameDecoder, FRAME_OVERHEAD,
+    decode_payload, encode_batch_frame, encode_frame, encode_payload, split_len, FrameBuilder,
+    FrameDecoder, PeerFrames, SealedFrame, FRAME_OVERHEAD, MAX_ITEMS_PER_FRAME,
 };
 use dgc_rt_net::{Frame, Item};
 
@@ -583,7 +586,7 @@ proptest! {
     fn split_len_is_a_greedy_bounded_partition(
         items in proptest::collection::vec(arb_weighty_item(), 0..12)
     ) {
-        use dgc_rt_net::frame::{split_len, MAX_BYTES_PER_FRAME, MAX_ITEMS_PER_FRAME};
+        use dgc_rt_net::frame::MAX_BYTES_PER_FRAME;
         let n = split_len(&items);
         if items.is_empty() {
             prop_assert_eq!(n, 0);
@@ -619,4 +622,252 @@ proptest! {
         }
         prop_assert_eq!(walked, items.len());
     }
+}
+
+/// The frames the link layer wrote before units were encoded at
+/// enqueue: `items` cut at [`split_len`], each piece encoded whole.
+fn split_and_encode(items: &[Item]) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    let mut rest = items;
+    while !rest.is_empty() {
+        let (piece, tail) = rest.split_at(split_len(rest));
+        frames.push(encode_batch_frame(piece));
+        rest = tail;
+    }
+    frames
+}
+
+fn wire_of(frames: &[SealedFrame]) -> Vec<Vec<u8>> {
+    frames.iter().map(|f| f.as_bytes().to_vec()).collect()
+}
+
+fn unframe(frames: Vec<SealedFrame>) -> Vec<Item> {
+    frames
+        .into_iter()
+        .flat_map(SealedFrame::into_items)
+        .collect()
+}
+
+proptest! {
+    /// The open-frame builder is the batch encoder run one item at a
+    /// time: the frames it seals are byte for byte those that
+    /// `encode_batch_frame` builds from the same items, in both batch
+    /// tags — a response with a depth after depthless ones re-encodes
+    /// the open frame under `0xF5` — and a builder reused after a
+    /// `finish` starts from a fresh context. A sealed frame decodes
+    /// back to exactly what was pushed.
+    #[test]
+    fn the_frame_builder_is_the_batch_encoder(
+        items in proptest::collection::vec(arb_item(), 0..40),
+        cut in any::<usize>(),
+    ) {
+        let cut = cut % (items.len() + 1);
+        let mut builder = FrameBuilder::new();
+        let mut sealed = Vec::new();
+        for part in [&items[..cut], &items[cut..]] {
+            for item in part {
+                builder.push(item, item.wire_size());
+            }
+            prop_assert_eq!(builder.len(), part.len());
+            let frames = builder.finish();
+            prop_assert!(builder.is_empty());
+            prop_assert_eq!(wire_of(&frames), split_and_encode(part));
+            prop_assert_eq!(
+                frames.iter().map(|f| f.items() as usize).sum::<usize>(),
+                part.len()
+            );
+            sealed.extend(frames);
+        }
+        prop_assert_eq!(unframe(sealed), items);
+    }
+
+    /// A flush through the byte queue an egress outbox keeps per peer
+    /// on sockets: items, bytes and per-path order are conserved —
+    /// `enqueued = flushed + dropped + pending` for both — and what
+    /// leaves, flushed as sealed frames or handed back by `drop_dest`,
+    /// is each path's units in enqueue order, with the tenant of every
+    /// application unit counted out once.
+    #[test]
+    fn the_byte_queue_conserves_units_and_path_order(
+        ops in proptest::collection::vec(
+            // (dest, item, ms advance, action: 0..=6 enqueue, 7..=8
+            // poll, 9 drop_dest)
+            (0u32..3, arb_item(), 0u64..4, 0u8..10),
+            1..80,
+        ),
+        max_delay_ms in 0u64..6,
+        max_items in 1usize..12,
+    ) {
+        let policy = FlushPolicy {
+            flush_on_app: true,
+            max_delay: Dur::from_millis(max_delay_ms),
+            max_bytes: 600,
+            max_items,
+        };
+        let mut ob: Outbox<Item, PeerFrames> = Outbox::new(policy);
+        // Per destination and path: units in, units out.
+        let mut sent = vec![(Vec::new(), Vec::new()); 3];
+        let mut left = vec![(Vec::new(), Vec::new()); 3];
+        let mut flushed_items = 0u64;
+        let mut enqueued_bytes = 0u64;
+        let route = |left: &mut Vec<(Vec<Item>, Vec<Item>)>, dest: u32, items: Vec<Item>| {
+            for item in items {
+                let (forward, back) = &mut left[dest as usize];
+                if item.travels_forward() { forward.push(item) } else { back.push(item) }
+            }
+        };
+        let mut now_ms = 0u64;
+        for (dest, item, advance, action) in ops {
+            now_ms += advance;
+            let now = Time::from_nanos(now_ms * 1_000_000);
+            let mut flushes = Vec::new();
+            match action {
+                0..=6 => {
+                    let size = item.wire_size();
+                    enqueued_bytes += size;
+                    route(&mut sent, dest, vec![item.clone()]);
+                    flushes.extend(ob.enqueue(now, dest, item.class(), size, item));
+                }
+                7..=8 => flushes = ob.poll(now),
+                _ => {
+                    let returned = ob.drop_dest(dest);
+                    let items: Vec<Item> = returned.into_iter().map(|qi| qi.item).collect();
+                    route(&mut left, dest, items);
+                }
+            }
+            for flush in flushes {
+                let batch = flush.items;
+                flushed_items += batch.items();
+                let mut tenants = batch.app_tenants.clone();
+                let items: Vec<Item> = unframe(batch.forward).into_iter().chain(unframe(batch.back)).collect();
+                let mut apps: Vec<u32> = items
+                    .iter()
+                    .filter_map(|i| match i { Item::App { tenant, .. } => Some(*tenant), _ => None })
+                    .collect();
+                tenants.sort_unstable();
+                apps.sort_unstable();
+                prop_assert_eq!(tenants, apps, "every app unit's tenant, once");
+                route(&mut left, flush.dest, items);
+            }
+        }
+        let pending = ob.pending_items() as u64;
+        let s = ob.stats();
+        prop_assert_eq!(s.enqueued_items, s.items + s.dropped_items + pending);
+        prop_assert_eq!(s.enqueued_bytes, s.bytes + s.dropped_bytes + ob.pending_bytes());
+        prop_assert_eq!(s.enqueued_bytes, enqueued_bytes, "charged wire_size, as the Vec queue is");
+        prop_assert_eq!(s.items, flushed_items);
+        for flush in ob.flush_all() {
+            let batch = flush.items;
+            let items: Vec<Item> = unframe(batch.forward).into_iter().chain(unframe(batch.back)).collect();
+            route(&mut left, flush.dest, items);
+        }
+        prop_assert_eq!(ob.pending_items(), 0);
+        prop_assert_eq!(left, sent, "per destination, per path: in enqueue order, none lost");
+    }
+}
+
+proptest! {
+    // Big allocations per case: fewer cases than the codec properties.
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The builder starts a new frame exactly where `split_len` cuts a
+    /// queue of the same items, so no frame it seals outgrows what the
+    /// receiver's decoder accepts.
+    #[test]
+    fn the_frame_builder_cuts_where_split_len_cuts(
+        items in proptest::collection::vec(arb_weighty_item(), 0..12)
+    ) {
+        let sealed = FrameBuilder::seal_items(&items);
+        prop_assert_eq!(wire_of(&sealed), split_and_encode(&items));
+    }
+}
+
+/// The depth tag is chosen per frame, and the builder learns it late: a
+/// response with a depth after depthless ones re-encodes what the frame
+/// already holds, so every response in it carries the field, exactly as
+/// the batch encoder writes it.
+#[test]
+fn a_depth_after_depthless_responses_reencodes_the_open_frame() {
+    let resp = |k: u32, depth: Option<u32>| Item::Resp {
+        from: AoId::new(1, k),
+        to: AoId::new(0, 7),
+        response: DgcResponse {
+            responder: AoId::new(1, k),
+            clock: NamedClock::initial(AoId::new(1, k)),
+            has_parent: true,
+            consensus_reached: false,
+            depth,
+        },
+    };
+    let dgc = Item::Dgc {
+        from: AoId::new(1, 2),
+        to: AoId::new(0, 3),
+        message: DgcMessage {
+            sender: AoId::new(1, 2),
+            clock: NamedClock::initial(AoId::new(1, 2)),
+            consensus: false,
+            sender_ttb: Dur::from_millis(100),
+        },
+    };
+    let items = vec![
+        resp(0, None),
+        dgc,
+        resp(1, None),
+        resp(2, Some(3)),
+        resp(3, None),
+    ];
+    let sealed = FrameBuilder::seal_items(&items);
+    assert_eq!(wire_of(&sealed), vec![encode_batch_frame(&items)]);
+    assert_eq!(sealed[0].as_bytes()[4], 0xF5, "the depth tag");
+    assert_eq!(unframe(sealed), items);
+}
+
+/// A sweep larger than one frame's item cap seals into full frames and
+/// a remainder, each one decodable on its own.
+#[test]
+fn a_queue_past_the_item_cap_seals_into_several_frames() {
+    let items: Vec<Item> = (0..MAX_ITEMS_PER_FRAME as u32 + 5)
+        .map(|k| Item::Farewell {
+            from: AoId::new(0, k),
+            to: AoId::new(1, k / 2),
+            age: None,
+        })
+        .collect();
+    let mut queue = PeerFrames::default();
+    for item in &items {
+        queue.push(dgc_core::egress::QueuedItem {
+            class: item.class(),
+            size: item.wire_size(),
+            item: item.clone(),
+        });
+    }
+    assert_eq!(queue.len(), items.len());
+    let batch = queue.take();
+    assert!(batch.back.is_empty(), "farewells ride the forward path");
+    let counts: Vec<u32> = batch.forward.iter().map(SealedFrame::items).collect();
+    assert_eq!(counts, vec![MAX_ITEMS_PER_FRAME as u32, 5]);
+    assert_eq!(wire_of(&batch.forward), split_and_encode(&items));
+    assert_eq!(unframe(batch.forward), items);
+}
+
+/// Payload bytes cut frames too: five full-size application payloads
+/// outgrow one frame's byte cap, and the builder starts a new frame
+/// where `split_len` cuts.
+#[test]
+fn a_queue_past_the_byte_cap_seals_into_several_frames() {
+    use dgc_rt_net::frame::{MAX_APP_PAYLOAD, MAX_BYTES_PER_FRAME};
+    let items: Vec<Item> = (0..5)
+        .map(|k| Item::App {
+            from: AoId::new(0, k),
+            to: AoId::new(1, k),
+            reply: false,
+            tenant: 0,
+            payload: vec![0x5A; MAX_APP_PAYLOAD].into(),
+        })
+        .collect();
+    let total: u64 = items.iter().map(Item::wire_size).sum();
+    assert!(total > MAX_BYTES_PER_FRAME, "the case must cross the cap");
+    let sealed = FrameBuilder::seal_items(&items);
+    assert!(sealed.len() > 1);
+    assert_eq!(wire_of(&sealed), split_and_encode(&items));
 }

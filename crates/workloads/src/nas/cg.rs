@@ -14,7 +14,8 @@ use dgc_simnet::time::SimDuration;
 
 use super::common::{KernelMath, NasParams};
 
-/// Class-C-scaled parameters (see EXPERIMENTS.md for the calibration).
+/// Class-C-scaled parameters; each field's comment states its class-C
+/// basis.
 pub fn class_c() -> NasParams {
     NasParams {
         name: "CG",

@@ -11,7 +11,9 @@
 //! bulk-synchronous loop — broadcast a chunk to every peer, wait for all
 //! peers' chunks, compute, repeat — and finally reply to the master's
 //! future. Message *sizes* and per-iteration *compute times* are scaled
-//! to class C (see EXPERIMENTS.md for the calibration); the local
+//! to class C (each kernel's `class_c()` states the basis of its
+//! numbers, and `fig8_nas_bandwidth` / `fig9_nas_time` print the
+//! results beside the paper's); the local
 //! numerical work is genuinely executed on scaled-down data by each
 //! kernel's [`KernelMath`].
 //!
